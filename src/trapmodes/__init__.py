@@ -16,7 +16,6 @@ from .contour import (
     make_circle,
     make_ellipse,
     make_fourier,
-    normal_and_tangent,
     read_fourier_file,
 )
 from .dispersion import (
@@ -49,14 +48,12 @@ from .potentialflow import (
     boundary_potential,
     dipole_mu_flux,
     dipoles_bem,
-    kernel_m10,
 )
 from .spectra import (
     Coefficients,
     ModeResult,
     ProblemSetup,
     ResonanceResult,
-    lambda_omega,
     p0_factor,
     q_factor,
     rcal_jcal,

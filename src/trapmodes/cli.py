@@ -29,8 +29,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .contour import make_circle, make_ellipse, read_fourier_file
-from .dispersion import FluidConfig, spectral_context
+from .contour import DipoleStrengths, make_circle, make_ellipse, read_fourier_file
+from .dispersion import FluidConfig, SpectralContext, spectral_context
 from .embedded import a_star, sweep_f
 from .errors import ConsistencyError, ValidationError
 from .potentialflow import assemble, dipoles_bem
@@ -213,6 +213,12 @@ def parse_run(argv=None) -> RunConfig:
         value = getattr(ns, key, None)
         if value is not None:
             setattr(run, key, value)
+    for key, conv in _FIELD_TYPES.items():
+        value = getattr(run, key)
+        if conv is float and value is not None and not math.isfinite(value):
+            raise ValidationError(f"{key} must be finite, got {value}")
+    if run.g is not None and not run.g > 0.0:
+        raise ValidationError(f"g must be positive, got {run.g}")
     if run.side not in ("U", "L"):
         raise ValidationError(f"side must be 'U' or 'L', got {run.side!r}")
     if run.shape not in SHAPES:
@@ -273,15 +279,8 @@ def _contour(run: RunConfig):
             f"fourier_file: cannot read {run.fourier_file!r}: {exc}") from exc
 
 
-def _spectral_summary(ctx) -> dict:
-    q1 = math.sqrt(2.0 * ctx.cfg.k * ctx.Lambda1 / ctx.dlam1_k)
-    q2 = ctx.cfg.k * math.sqrt(2.0)
-    return {"Lambda1": ctx.Lambda1, "Lambda2": ctx.Lambda2, "tau1": ctx.tau1,
-            "p1_zero": ctx.p1_zero, "q1": q1, "q2": q2}
-
-
-def _bem_parts(run: RunConfig, manifest: dict):
-    """Contour, assembled system and dipoles, recorded into the manifest."""
+def _dipoles(run: RunConfig, manifest: dict) -> DipoleStrengths:
+    """Stage 1: contour, Nystrom system and dipoles, recorded into the manifest."""
     C = _contour(run)
     system = assemble(C, run.N)
     dip = dipoles_bem(C, run.N, system=system)
@@ -293,81 +292,65 @@ def _bem_parts(run: RunConfig, manifest: dict):
         manifest["inputs"]["fourier_coefficients"] = [
             list(map(float, C.cos_x)), list(map(float, C.sin_x)),
             list(map(float, C.cos_y)), list(map(float, C.sin_y))]
-    return C, system, dip
+    return dip
 
 
-def _shape_cells(run: RunConfig) -> dict:
-    cells = {"shape": run.shape, "r": None, "a0": None, "b0": None,
-             "theta0": None}
-    if run.shape == "circle":
-        cells["r"] = run.r
-    elif run.shape == "ellipse":
-        cells.update(a0=run.a0, b0=run.b0, theta0=run.theta0)
-    return cells
+def _context(run: RunConfig, manifest: dict) -> SpectralContext:
+    """Stage 2: cut-offs and threshold data, recorded into the manifest."""
+    ctx = spectral_context(_fluid(run))
+    manifest["spectral_context"] = {
+        "Lambda1": ctx.Lambda1, "Lambda2": ctx.Lambda2, "tau1": ctx.tau1,
+        "p1_zero": ctx.p1_zero, "q1": ctx.q1, "q2": ctx.q2}
+    return ctx
+
+
+# Each row function starts its row from the run's own fields and adds the
+# computed cells; _render_csv picks the table's columns. The shape parameters
+# a section family ignores are blanked.
+_UNUSED_SHAPE_FIELDS = {"circle": ("a0", "b0", "theta0"), "ellipse": ("r",),
+                        "fourier": ("r", "a0", "b0", "theta0")}
 
 
 def _row_cutoffs(run: RunConfig, manifest: dict) -> dict:
-    ctx = spectral_context(_fluid(run))
-    summary = _spectral_summary(ctx)
-    manifest["spectral_context"] = summary
-    return {"beta": run.beta, "b": run.b, "k": run.k, **summary}
+    _context(run, manifest)
+    return {**vars(run), **manifest["spectral_context"]}
 
 
 def _row_dipoles(run: RunConfig, manifest: dict) -> dict:
-    _, _, dip = _bem_parts(run, manifest)
-    return {**_shape_cells(run), "N": run.N, "mu": dip.mu,
-            "kappa": dip.kappa, "nu": dip.nu, "S": dip.S,
-            "delta": dip.delta}
-
-
-def _setup(run: RunConfig, dip, a=None) -> ProblemSetup:
-    return ProblemSetup(cfg=_fluid(run), side=run.side,
-                        a=run.a if a is None else a,
-                        epsilon=run.epsilon, dip=dip)
+    _dipoles(run, manifest)
+    return {**vars(run), **dict.fromkeys(_UNUSED_SHAPE_FIELDS[run.shape]),
+            **manifest["dipoles"]}
 
 
 def _row_trapped(run: RunConfig, manifest: dict) -> dict:
-    _, _, dip = _bem_parts(run, manifest)
-    ctx = spectral_context(_fluid(run))
-    manifest["spectral_context"] = _spectral_summary(ctx)
+    dip = _dipoles(run, manifest)
+    ctx = _context(run, manifest)
     fn = trapped_upper if run.side == "U" else trapped_lower
-    res = fn(_setup(run, dip), ctx, g_grav=run.g)
-    return {"beta": run.beta, "b": run.b, "k": run.k, "side": run.side,
-            "a": run.a, "epsilon": run.epsilon, "shape": run.shape,
-            "mu": dip.mu, "S": dip.S, "sigma": res.sigma, "lambda": res.lam,
-            "threshold": res.threshold, "omega": res.omega,
-            "D": res.coefficients.D}
+    res = fn(ProblemSetup(cfg=ctx.cfg, side=run.side, a=run.a,
+                          epsilon=run.epsilon, dip=dip), ctx, g_grav=run.g)
+    return {**vars(run), **vars(res), "mu": dip.mu, "S": dip.S,
+            "lambda": res.lam, "D": res.coefficients.D}
 
 
 def _row_resonance(run: RunConfig, manifest: dict) -> dict:
-    _, _, dip = _bem_parts(run, manifest)
-    ctx = spectral_context(_fluid(run))
-    manifest["spectral_context"] = _spectral_summary(ctx)
+    dip = _dipoles(run, manifest)
+    ctx = _context(run, manifest)
     fn = resonance_upper if run.side == "U" else resonance_lower
-    res = fn(_setup(run, dip), ctx, g_grav=run.g)
-    return {"beta": run.beta, "b": run.b, "k": run.k, "side": run.side,
-            "a": run.a, "epsilon": run.epsilon, "shape": run.shape,
-            "mu": dip.mu, "S": dip.S, "re_sigma": res.re_sigma,
-            "im_sigma": res.im_sigma, "rcal": res.rcal, "jcal": res.jcal,
-            "near_embedded": res.near_embedded,
-            "decay_rate": res.decay_rate, "D": res.coefficients.D,
-            "D1": res.coefficients.D1}
+    res = fn(ProblemSetup(cfg=ctx.cfg, side=run.side, a=run.a,
+                          epsilon=run.epsilon, dip=dip), ctx, g_grav=run.g)
+    return {**vars(run), **vars(res), "mu": dip.mu, "S": dip.S,
+            "D": res.coefficients.D, "D1": res.coefficients.D1}
 
 
 def _row_embedded(run: RunConfig, manifest: dict) -> dict:
-    _, _, dip = _bem_parts(run, manifest)
-    cfg = _fluid(run)
-    ctx = spectral_context(cfg)
-    manifest["spectral_context"] = _spectral_summary(ctx)
+    dip = _dipoles(run, manifest)
+    ctx = _context(run, manifest)
     # the submergence field is solved for, not prescribed; seed with b/2
-    setup = ProblemSetup(cfg=cfg, side="U", a=0.5 * run.b,
-                         epsilon=run.epsilon, dip=dip)
-    res = a_star(setup, ctx)
-    return {"beta": run.beta, "b": run.b, "k": run.k,
-            "epsilon": run.epsilon, "shape": run.shape, "delta": res.delta,
-            "exists": res.exists, "a_star": res.a_star, "w": res.w,
-            "tau0": res.tau0, "sigma": res.sigma,
-            "diagnostics": res.diagnostics}
+    res = a_star(ProblemSetup(cfg=ctx.cfg, side="U", a=0.5 * run.b,
+                              epsilon=run.epsilon, dip=dip), ctx)
+    # res.a0 and res.b0 (k a*, k b) shadow the ellipse inputs, which this
+    # table does not show
+    return {**vars(run), **vars(res)}
 
 
 _ROW_FN = {
@@ -383,14 +366,14 @@ def _rows_sweep(run: RunConfig, manifest: dict):
     param, grid = _parse_sweep(run)
     manifest["inputs"]["sweep_grid"] = [float(v) for v in grid]
     if run.what == "f":
-        _, _, dip = _bem_parts(run, manifest)
+        dip = _dipoles(run, manifest)
         rows = sweep_f([_fluid(run)], grid, delta=dip.delta)
         return COLUMNS["f"], rows
     columns = COLUMNS[run.what]
     rows = []
     for v in grid:
         point = dataclasses.replace(run, command=run.what)
-        setattr(point, param, float(v) if param != "N" else int(v))
+        setattr(point, param, float(v))
         # each grid point keeps its own manifest scratch; only the last
         # point's spectral/BEM blocks are recorded (they differ only in
         # the swept parameter, which the grid itself documents)

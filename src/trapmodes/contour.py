@@ -250,18 +250,6 @@ def area(C: Contour) -> float:
     return val
 
 
-def normal_and_tangent(C: Contour, t):
-    """Return (m, n_hat) at parameter t: m = (-Y', X') and its unit vector.
-
-    For the stored (positive) orientation m points toward the interior of the
-    section, i.e. out of the fluid.
-    """
-    xd, yd = C.velocity(t)
-    m = np.stack([-yd, xd], axis=-1)
-    speed = np.linalg.norm(m, axis=-1, keepdims=True)
-    return m, m / speed
-
-
 def analytic_dipoles(shape: str, r: float | None = None, a0: float | None = None,
                      b0: float | None = None, theta0: float = 0.0) -> DipoleStrengths:
     """Closed-form dipole coefficients for the canonical sections.

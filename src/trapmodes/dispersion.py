@@ -114,6 +114,8 @@ class SpectralContext:
                interfacial wave at the upper cut-off
     dlam1_k  : lambda1'(k)
     dlam1_tau1 : lambda1'(tau1)
+    q1, q2   : near-threshold slopes p ~ q sigma of the radiating wave at
+               Lambda1 and Lambda2 (see near_threshold_wavenumbers)
     """
 
     cfg: FluidConfig
@@ -123,6 +125,16 @@ class SpectralContext:
     p1_zero: float
     dlam1_k: float
     dlam1_tau1: float
+
+    @property
+    def q1(self) -> float:
+        """q1 = sqrt(2 k Lambda1 / lambda1'(k))."""
+        return math.sqrt(2.0 * self.cfg.k * self.Lambda1 / self.dlam1_k)
+
+    @property
+    def q2(self) -> float:
+        """q2 = k sqrt(2)."""
+        return self.cfg.k * math.sqrt(2.0)
 
 
 def solve_tau1(cfg: FluidConfig) -> float:

@@ -29,15 +29,9 @@ from dataclasses import dataclass, replace
 
 from scipy.optimize import brentq
 
-from .dispersion import (
-    ROOT_RTOL,
-    FluidConfig,
-    SpectralContext,
-    g_profile_scaled,
-    spectral_context,
-)
+from .dispersion import ROOT_RTOL, FluidConfig, SpectralContext, spectral_context
 from .errors import ConsistencyError, ValidationError
-from .spectra import ProblemSetup, resonance_upper
+from .spectra import ProblemSetup, rcal_jcal_scaled, resonance_upper
 
 SYMMETRY_RTOL = 1e-9  # |nu| <= this * mu counts as symmetric (BEM noise floor)
 ROUTE_AGREEMENT = 1e-9  # the two a* routes must match to this * b
@@ -109,12 +103,6 @@ def solve_w(delta: float, tau0_val: float) -> float:
     return math.atanh(rhs)
 
 
-def _rcal_scaled_at(a: float, tau1: float, cfg: FluidConfig, dip) -> float:
-    # e^{-a tau1} Rcal(a); same sign as Rcal, safe for large a tau1
-    g_hat, gp_hat = g_profile_scaled(a, tau1, cfg.k)
-    return cfg.k * dip.S * g_hat + 2.0 * math.pi * dip.mu * gp_hat
-
-
 def a_star(setup: ProblemSetup, ctx: SpectralContext | None = None) -> EmbeddedResult:
     """Find the embedded-mode submergence for a symmetric section.
 
@@ -134,21 +122,20 @@ def a_star(setup: ProblemSetup, ctx: SpectralContext | None = None) -> EmbeddedR
     if not (t0 > 1.0):
         raise ConsistencyError(f"tau0 must exceed 1, got {t0}")
     delta = setup.dip.delta
+    w = solve_w(delta, t0)
 
     if abs(setup.dip.nu) > SYMMETRY_RTOL * setup.dip.mu:
-        w = solve_w(delta, t0)
         return EmbeddedResult(
             exists=False, a_star=None, w=w, tau0=t0, a0=None, b0=k * b,
             delta=delta, sigma=None,
             diagnostics="asymmetric contour (Jcal != 0)",
         )
 
-    w = solve_w(delta, t0)
     a1 = w / (k * t0)
     exists_closed = a1 < b
 
     # independent route: sign change of the rescaled Rcal on (0, b]
-    rc = lambda a: _rcal_scaled_at(a, ctx.tau1, cfg, setup.dip)
+    rc = lambda a: rcal_jcal_scaled(a, ctx, setup.dip)[0]
     r_at_b = rc(b)
     exists_root = r_at_b < 0.0  # rc(0) = tau1 k (S + 2 pi mu) / ... > 0 always
     if exists_root != exists_closed:
@@ -168,8 +155,9 @@ def a_star(setup: ProblemSetup, ctx: SpectralContext | None = None) -> EmbeddedR
         raise ConsistencyError(
             f"a* routes disagree: closed form {a1} vs root search {a2}"
         )
-    residual = abs(rc(a1))
-    scale = max(1.0, k * setup.dip.S * abs(g_profile_scaled(a1, ctx.tau1, k)[0]))
+    r_hat, _, g_hat = rcal_jcal_scaled(a1, ctx, setup.dip)
+    residual = abs(r_hat)
+    scale = max(1.0, k * setup.dip.S * abs(g_hat))
     if residual > 1e-10 * scale:
         raise ConsistencyError(f"Rcal(a*) residual {residual} too large")
 

@@ -35,34 +35,6 @@ from .errors import ConsistencyError, ValidationError
 GAUSS_TOL = 1e-8
 
 
-def kernel_m10(C: Contour, t, s):
-    """Double-layer kernel K(t, s); handles the diagonal by its curvature limit.
-
-    t and s broadcast; entries with t == s (exact equality) get the limit value.
-    """
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
-    t_b, s_b = np.broadcast_arrays(t, s)
-    xt, yt = C.point(t_b.ravel())
-    xs, ys = C.point(s_b.ravel())
-    xds, yds = C.velocity(s_b.ravel())
-    dx = xs - xt
-    dy = ys - yt
-    dist2 = dx * dx + dy * dy
-    out = np.empty_like(dist2)
-    off = dist2 > 0.0
-    # m(s) = (-Y'(s), X'(s))
-    num = dx[off] * (-yds[off]) + dy[off] * xds[off]
-    out[off] = -(1.0 / math.pi) * num / dist2[off]
-    if np.any(~off):
-        td = s_b.ravel()[~off]
-        xd, yd = C.velocity(td)
-        xdd, ydd = C.acceleration(td)
-        out[~off] = (xd * ydd - xdd * yd) / (2.0 * math.pi * (xd * xd + yd * yd))
-    out = out.reshape(t_b.shape)
-    return float(out) if out.ndim == 0 else out
-
-
 @dataclass
 class NystromSystem:
     """Factored discrete operator I + M for one contour at one resolution."""

@@ -28,15 +28,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .contour import DipoleStrengths
 from .dispersion import (
     FluidConfig,
     SpectralContext,
-    g_profile,
     g_profile_scaled,
-    lambda1_prime,
     spectral_context,
 )
 from .errors import ConsistencyError, ValidationError
@@ -88,8 +86,6 @@ class Coefficients:
 
     D: float
     D1: float | None = None
-    Q_at: dict = field(default_factory=dict)
-    P0_at: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -165,7 +161,7 @@ def rcal_jcal(setup: ProblemSetup, ctx: SpectralContext | None = None):
     """
     _require_side(setup, "U", "rcal_jcal")
     ctx = _ctx_for(setup, ctx)
-    r_hat, j_hat, _ = _rcal_jcal_scaled(setup, ctx)
+    r_hat, j_hat, _ = rcal_jcal_scaled(setup.a, ctx, setup.dip)
     try:
         scale = math.exp(setup.a * ctx.tau1)
     except OverflowError:
@@ -177,12 +173,14 @@ def rcal_jcal(setup: ProblemSetup, ctx: SpectralContext | None = None):
     return rescale(r_hat), rescale(j_hat)
 
 
-def _rcal_jcal_scaled(setup: ProblemSetup, ctx: SpectralContext):
-    # e^{-a tau1}-scaled pair; finite for arbitrarily large a*tau1
-    k = setup.cfg.k
-    g_hat, gp_hat = g_profile_scaled(setup.a, ctx.tau1, ctx.Lambda2)
-    r_hat = k * setup.dip.S * g_hat + 2.0 * math.pi * setup.dip.mu * gp_hat
-    j_hat = 2.0 * math.pi * setup.dip.nu * ctx.p1_zero * g_hat
+def rcal_jcal_scaled(a: float, ctx: SpectralContext, dip: DipoleStrengths):
+    """e^{-a tau1} Rcal, e^{-a tau1} Jcal and e^{-a tau1} g(-a; tau1, Lambda2).
+
+    Same signs as the raw values and finite for arbitrarily large a tau1.
+    """
+    g_hat, gp_hat = g_profile_scaled(a, ctx.tau1, ctx.Lambda2)
+    r_hat = ctx.cfg.k * dip.S * g_hat + 2.0 * math.pi * dip.mu * gp_hat
+    j_hat = 2.0 * math.pi * dip.nu * ctx.p1_zero * g_hat
     return r_hat, j_hat, g_hat
 
 
@@ -201,9 +199,7 @@ def trapped_upper(setup: ProblemSetup, ctx: SpectralContext | None = None,
     k, b, a = cfg.k, cfg.b, setup.a
     Lam1, Lam2 = ctx.Lambda1, ctx.Lambda2
     dl1 = ctx.dlam1_k
-    q1 = math.sqrt(2.0 * k * Lam1 / dl1)
-    Qk = q_factor(k, cfg)
-    core = (cfg.alpha / cfg.beta) / (Qk * dl1 * (Lam2 - Lam1) * q1)
+    core = (cfg.alpha / cfg.beta) / (q_factor(k, cfg) * dl1 * (Lam2 - Lam1) * ctx.q1)
     D = core * math.exp(-b * k)
     if not (D > 0.0):
         raise ConsistencyError(f"coefficient D must be positive, got {D}")
@@ -218,9 +214,8 @@ def trapped_upper(setup: ProblemSetup, ctx: SpectralContext | None = None,
         raise ConsistencyError(f"trapped-mode sigma must be positive, got {sigma}")
     lam = Lam1 * (1.0 - sigma * sigma)
     omega = math.sqrt(g_grav * lam) if g_grav is not None else None
-    coeffs = Coefficients(D=D, Q_at={k: Qk})
     return ModeResult(sigma=sigma, lam=lam, threshold=Lam1, omega=omega,
-                      coefficients=coeffs)
+                      coefficients=Coefficients(D=D))
 
 
 def resonance_upper(setup: ProblemSetup, ctx: SpectralContext | None = None,
@@ -241,9 +236,7 @@ def resonance_upper(setup: ProblemSetup, ctx: SpectralContext | None = None,
     cfg = setup.cfg
     k, b, a = cfg.k, cfg.b, setup.a
     Lam1, Lam2, tau1 = ctx.Lambda1, ctx.Lambda2, ctx.tau1
-    q2 = k * math.sqrt(2.0)
-    Qk = q_factor(k, cfg)
-    core = 4.0 / (Qk * (Lam2 - Lam1) * q2)
+    core = 4.0 / (q_factor(k, cfg) * (Lam2 - Lam1) * ctx.q2)
     D = core * math.exp(-a * k)
     D1 = Lam2 * tau1 / (q_factor(tau1, cfg) * ctx.dlam1_tau1 * ctx.p1_zero * (tau1 - Lam2))
     if not (D > 0.0 and D1 > 0.0):
@@ -251,7 +244,7 @@ def resonance_upper(setup: ProblemSetup, ctx: SpectralContext | None = None,
     re_sigma = 0.5 * setup.epsilon**2 * core * k * k * math.exp(-2.0 * a * k) * (
         setup.dip.S + 2.0 * math.pi * setup.dip.mu
     )
-    r_hat, j_hat, g_hat = _rcal_jcal_scaled(setup, ctx)
+    r_hat, j_hat, g_hat = rcal_jcal_scaled(a, ctx, setup.dip)
     # e^{-2 b tau1} (Rcal^2 + Jcal^2) = e^{-2 (b-a) tau1} (r_hat^2 + j_hat^2), b > a
     obstruction = r_hat * r_hat + j_hat * j_hat
     im_sigma = (
@@ -269,10 +262,9 @@ def resonance_upper(setup: ProblemSetup, ctx: SpectralContext | None = None,
         )
     rcal, jcal = rcal_jcal(setup, ctx)
     decay = math.sqrt(k * g_grav) * re_sigma * im_sigma if g_grav is not None else None
-    coeffs = Coefficients(D=D, D1=D1, Q_at={k: Qk, tau1: q_factor(tau1, cfg)})
     return ResonanceResult(re_sigma=re_sigma, im_sigma=im_sigma, rcal=rcal, jcal=jcal,
                            near_embedded=near_embedded, decay_rate=decay,
-                           coefficients=coeffs)
+                           coefficients=Coefficients(D=D, D1=D1))
 
 
 def trapped_lower(setup: ProblemSetup, ctx: SpectralContext | None = None,
@@ -288,10 +280,8 @@ def trapped_lower(setup: ProblemSetup, ctx: SpectralContext | None = None,
     cfg = setup.cfg
     k, a = cfg.k, setup.a
     Lam1, Lam2 = ctx.Lambda1, ctx.Lambda2
-    dl1 = ctx.dlam1_k
-    q1 = math.sqrt(2.0 * k * Lam1 / dl1)
     P0 = p0_factor(k, Lam1, cfg)
-    core = -P0 * k / ((Lam2 - Lam1) * q1 * dl1)
+    core = -P0 * k / ((Lam2 - Lam1) * ctx.q1 * ctx.dlam1_k)
     D = core * math.exp(-k * a)
     if not (D > 0.0):
         raise ConsistencyError(
@@ -304,9 +294,8 @@ def trapped_lower(setup: ProblemSetup, ctx: SpectralContext | None = None,
         raise ConsistencyError(f"trapped-mode sigma must be positive, got {sigma}")
     lam = Lam1 * (1.0 - sigma * sigma)
     omega = math.sqrt(g_grav * lam) if g_grav is not None else None
-    coeffs = Coefficients(D=D, Q_at={}, P0_at={(k, Lam1): P0})
     return ModeResult(sigma=sigma, lam=lam, threshold=Lam1, omega=omega,
-                      coefficients=coeffs)
+                      coefficients=Coefficients(D=D))
 
 
 def resonance_lower(setup: ProblemSetup, ctx: SpectralContext | None = None,
@@ -327,9 +316,8 @@ def resonance_lower(setup: ProblemSetup, ctx: SpectralContext | None = None,
     cfg = setup.cfg
     k, a = cfg.k, setup.a
     Lam1, Lam2, tau1 = ctx.Lambda1, ctx.Lambda2, ctx.tau1
-    q2 = k * math.sqrt(2.0)
     P0_top = p0_factor(k, Lam2, cfg)
-    core = P0_top * k / ((Lam2 - Lam1) * q2)
+    core = P0_top * k / ((Lam2 - Lam1) * ctx.q2)
     D = core * math.exp(-a * k)
     P0_tau1 = p0_factor(tau1, Lam2, cfg)
     D1 = -P0_tau1 * tau1 / ((tau1 - k) * ctx.dlam1_tau1 * ctx.p1_zero)
@@ -364,27 +352,6 @@ def resonance_lower(setup: ProblemSetup, ctx: SpectralContext | None = None,
             f"problem-L resonance must have re, im > 0; got re={re_sigma}, im={im_sigma}"
         )
     decay = math.sqrt(k * g_grav) * re_sigma * im_sigma if g_grav is not None else None
-    coeffs = Coefficients(
-        D=D, D1=D1, P0_at={(k, Lam2): P0_top, (tau1, Lam2): P0_tau1}
-    )
     return ResonanceResult(re_sigma=re_sigma, im_sigma=im_sigma,
                            rcal=math.nan, jcal=math.nan,
-                           decay_rate=decay, coefficients=coeffs)
-
-
-def lambda_omega(sigma: float, threshold: float, g_grav: float):
-    """Convert sigma at a given cut-off to (lam, omega): lam = threshold (1 - sigma^2),
-    omega = sqrt(g_grav lam)."""
-    if not (abs(sigma) < 1.0):
-        raise ValidationError(f"|sigma| must be < 1, got {sigma}")
-    if not (threshold > 0.0):
-        raise ValidationError(f"threshold must be positive, got {threshold}")
-    if not (g_grav > 0.0):
-        raise ValidationError(f"g_grav must be positive, got {g_grav}")
-    lam = threshold * (1.0 - sigma * sigma)
-    return lam, math.sqrt(g_grav * lam)
-
-
-def at_submergence(setup: ProblemSetup, a: float) -> ProblemSetup:
-    """Copy of setup with a different submergence (sweep helper)."""
-    return replace(setup, a=a)
+                           decay_rate=decay, coefficients=Coefficients(D=D, D1=D1))

@@ -147,6 +147,22 @@ def test_validation_exit_codes(tmp_path, capsys):
     assert "what" in err
 
 
+@pytest.mark.parametrize("args, field", [
+    (["trapped", "--g", "-1"], "g"),
+    (["trapped", "--g", "nan"], "g"),
+    (["dipoles", "--shape", "ellipse", "--theta0", "inf"], "theta0"),
+    (["cutoffs", "--b", "inf"], "b"),
+    (["trapped", "--epsilon", "inf"], "epsilon"),
+    (["trapped", "--side", "L", "--a", "inf"], "a"),
+    (["trapped", "--k", "inf"], "k"),
+])
+def test_non_finite_and_nonpositive_g_exit_2(args, field, tmp_path, capsys):
+    code, stdout, err = run_cli(args + ["--out", str(tmp_path / "x")], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith(f"error: {field} ")
+
+
 def test_consistency_exit_code(tmp_path, capsys, monkeypatch):
     import trapmodes.cli as cli_mod
 

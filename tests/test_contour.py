@@ -14,7 +14,6 @@ from trapmodes import (
     make_circle,
     make_ellipse,
     make_fourier,
-    normal_and_tangent,
     read_fourier_file,
 )
 
@@ -68,19 +67,6 @@ def test_rejects_degenerate_and_self_intersecting():
         make_circle(-1.0)
     with pytest.raises(ValidationError):
         make_ellipse(1.0, 0.0)
-
-
-def test_normal_is_inward_for_circle(unit_circle):
-    t = np.linspace(0.0, 2.0 * math.pi, 7, endpoint=False)
-    m, n_hat = normal_and_tangent(unit_circle, t)
-    x, y = unit_circle.point(t)
-    # inward normal of the unit circle is -(x, y)
-    assert np.allclose(m[:, 0], -x, atol=1e-14)
-    assert np.allclose(m[:, 1], -y, atol=1e-14)
-    assert np.allclose(np.hypot(n_hat[:, 0], n_hat[:, 1]), 1.0, atol=1e-14)
-    # n_hat is m normalized, so it is orthogonal to the velocity
-    xd, yd = unit_circle.velocity(t)
-    assert np.allclose(n_hat[:, 0] * xd + n_hat[:, 1] * yd, 0.0, atol=1e-14)
 
 
 def test_read_fourier_file_roundtrip(tmp_path, egg):

@@ -12,7 +12,6 @@ from trapmodes import (
     ProblemSetup,
     ValidationError,
     analytic_dipoles,
-    lambda_omega,
     p0_factor,
     q_factor,
     rcal_jcal,
@@ -22,7 +21,6 @@ from trapmodes import (
     trapped_lower,
     trapped_upper,
 )
-from trapmodes.spectra import at_submergence
 
 from goldens import GOLD
 
@@ -145,7 +143,7 @@ def test_near_embedded_flag(cfg_half, dip_circle):
     assert res.near_embedded
     assert res.im_sigma <= 1e-20
     # just off the special submergence the resonance is an honest resonance
-    res_off = resonance_upper(at_submergence(s, 0.3))
+    res_off = resonance_upper(dataclasses.replace(s, a=0.3))
     assert not res_off.near_embedded
     assert res_off.im_sigma > 0.0
 
@@ -170,18 +168,6 @@ def test_decay_rate_needs_gravity(setup_std_lower):
     res_g = resonance_lower(setup_std_lower, g_grav=9.81)
     assert res_g.decay_rate == pytest.approx(
         math.sqrt(9.81 * 1.0) * res_g.re_sigma * res_g.im_sigma, rel=1e-14)
-
-
-def test_lambda_omega():
-    lam, omega = lambda_omega(0.1, 1.0, 9.81)
-    assert lam == pytest.approx(0.99, rel=1e-15)
-    assert omega == pytest.approx(GOLD["omega_g981_lam1"] * math.sqrt(0.99), rel=1e-13)
-    with pytest.raises(ValidationError):
-        lambda_omega(1.5, 1.0, 9.81)
-    with pytest.raises(ValidationError):
-        lambda_omega(0.1, -1.0, 9.81)
-    with pytest.raises(ValidationError):
-        lambda_omega(0.1, 1.0, 0.0)
 
 
 @given(beta=st.floats(0.1, 0.9), b=st.floats(0.3, 2.5), k=st.floats(0.3, 2.5),
@@ -212,11 +198,3 @@ def test_resonance_lower_properties(beta, b, k, a, eps):
     assert res.re_sigma > 0.0
     assert res.im_sigma > 0.0
     assert res.coefficients.D > 0.0 and res.coefficients.D1 > 0.0
-
-
-def test_at_submergence_helper(setup_std):
-    moved = at_submergence(setup_std, 0.25)
-    assert moved.a == 0.25
-    assert moved.cfg is setup_std.cfg
-    with pytest.raises(ValidationError):
-        at_submergence(setup_std, 2.0)  # outside the layer
