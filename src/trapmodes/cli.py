@@ -103,6 +103,11 @@ _SWEEPABLE = {
     "f": ("a",),
 }
 
+# Shape parameters each section family ignores: blank in its rows, and not
+# sweepable with it.
+_UNUSED_SHAPE_FIELDS = {"circle": ("a0", "b0", "theta0"), "ellipse": ("r",),
+                        "fourier": ("r", "a0", "b0", "theta0")}
+
 
 def read_config_file(path: str) -> dict:
     """Flat key = value pairs, # comments, blank lines ignored."""
@@ -246,6 +251,9 @@ def _parse_sweep(run: RunConfig):
         raise ValidationError(
             f"sweep: parameter {param!r} not sweepable for --what {run.what} "
             f"(allowed: {', '.join(allowed)})")
+    if param in _UNUSED_SHAPE_FIELDS[run.shape]:
+        raise ValidationError(
+            f"sweep: parameter {param!r} is not used by --shape {run.shape}")
     try:
         start, stop = float(parts[1]), float(parts[2])
         count = int(parts[3])
@@ -295,36 +303,73 @@ def _dipoles(run: RunConfig, manifest: dict) -> DipoleStrengths:
     return dip
 
 
-def _context(run: RunConfig, manifest: dict) -> SpectralContext:
+def _context(cfg: FluidConfig, manifest: dict) -> SpectralContext:
     """Stage 2: cut-offs and threshold data, recorded into the manifest."""
-    ctx = spectral_context(_fluid(run))
+    ctx = spectral_context(cfg)
     manifest["spectral_context"] = {
         "Lambda1": ctx.Lambda1, "Lambda2": ctx.Lambda2, "tau1": ctx.tau1,
         "p1_zero": ctx.p1_zero, "q1": ctx.q1, "q2": ctx.q2}
     return ctx
 
 
+class _Stages:
+    """The two stages of one main() call, each run again only on new inputs.
+
+    The dipoles depend on the section alone and the spectral context on the
+    fluid alone, so a sweep over a fluid parameter, the submergence or
+    epsilon builds one BEM, and a sweep over a shape parameter solves one
+    context. A stage whose inputs equal those of its previous run returns
+    that run's value; the manifest blocks that run wrote still describe it.
+    Only the last (inputs, value) pair of each stage is kept, and only the
+    small result: the contour and the Nystrom system (its matrix and LU)
+    are dropped after each run. The state lives for one main() call, so a
+    Fourier file rewritten between calls is read again.
+    """
+
+    def __init__(self, manifest: dict):
+        self.manifest = manifest
+        manifest["stage_runs"] = {"dipoles": 0, "spectral_context": 0}
+        self._last = {}
+
+    def _run_on_new_inputs(self, stage: str, inputs, compute):
+        last = self._last.get(stage)
+        if last is None or last[0] != inputs:
+            last = self._last[stage] = (inputs, compute())
+            self.manifest["stage_runs"][stage] += 1
+        return last[1]
+
+    def dipoles(self, run: RunConfig) -> DipoleStrengths:
+        # the fields _contour and assemble read
+        inputs = (run.shape, run.r, run.a0, run.b0, run.theta0,
+                  run.fourier_file, run.N)
+        return self._run_on_new_inputs(
+            "dipoles", inputs, lambda: _dipoles(run, self.manifest))
+
+    def context(self, run: RunConfig) -> SpectralContext:
+        cfg = _fluid(run)
+        return self._run_on_new_inputs(
+            "spectral_context", cfg, lambda: _context(cfg, self.manifest))
+
+
 # Each row function starts its row from the run's own fields and adds the
 # computed cells; _render_csv picks the table's columns. The shape parameters
-# a section family ignores are blanked.
-_UNUSED_SHAPE_FIELDS = {"circle": ("a0", "b0", "theta0"), "ellipse": ("r",),
-                        "fourier": ("r", "a0", "b0", "theta0")}
+# a section family ignores (_UNUSED_SHAPE_FIELDS) are blanked.
 
 
-def _row_cutoffs(run: RunConfig, manifest: dict) -> dict:
-    _context(run, manifest)
-    return {**vars(run), **manifest["spectral_context"]}
+def _row_cutoffs(run: RunConfig, stages: _Stages) -> dict:
+    stages.context(run)
+    return {**vars(run), **stages.manifest["spectral_context"]}
 
 
-def _row_dipoles(run: RunConfig, manifest: dict) -> dict:
-    _dipoles(run, manifest)
+def _row_dipoles(run: RunConfig, stages: _Stages) -> dict:
+    stages.dipoles(run)
     return {**vars(run), **dict.fromkeys(_UNUSED_SHAPE_FIELDS[run.shape]),
-            **manifest["dipoles"]}
+            **stages.manifest["dipoles"]}
 
 
-def _row_trapped(run: RunConfig, manifest: dict) -> dict:
-    dip = _dipoles(run, manifest)
-    ctx = _context(run, manifest)
+def _row_trapped(run: RunConfig, stages: _Stages) -> dict:
+    dip = stages.dipoles(run)
+    ctx = stages.context(run)
     fn = trapped_upper if run.side == "U" else trapped_lower
     res = fn(ProblemSetup(cfg=ctx.cfg, side=run.side, a=run.a,
                           epsilon=run.epsilon, dip=dip), ctx, g_grav=run.g)
@@ -332,9 +377,9 @@ def _row_trapped(run: RunConfig, manifest: dict) -> dict:
             "lambda": res.lam, "D": res.coefficients.D}
 
 
-def _row_resonance(run: RunConfig, manifest: dict) -> dict:
-    dip = _dipoles(run, manifest)
-    ctx = _context(run, manifest)
+def _row_resonance(run: RunConfig, stages: _Stages) -> dict:
+    dip = stages.dipoles(run)
+    ctx = stages.context(run)
     fn = resonance_upper if run.side == "U" else resonance_lower
     res = fn(ProblemSetup(cfg=ctx.cfg, side=run.side, a=run.a,
                           epsilon=run.epsilon, dip=dip), ctx, g_grav=run.g)
@@ -342,9 +387,9 @@ def _row_resonance(run: RunConfig, manifest: dict) -> dict:
             "D": res.coefficients.D, "D1": res.coefficients.D1}
 
 
-def _row_embedded(run: RunConfig, manifest: dict) -> dict:
-    dip = _dipoles(run, manifest)
-    ctx = _context(run, manifest)
+def _row_embedded(run: RunConfig, stages: _Stages) -> dict:
+    dip = stages.dipoles(run)
+    ctx = stages.context(run)
     # the submergence field is solved for, not prescribed; seed with b/2
     res = a_star(ProblemSetup(cfg=ctx.cfg, side="U", a=0.5 * run.b,
                               epsilon=run.epsilon, dip=dip), ctx)
@@ -362,23 +407,21 @@ _ROW_FN = {
 }
 
 
-def _rows_sweep(run: RunConfig, manifest: dict):
+def _rows_sweep(run: RunConfig, stages: _Stages):
     param, grid = _parse_sweep(run)
-    manifest["inputs"]["sweep_grid"] = [float(v) for v in grid]
+    stages.manifest["inputs"]["sweep_grid"] = [float(v) for v in grid]
     if run.what == "f":
-        dip = _dipoles(run, manifest)
+        dip = stages.dipoles(run)
         rows = sweep_f([_fluid(run)], grid, delta=dip.delta)
         return COLUMNS["f"], rows
-    columns = COLUMNS[run.what]
     rows = []
     for v in grid:
         point = dataclasses.replace(run, command=run.what)
         setattr(point, param, float(v))
-        # each grid point keeps its own manifest scratch; only the last
-        # point's spectral/BEM blocks are recorded (they differ only in
-        # the swept parameter, which the grid itself documents)
-        rows.append(_ROW_FN[run.what](point, manifest))
-    return columns, rows
+        # the manifest's stage blocks describe the last point; stage_runs
+        # counts how often each stage ran over the grid
+        rows.append(_ROW_FN[run.what](point, stages))
+    return COLUMNS[run.what], rows
 
 
 def _format_cell(v) -> str:
@@ -426,11 +469,12 @@ def main(argv=None) -> int:
             "bem": None,
             "dipoles": None,
         }
+        stages = _Stages(manifest)
         if run.command == "sweep":
-            columns, rows = _rows_sweep(run, manifest)
+            columns, rows = _rows_sweep(run, stages)
         else:
             columns = COLUMNS[run.command]
-            rows = [_ROW_FN[run.command](run, manifest)]
+            rows = [_ROW_FN[run.command](run, stages)]
         manifest["columns"] = columns
         manifest["csv"] = f"{run.out}.csv"
         manifest["wall_time_s"] = time.perf_counter() - t0

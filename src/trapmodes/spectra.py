@@ -76,7 +76,7 @@ class ProblemSetup:
             warnings.warn(
                 f"epsilon={self.epsilon} is large for a leading-order asymptotic "
                 f"result (heuristic validity bound {EPSILON_VALIDITY})",
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__ to its caller
             )
 
 

@@ -163,6 +163,26 @@ def test_non_finite_and_nonpositive_g_exit_2(args, field, tmp_path, capsys):
     assert err.startswith(f"error: {field} ")
 
 
+@pytest.mark.parametrize("args", [
+    ["dipoles", "--shape", "ellipse", "--sweep", "r:0.5:2:3"],
+    ["trapped", "--sweep", "a0:0.5:2:3"],
+    ["resonance", "--shape", "circle", "--sweep", "theta0:0:1:3"],
+    ["embedded", "--shape", "fourier", "--sweep", "b0:0.5:2:3"],
+    ["dipoles", "--shape", "fourier", "--sweep", "r:0.5:2:3"],
+])
+def test_sweep_over_ignored_shape_field_exit_2(args, tmp_path, capsys):
+    # the section ignores the swept field, so every row would be the same
+    egg = tmp_path / "egg.txt"
+    egg.write_text("1.0 0.0 0.0 1.3\n0.2 0.0 0.0 0.1\n")
+    code, stdout, err = run_cli(["sweep", "--what"] + args
+                                + ["--fourier-file", str(egg),
+                                   "--out", str(tmp_path / "x")], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: sweep: ")
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_consistency_exit_code(tmp_path, capsys, monkeypatch):
     import trapmodes.cli as cli_mod
 

@@ -3,7 +3,7 @@
 Any change in the printed bytes fails here, not only run-to-run drift
 (see test_determinism_byte_identical). The inputs keep every printed
 digit clear of BEM round-off: at N = 64 the circle and the mild ellipse are
-resolved to machine precision, and the one dipoles row is a tilted ellipse,
+resolved to machine precision, and the dipoles rows are tilted ellipses,
 because the circle's nu prints as round-off of order 1e-17.
 """
 
@@ -66,6 +66,30 @@ SNAPSHOTS = [
      "0.5,1,1,U,0.5,0.01,circle,1,3.14159265359,8.5746896916e-05,0.275780620666,0.275780622693,,0.351161777666\n"
      "0.5,1,1,U,0.7,0.01,circle,1,3.14159265359,0.00011641700803,0.275780618956,0.275780622693,,0.351161777666\n"
      "0.5,1,1,U,0.9,0.01,circle,1,3.14159265359,0.000172043638009,0.275780614531,0.275780622693,,0.351161777666\n"
+     ),
+    ("sweep --what resonance --sweep k:0.5:1.5:5 --N 64 " + ELL,
+     "beta,b,k,side,a,epsilon,shape,mu,S,re_sigma,im_sigma,rcal,jcal,near_embedded,decay_rate,D,D1\n"
+     "0.5,1,0.5,U,0.5,0.01,ellipse,1.16506712298,3.01592894745,8.10202238856e-05,1.36849412286e-09,-5.96090399613,1.78951653436,false,,0.805181068343,1.07770138786\n"
+     "0.5,1,0.75,U,0.5,0.01,ellipse,1.16506712298,3.01592894745,0.000158773304478,6.13644356981e-09,-25.4190068255,4.40466243669,false,,0.794660986221,2.56377904682\n"
+     "0.5,1,1,U,0.5,0.01,ellipse,1.16506712298,3.01592894745,0.000236826271029,1.09647362734e-08,-74.9086396086,10.0122280782,false,,0.755515923468,4.69863028678\n"
+     "0.5,1,1.25,U,0.5,0.01,ellipse,1.16506712298,3.01592894745,0.000302370237375,1.21053623925e-08,-181.702622775,21.4773815213,false,,0.699551303816,7.42305079354\n"
+     "0.5,1,1.5,U,0.5,0.01,ellipse,1.16506712298,3.01592894745,0.000349532907923,1.02160671129e-08,-392.90917307,43.8285160614,false,,0.636345412729,10.7253059923\n"
+     ),
+    ("sweep --what embedded --sweep beta:0.1:0.9:5 --N 64",
+     "beta,b,k,epsilon,shape,delta,exists,a_star,w,tau0,sigma,diagnostics\n"
+     "0.1,1,1,0.01,circle,0.5,true,0.949675856511,1.30507733239,1.3742345069,4.49689951738e-05,\n"
+     "0.3,1,1,0.01,circle,0.5,true,0.439646379295,0.844082888299,1.91991320309,0.000210232612656,\n"
+     "0.5,1,1,0.01,circle,0.5,true,0.170459694155,0.513040601917,3.00974728636,0.000417419357887,\n"
+     "0.7,1,1,0.01,circle,0.5,true,0.0470815155035,0.26679901022,5.66674643684,0.000573291673456,\n"
+     "0.9,1,1,0.01,circle,0.5,true,0.0041580065564,0.0790021245716,19,0.000651122269241,\n"
+     ),
+    ("sweep --what dipoles --sweep a0:0.9:1.7:5 --shape ellipse --b0 0.8 --theta0 0.3 --N 64",
+     "shape,r,a0,b0,theta0,N,mu,kappa,nu,S,delta\n"
+     "ellipse,,0.9,0.8,0.3,64,0.757576763634,0.687423236366,0.0239973051193,2.26194671058,0.475199368937\n"
+     "ellipse,,1.1,0.8,0.3,64,1.02011032512,0.784889674875,0.0804615524588,2.76460153516,0.431325895997\n"
+     "ellipse,,1.3,0.8,0.3,64,1.31915059891,0.885849401086,0.148218649266,3.26725635973,0.39419305152\n"
+     "ellipse,,1.5,0.8,0.3,64,1.654697585,0.990302414999,0.227268595542,3.76991118431,0.362604022293\n"
+     "ellipse,,1.7,0.8,0.3,64,2.02675128339,1.09824871661,0.317611391285,4.27256600888,0.33551230759\n"
      ),
 ]
 

@@ -1,0 +1,105 @@
+"""A sweep reruns each CLI stage only when that stage's own inputs change.
+
+The dipoles depend on the section and N alone, the spectral context on
+(beta, b, k) alone. A stage whose inputs did not change between two grid
+points returns its previous value, so every sweep row must still equal the
+row the single-point command prints at that grid value: an input missing
+from a stage's key would show here as a stale row.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+import trapmodes.cli as cli_mod
+from trapmodes.cli import _SWEEPABLE, main
+
+from goldens import EGG
+
+ELL = ["--shape", "ellipse", "--a0", "1.2", "--b0", "0.8", "--theta0", "0.3"]
+# a range inside the valid domain of each parameter, the others at their
+# defaults (side U, a = 0.5, b = 1)
+RANGES = {"beta": (0.1, 0.9), "b": (0.6, 2.0), "k": (0.5, 2.0),
+          "a": (0.1, 0.9), "epsilon": (0.005, 0.05), "r": (0.5, 1.5),
+          "a0": (0.9, 1.7), "b0": (0.5, 1.1), "theta0": (0.0, 1.2)}
+# `f` has no single-point command, and its has_root column describes the
+# whole grid, so its rows are not point runs.
+PAIRS = [(what, param) for what, params in _SWEEPABLE.items() if what != "f"
+         for param in params]
+
+
+def _csv_lines(argv, out):
+    assert main(argv + ["--N", "64", "--out", str(out)]) == 0, argv
+    return out.with_suffix(".csv").read_text().splitlines()
+
+
+@pytest.mark.parametrize("what, param", PAIRS,
+                         ids=[f"{w}-{p}" for w, p in PAIRS])
+def test_sweep_rows_equal_point_runs(what, param, tmp_path, capsys):
+    section = ["--shape", "circle"] if param == "r" else ELL
+    lo, hi = RANGES[param]
+    sweep = _csv_lines(["sweep", "--what", what, "--sweep",
+                        f"{param}:{lo}:{hi}:4", *section], tmp_path / "sweep")
+    assert len(sweep) == 5
+    for i, v in enumerate(np.linspace(lo, hi, 4)):
+        point = _csv_lines([what, *section, f"--{param}", repr(float(v))],
+                           tmp_path / f"point{i}")
+        assert point[0] == sweep[0]
+        assert sweep[i + 1] == point[1], (param, float(v))
+    capsys.readouterr()
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Count the calls the CLI makes to assemble and spectral_context."""
+    counts = {"assemble": 0, "spectral_context": 0}
+    for name in counts:
+        original = getattr(cli_mod, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, name, counting)
+    return counts
+
+
+@pytest.mark.parametrize("argv, n_assemble, n_context", [
+    (["sweep", "--what", "trapped", "--sweep", "beta:0.1:0.9:50"], 1, 50),
+    (["sweep", "--what", "resonance", "--sweep", "a0:0.9:1.7:50", *ELL], 50, 1),
+    (["sweep", "--what", "embedded", "--sweep", "epsilon:0.005:0.05:5"], 1, 1),
+    (["sweep", "--what", "f", "--sweep", "a:0.1:0.9:5"], 1, 0),
+    # the stages stay lazy: a cutoffs sweep reads no section
+    (["sweep", "--what", "cutoffs", "--shape", "fourier",
+      "--sweep", "k:0.5:2:4"], 0, 4),
+    (["trapped"], 1, 1),
+    (["cutoffs"], 0, 1),
+], ids=["beta", "a0", "epsilon", "f", "cutoffs-fourier", "point", "cutoffs"])
+def test_stage_runs(argv, n_assemble, n_context, calls, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(argv + ["--N", "64", "--out", str(out)]) == 0
+    assert calls == {"assemble": n_assemble, "spectral_context": n_context}
+    manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+    assert manifest["stage_runs"] == {"dipoles": n_assemble,
+                                      "spectral_context": n_context}
+    assert "stage_runs" not in capsys.readouterr().out
+    assert "stage_runs" not in out.with_suffix(".csv").read_text()
+
+
+def test_fourier_file_reread_per_call(calls, tmp_path, capsys):
+    path = tmp_path / "section.txt"
+    argv = ["dipoles", "--shape", "fourier", "--fourier-file", str(path),
+            "--N", "64", "--out", str(tmp_path / "d")]
+    mus = []
+    for scale in (1.0, 1.5):
+        path.write_text("".join(
+            f"{scale * EGG['cos_x'][j]} {EGG['sin_x'][j]} "
+            f"{EGG['cos_y'][j]} {EGG['sin_y'][j]}\n"
+            for j in range(len(EGG["cos_x"]))))
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "d.manifest.json").read_text())
+        mus.append(manifest["dipoles"]["mu"])
+    assert calls["assemble"] == 2
+    assert mus[0] != mus[1]
+    capsys.readouterr()

@@ -38,8 +38,10 @@ def test_setup_validation(cfg_half, dip_circle):
     # lower cylinder: the submergence is measured from the interface and is
     # not capped by the layer depth
     ProblemSetup(cfg=cfg_half, side="L", a=3.0, epsilon=0.01, dip=dip_circle)
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as record:
         ProblemSetup(cfg=cfg_half, side="U", a=0.5, epsilon=0.2, dip=dip_circle)
+    # attributed to the line that built the setup, not to its __init__
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_q_factor_golden(cfg_half, ctx_half):
