@@ -6,6 +6,11 @@ coefficients), `potentialflow` (Nystrom boundary method for the exterior
 flow), `spectra` (leading-order eigenvalue and resonance formulas),
 `embedded` (the special submergence converting a resonance into an embedded
 trapped mode), and `cli` (batch front end).
+
+Each stage takes the previous stage's result: a contour from `make_circle`,
+`make_ellipse` or `read_fourier_file`, its system `assemble(C, N)`, the
+dipoles `dipoles_bem(system)`; the fluid's `spectral_context(cfg)`; then a
+formula such as `trapped_upper(setup, ctx)`.
 """
 
 from .contour import (

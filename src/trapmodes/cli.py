@@ -282,16 +282,15 @@ def _contour(run: RunConfig):
         raise ValidationError("fourier_file: required when shape = fourier")
     try:
         return read_fourier_file(run.fourier_file)
-    except OSError as exc:
-        raise ValidationError(
-            f"fourier_file: cannot read {run.fourier_file!r}: {exc}") from exc
+    except ValidationError as exc:
+        raise ValidationError(f"fourier_file: {exc}") from exc
 
 
 def _dipoles(run: RunConfig, manifest: dict) -> DipoleStrengths:
     """Stage 1: contour, Nystrom system and dipoles, recorded into the manifest."""
     C = _contour(run)
     system = assemble(C, run.N)
-    dip = dipoles_bem(C, run.N, system=system)
+    dip = dipoles_bem(system)
     manifest["bem"] = {"N": run.N, "gauss_residual": system.gauss_residual,
                        "cond_estimate": system.cond_estimate}
     manifest["dipoles"] = {"mu": dip.mu, "kappa": dip.kappa, "nu": dip.nu,
@@ -321,7 +320,7 @@ class _Stages:
     context. A stage whose inputs equal those of its previous run returns
     that run's value; the manifest blocks that run wrote still describe it.
     Only the last (inputs, value) pair of each stage is kept, and only the
-    small result: the contour and the Nystrom system (its matrix and LU)
+    small result: the contour and the Nystrom system (its LU factors)
     are dropped after each run. The state lives for one main() call, so a
     Fourier file rewritten between calls is read again.
     """

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -65,51 +66,51 @@ class Contour:
     sin_x: np.ndarray
     cos_y: np.ndarray
     sin_y: np.ndarray
-    n_samples: int = 256
     reversed_input: bool = field(default=False, compare=False)
+    # samples per period for validation and the area quadrature
+    n_samples: ClassVar[int] = 256
 
     @property
     def order(self) -> int:
         return len(self.cos_x)
 
-    def _trig(self, t):
+    def evaluate(self, t):
+        """Point, velocity and acceleration at t: (X, Y, X', Y', X'', Y'').
+
+        All six come from one cos/sin table.
+        """
         t = np.atleast_1d(np.asarray(t, dtype=float))
         j = np.arange(1, self.order + 1, dtype=float)
         jt = np.outer(t, j)
-        return np.cos(jt), np.sin(jt), j
-
-    def point(self, t):
-        c, s, _ = self._trig(t)
-        return c @ self.cos_x + s @ self.sin_x, c @ self.cos_y + s @ self.sin_y
-
-    def velocity(self, t):
-        c, s, j = self._trig(t)
-        xd = -(s * j) @ self.cos_x + (c * j) @ self.sin_x
-        yd = -(s * j) @ self.cos_y + (c * j) @ self.sin_y
-        return xd, yd
-
-    def acceleration(self, t):
-        c, s, j = self._trig(t)
+        c, s = np.cos(jt), np.sin(jt)
+        x = c @ self.cos_x + s @ self.sin_x
+        y = c @ self.cos_y + s @ self.sin_y
+        sj, cj = s * j, c * j
+        xd = -sj @ self.cos_x + cj @ self.sin_x
+        yd = -sj @ self.cos_y + cj @ self.sin_y
         j2 = j * j
-        xdd = -(c * j2) @ self.cos_x - (s * j2) @ self.sin_x
-        ydd = -(c * j2) @ self.cos_y - (s * j2) @ self.sin_y
-        return xdd, ydd
+        cj2, sj2 = c * j2, s * j2
+        xdd = -cj2 @ self.cos_x - sj2 @ self.sin_x
+        ydd = -cj2 @ self.cos_y - sj2 @ self.sin_y
+        return x, y, xd, yd, xdd, ydd
 
     def diameter(self) -> float:
-        t = 2.0 * np.pi * np.arange(self.n_samples) / self.n_samples
-        x, y = self.point(t)
-        return float(
-            math.hypot(x.max() - x.min(), y.max() - y.min())
-        )
+        return _diameter(*self.evaluate(_sample_t())[:2])
 
 
-def _signed_area(C: Contour) -> float:
-    # trapezoid rule on (1/2) (X Y' - Y X') over one period; exact for a
-    # band-limited contour once n_samples > 2 * order
-    n = C.n_samples
-    t = 2.0 * np.pi * np.arange(n) / n
-    x, y = C.point(t)
-    xd, yd = C.velocity(t)
+def _sample_t() -> np.ndarray:
+    n = Contour.n_samples
+    return 2.0 * np.pi * np.arange(n) / n
+
+
+def _diameter(x, y) -> float:
+    return float(math.hypot(x.max() - x.min(), y.max() - y.min()))
+
+
+def _signed_area(x, y, xd, yd) -> float:
+    # trapezoid rule on (1/2) (X Y' - Y X') over one period of the samples;
+    # exact for a band-limited contour once n_samples > 2 * order
+    n = len(x)
     return float(0.5 * (2.0 * np.pi / n) * np.sum(x * yd - y * xd))
 
 
@@ -155,7 +156,7 @@ def _self_intersects(x, y, tol) -> bool:
     return bool(np.any(crossing))
 
 
-def make_fourier(cos_x, sin_x, cos_y, sin_y, n_samples: int = 256) -> Contour:
+def make_fourier(cos_x, sin_x, cos_y, sin_y) -> Contour:
     """Build and validate a contour from its Fourier coefficients.
 
     Checks, in order: coefficient sanity, nowhere-vanishing speed, simplicity
@@ -172,15 +173,11 @@ def make_fourier(cos_x, sin_x, cos_y, sin_y, n_samples: int = 256) -> Contour:
         arrs.append(arr)
     if len({a.size for a in arrs}) != 1:
         raise ValidationError("all four coefficient arrays must have the same length")
-    if n_samples < 8:
-        raise ValidationError(f"n_samples too small: {n_samples}")
 
-    C = Contour(*[a.copy() for a in arrs], n_samples=n_samples)
-    t = 2.0 * np.pi * np.arange(n_samples) / n_samples
-    x, y = C.point(t)
-    xd, yd = C.velocity(t)
+    C = Contour(*[a.copy() for a in arrs])
+    x, y, xd, yd, _, _ = C.evaluate(_sample_t())
     speed2 = xd * xd + yd * yd
-    diam = C.diameter()
+    diam = _diameter(x, y)
     if diam <= 0.0:
         raise ValidationError("degenerate contour (zero diameter)")
     if np.any(speed2 <= (1e-12 * diam) ** 2):
@@ -188,23 +185,20 @@ def make_fourier(cos_x, sin_x, cos_y, sin_y, n_samples: int = 256) -> Contour:
     if _self_intersects(x, y, 1e-9 * diam):
         raise ValidationError("contour self-intersects")
 
-    if _signed_area(C) < 0.0:
+    if _signed_area(x, y, xd, yd) < 0.0:
         # t -> -t keeps cos terms and flips sin terms
-        C = Contour(
-            C.cos_x, -C.sin_x, C.cos_y, -C.sin_y,
-            n_samples=n_samples, reversed_input=True,
-        )
+        C = Contour(C.cos_x, -C.sin_x, C.cos_y, -C.sin_y, reversed_input=True)
     return C
 
 
-def make_circle(r: float, n_samples: int = 256) -> Contour:
+def make_circle(r: float) -> Contour:
     """Circle of radius r centred at the origin."""
     if not (r > 0.0):
         raise ValidationError(f"radius must be positive, got {r}")
-    return make_fourier([r], [0.0], [0.0], [r], n_samples=n_samples)
+    return make_fourier([r], [0.0], [0.0], [r])
 
 
-def make_ellipse(a0: float, b0: float, theta0: float = 0.0, n_samples: int = 256) -> Contour:
+def make_ellipse(a0: float, b0: float, theta0: float = 0.0) -> Contour:
     """Ellipse with semi-axes a0, b0, the a0 axis tilted by theta0.
 
     X(t) =  a0 cos t cos th + b0 sin t sin th
@@ -218,12 +212,10 @@ def make_ellipse(a0: float, b0: float, theta0: float = 0.0, n_samples: int = 256
     if not (a0 > 0.0 and b0 > 0.0):
         raise ValidationError(f"semi-axes must be positive, got a0={a0}, b0={b0}")
     ct, st = math.cos(theta0), math.sin(theta0)
-    return make_fourier(
-        [a0 * ct], [b0 * st], [-a0 * st], [b0 * ct], n_samples=n_samples
-    )
+    return make_fourier([a0 * ct], [b0 * st], [-a0 * st], [b0 * ct])
 
 
-def read_fourier_file(path, n_samples: int = 256) -> Contour:
+def read_fourier_file(path) -> Contour:
     """Read coefficients from a text file, one harmonic per line:
 
         cos_x[j] sin_x[j] cos_y[j] sin_y[j]      (j = 1..J, whitespace separated)
@@ -239,12 +231,12 @@ def read_fourier_file(path, n_samples: int = 256) -> Contour:
             f"contour file must have 4 columns (cos_x sin_x cos_y sin_y), "
             f"got shape {data.shape}"
         )
-    return make_fourier(data[:, 0], data[:, 1], data[:, 2], data[:, 3], n_samples=n_samples)
+    return make_fourier(data[:, 0], data[:, 1], data[:, 2], data[:, 3])
 
 
 def area(C: Contour) -> float:
     """Enclosed area by the trapezoid rule (spectrally exact here)."""
-    val = _signed_area(C)
+    val = _signed_area(*C.evaluate(_sample_t())[:4])
     if val <= 0.0:
         raise ConsistencyError(f"non-positive area {val} for a validated contour")
     return val

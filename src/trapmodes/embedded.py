@@ -25,13 +25,14 @@ fractions of a wavelength or the run aborts.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 from scipy.optimize import brentq
 
 from .dispersion import ROOT_RTOL, FluidConfig, SpectralContext, spectral_context
 from .errors import ConsistencyError, ValidationError
-from .spectra import ProblemSetup, rcal_jcal_scaled, resonance_upper
+from .spectra import ProblemSetup, _require_ctx, rcal_jcal_scaled, resonance_upper
 
 SYMMETRY_RTOL = 1e-9  # |nu| <= this * mu counts as symmetric (BEM noise floor)
 ROUTE_AGREEMENT = 1e-9  # the two a* routes must match to this * b
@@ -103,7 +104,7 @@ def solve_w(delta: float, tau0_val: float) -> float:
     return math.atanh(rhs)
 
 
-def a_star(setup: ProblemSetup, ctx: SpectralContext | None = None) -> EmbeddedResult:
+def a_star(setup: ProblemSetup, ctx: SpectralContext) -> EmbeddedResult:
     """Find the embedded-mode submergence for a symmetric section.
 
     Route 1 solves the closed dimensionless chain (tau0, w, a* = w/(k tau0));
@@ -114,8 +115,7 @@ def a_star(setup: ProblemSetup, ctx: SpectralContext | None = None) -> EmbeddedR
     """
     if setup.side != "U":
         raise ValidationError(f"embedded modes arise in problem U, got side {setup.side!r}")
-    if ctx is None:
-        ctx = spectral_context(setup.cfg)
+    _require_ctx(setup, ctx)
     cfg = setup.cfg
     k, b = cfg.k, cfg.b
     t0 = ctx.tau1 / k
@@ -161,7 +161,11 @@ def a_star(setup: ProblemSetup, ctx: SpectralContext | None = None) -> EmbeddedR
     if residual > 1e-10 * scale:
         raise ConsistencyError(f"Rcal(a*) residual {residual} too large")
 
-    sigma = resonance_upper(replace(setup, a=a1), ctx).re_sigma
+    with warnings.catch_warnings():
+        # the caller was warned about a large epsilon when building setup
+        warnings.simplefilter("ignore")
+        setup_star = replace(setup, a=a1)
+    sigma = resonance_upper(setup_star, ctx).re_sigma
     return EmbeddedResult(
         exists=True, a_star=a1, w=w, tau0=t0, a0=k * a1, b0=k * b,
         delta=delta, sigma=sigma,

@@ -37,12 +37,19 @@ GAUSS_TOL = 1e-8
 
 @dataclass
 class NystromSystem:
-    """Factored discrete operator I + M for one contour at one resolution."""
+    """Factored discrete operator I + M for one contour at one resolution.
+
+    Keeps the node geometry (points X, Y and velocities X', Y' at the nodes
+    t) that the boundary quadratures read.
+    """
 
     contour: Contour
     N: int
     t: np.ndarray
-    A: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    xd: np.ndarray
+    yd: np.ndarray
     lu: tuple
     gauss_residual: float
     cond_estimate: float
@@ -57,9 +64,7 @@ def assemble(C: Contour, N: int = 256) -> NystromSystem:
     if N < 32 or (N & (N - 1)) != 0:
         raise ValidationError(f"N must be a power of two >= 32, got {N}")
     t = 2.0 * np.pi * np.arange(N) / N
-    x, y = C.point(t)
-    xd, yd = C.velocity(t)
-    xdd, ydd = C.acceleration(t)
+    x, y, xd, yd, xdd, ydd = C.evaluate(t)
 
     dx = x[None, :] - x[:, None]
     dy = y[None, :] - y[:, None]
@@ -84,7 +89,7 @@ def assemble(C: Contour, N: int = 256) -> NystromSystem:
         raise ConsistencyError(f"condition estimate failed (info={info})")
     cond_estimate = float(1.0 / rcond) if rcond > 0.0 else math.inf
     return NystromSystem(
-        contour=C, N=N, t=t, A=A, lu=lu,
+        contour=C, N=N, t=t, x=x, y=y, xd=xd, yd=yd, lu=lu,
         gauss_residual=gauss_residual, cond_estimate=cond_estimate,
     )
 
@@ -97,9 +102,8 @@ def apply_n0(sys: NystromSystem, f) -> np.ndarray:
     return lu_solve(sys.lu, f)
 
 
-def dipoles_bem(C: Contour, N: int = 256,
-                system: NystromSystem | None = None) -> DipoleStrengths:
-    """Dipole coefficients of the section by boundary quadrature.
+def dipoles_bem(system: NystromSystem) -> DipoleStrengths:
+    """Dipole coefficients of the system's section by boundary quadrature.
 
     mu    = -(1/pi) int X'(t) (N0 Y)(t) dt
     kappa = +(1/pi) int Y'(t) (N0 X)(t) dt
@@ -107,43 +111,40 @@ def dipoles_bem(C: Contour, N: int = 256,
 
     The two nu quadratures are computed independently and must agree; the
     first is returned. Trapezoid rule throughout (spectral accuracy).
-    Pass a prebuilt `system` (same contour, same N) to skip reassembly.
     """
-    sys = assemble(C, N) if system is None else system
-    if sys.N != N or sys.contour is not C:
-        raise ValidationError("system was assembled for a different contour or N")
-    x, y = C.point(sys.t)
-    xd, yd = C.velocity(sys.t)
-    h = 2.0 * np.pi / N
-    u_y = apply_n0(sys, y)
-    u_x = apply_n0(sys, x)
+    xd, yd = system.xd, system.yd
+    h = 2.0 * np.pi / system.N
+    u_y = apply_n0(system, system.y)
+    u_x = apply_n0(system, system.x)
     mu = -(h / math.pi) * float(np.dot(xd, u_y))
     kappa = (h / math.pi) * float(np.dot(yd, u_x))
     nu_a = -(h / math.pi) * float(np.dot(xd, u_x))
     nu_b = (h / math.pi) * float(np.dot(yd, u_y))
-    S = area(C)
+    S = area(system.contour)
     if abs(nu_a - nu_b) > 1e-8 * max(1.0, S):
         raise ConsistencyError(
-            f"nu quadratures disagree: {nu_a} vs {nu_b} (N={N})"
+            f"nu quadratures disagree: {nu_a} vs {nu_b} (N={system.N})"
         )
     return DipoleStrengths(mu=mu, kappa=kappa, nu=nu_a, S=S)
 
 
-def boundary_potential(C: Contour, N: int = 256) -> np.ndarray:
+def _stream_function(system: NystromSystem) -> np.ndarray:
+    # psi = Y - 2 N0 Y on the nodes
+    return system.y - 2.0 * apply_n0(system, system.y)
+
+
+def boundary_potential(system: NystromSystem) -> np.ndarray:
     """Stream function psi of unit vertical flow past the section, on the nodes.
 
     psi|C = Y - 2 N0 Y, shifted to zero arclength mean. On the unit circle
     this is -sin t, i.e. the trace of -y/r^2.
     """
-    sys = assemble(C, N)
-    _, y = C.point(sys.t)
-    xd, yd = C.velocity(sys.t)
-    psi = y - 2.0 * apply_n0(sys, y)
-    w = np.hypot(xd, yd)  # arclength weights (common h factor cancels)
+    psi = _stream_function(system)
+    w = np.hypot(system.xd, system.yd)  # arclength weights (common h factor cancels)
     return psi - float(np.dot(w, psi) / np.sum(w))
 
 
-def dipole_mu_flux(C: Contour, N: int = 256) -> float:
+def dipole_mu_flux(system: NystromSystem) -> float:
     """Vertical dipole coefficient via the flux identity
 
         mu = (1/(2 pi)) ( S + int_C n2 psi dl ),
@@ -151,9 +152,6 @@ def dipole_mu_flux(C: Contour, N: int = 256) -> float:
     with n2 dl = X'(t) dt for the inward normal of a positively oriented
     contour. Independent cross-check of dipoles_bem.
     """
-    sys = assemble(C, N)
-    _, y = C.point(sys.t)
-    xd, _ = C.velocity(sys.t)
-    psi = y - 2.0 * apply_n0(sys, y)
-    h = 2.0 * np.pi / N
-    return (area(C) + h * float(np.dot(xd, psi))) / (2.0 * math.pi)
+    psi = _stream_function(system)
+    h = 2.0 * np.pi / system.N
+    return (area(system.contour) + h * float(np.dot(system.xd, psi))) / (2.0 * math.pi)

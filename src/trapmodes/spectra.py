@@ -31,12 +31,7 @@ import warnings
 from dataclasses import dataclass
 
 from .contour import DipoleStrengths
-from .dispersion import (
-    FluidConfig,
-    SpectralContext,
-    g_profile_scaled,
-    spectral_context,
-)
+from .dispersion import FluidConfig, SpectralContext, g_profile_scaled
 from .errors import ConsistencyError, ValidationError
 
 EPSILON_VALIDITY = 0.1
@@ -140,15 +135,12 @@ def _require_side(setup: ProblemSetup, side: str, what: str):
         raise ValidationError(f"{what} is defined for problem {side}, got side {setup.side!r}")
 
 
-def _ctx_for(setup: ProblemSetup, ctx: SpectralContext | None) -> SpectralContext:
-    if ctx is None:
-        return spectral_context(setup.cfg)
+def _require_ctx(setup: ProblemSetup, ctx: SpectralContext):
     if ctx.cfg != setup.cfg:
         raise ValidationError("ctx was built for a different FluidConfig")
-    return ctx
 
 
-def rcal_jcal(setup: ProblemSetup, ctx: SpectralContext | None = None):
+def rcal_jcal(setup: ProblemSetup, ctx: SpectralContext):
     """Rcal and Jcal, the two obstruction integrals of the problem-U resonance.
 
     Rcal = k S g(-a; tau1, Lambda2) + 2 pi mu g'(-a; tau1, Lambda2)
@@ -160,7 +152,7 @@ def rcal_jcal(setup: ProblemSetup, ctx: SpectralContext | None = None):
     (the resonance formula itself always uses the rescaled finite pair).
     """
     _require_side(setup, "U", "rcal_jcal")
-    ctx = _ctx_for(setup, ctx)
+    _require_ctx(setup, ctx)
     r_hat, j_hat, _ = rcal_jcal_scaled(setup.a, ctx, setup.dip)
     try:
         scale = math.exp(setup.a * ctx.tau1)
@@ -184,7 +176,7 @@ def rcal_jcal_scaled(a: float, ctx: SpectralContext, dip: DipoleStrengths):
     return r_hat, j_hat, g_hat
 
 
-def trapped_upper(setup: ProblemSetup, ctx: SpectralContext | None = None,
+def trapped_upper(setup: ProblemSetup, ctx: SpectralContext,
                   g_grav: float | None = None) -> ModeResult:
     """Trapped mode below Lambda1 for a cylinder in the upper layer.
 
@@ -194,7 +186,7 @@ def trapped_upper(setup: ProblemSetup, ctx: SpectralContext | None = None,
     and the eigenvalue is lam = Lambda1 (1 - sigma^2).
     """
     _require_side(setup, "U", "trapped_upper")
-    ctx = _ctx_for(setup, ctx)
+    _require_ctx(setup, ctx)
     cfg = setup.cfg
     k, b, a = cfg.k, cfg.b, setup.a
     Lam1, Lam2 = ctx.Lambda1, ctx.Lambda2
@@ -218,7 +210,7 @@ def trapped_upper(setup: ProblemSetup, ctx: SpectralContext | None = None,
                       coefficients=Coefficients(D=D))
 
 
-def resonance_upper(setup: ProblemSetup, ctx: SpectralContext | None = None,
+def resonance_upper(setup: ProblemSetup, ctx: SpectralContext,
                     g_grav: float | None = None) -> ResonanceResult:
     """Resonance near the embedded cut-off Lambda2, cylinder in the upper layer.
 
@@ -232,7 +224,7 @@ def resonance_upper(setup: ProblemSetup, ctx: SpectralContext | None = None,
     embedded module is the right tool.
     """
     _require_side(setup, "U", "resonance_upper")
-    ctx = _ctx_for(setup, ctx)
+    _require_ctx(setup, ctx)
     cfg = setup.cfg
     k, b, a = cfg.k, cfg.b, setup.a
     Lam1, Lam2, tau1 = ctx.Lambda1, ctx.Lambda2, ctx.tau1
@@ -267,7 +259,7 @@ def resonance_upper(setup: ProblemSetup, ctx: SpectralContext | None = None,
                            coefficients=Coefficients(D=D, D1=D1))
 
 
-def trapped_lower(setup: ProblemSetup, ctx: SpectralContext | None = None,
+def trapped_lower(setup: ProblemSetup, ctx: SpectralContext,
                   g_grav: float | None = None) -> ModeResult:
     """Trapped mode below Lambda1 for a cylinder in the lower layer.
 
@@ -276,7 +268,7 @@ def trapped_lower(setup: ProblemSetup, ctx: SpectralContext | None = None,
     P0(k, Lambda1) < 0, so D > 0; a sign flip here means a bug, not physics.
     """
     _require_side(setup, "L", "trapped_lower")
-    ctx = _ctx_for(setup, ctx)
+    _require_ctx(setup, ctx)
     cfg = setup.cfg
     k, a = cfg.k, setup.a
     Lam1, Lam2 = ctx.Lambda1, ctx.Lambda2
@@ -298,7 +290,7 @@ def trapped_lower(setup: ProblemSetup, ctx: SpectralContext | None = None,
                       coefficients=Coefficients(D=D))
 
 
-def resonance_lower(setup: ProblemSetup, ctx: SpectralContext | None = None,
+def resonance_lower(setup: ProblemSetup, ctx: SpectralContext,
                     g_grav: float | None = None) -> ResonanceResult:
     """Resonance near Lambda2 for a cylinder in the lower layer; always leaky.
 
@@ -312,7 +304,7 @@ def resonance_lower(setup: ProblemSetup, ctx: SpectralContext | None = None,
     cylinder's resonance never becomes a trapped mode.
     """
     _require_side(setup, "L", "resonance_lower")
-    ctx = _ctx_for(setup, ctx)
+    _require_ctx(setup, ctx)
     cfg = setup.cfg
     k, a = cfg.k, setup.a
     Lam1, Lam2, tau1 = ctx.Lambda1, ctx.Lambda2, ctx.tau1

@@ -76,17 +76,16 @@ def test_criterion_01_gauss_law_all_contours():
 def test_criterion_02_dipole_oracle():
     worst_ellipse = 0.0
     for th in (0.0, math.pi / 6.0, math.pi / 4.0):
-        got = dipoles_bem(make_ellipse(2.0, 1.0, th), 256)
+        got = dipoles_bem(assemble(make_ellipse(2.0, 1.0, th), 256))
         want = analytic_dipoles("ellipse", a0=2.0, b0=1.0, theta0=th)
         worst_ellipse = max(worst_ellipse, abs(got.mu - want.mu),
                             abs(got.nu - want.nu))
-    circ = dipoles_bem(make_circle(1.0), 256)
+    circ = dipoles_bem(assemble(make_circle(1.0), 256))
     worst_circle = max(abs(circ.mu - 1.0), abs(circ.nu))
     # the two independent quadratures for nu
     C = make_ellipse(2.0, 1.0, math.pi / 6.0)
     sys = assemble(C, 256)
-    x, y = C.point(sys.t)
-    xd, yd = C.velocity(sys.t)
+    x, y, xd, yd = sys.x, sys.y, sys.xd, sys.yd
     h = 2.0 * math.pi / 256
     nu_a = -(h / math.pi) * float(np.dot(xd, apply_n0(sys, x)))
     nu_b = (h / math.pi) * float(np.dot(yd, apply_n0(sys, y)))
@@ -113,8 +112,9 @@ def test_criterion_03_unit_circle_special_submergence():
 
 def test_criterion_04_existence_band_and_threshold():
     t0 = time.perf_counter()
-    res91 = a_star(_std_setup(alpha=0.91))
-    res97 = a_star(_std_setup(alpha=0.97))
+    s91, s97 = _std_setup(alpha=0.91), _std_setup(alpha=0.97)
+    res91 = a_star(s91, spectral_context(s91.cfg))
+    res97 = a_star(s97, spectral_context(s97.cfg))
     alpha_c = alpha_threshold(tol=1e-5)
     elapsed = time.perf_counter() - t0
     ok_91 = res91.exists and 0.95 <= res91.a_star < 1.0
@@ -147,7 +147,7 @@ def test_criterion_05_circle_specialization_identity():
 def test_criterion_06_homogeneous_limit_upper():
     alpha, a, eps, k = 1e-3, 0.5, 0.01, 1.0
     setup = _std_setup(alpha=alpha, a=a, eps=eps)
-    got = resonance_upper(setup).re_sigma
+    got = resonance_upper(setup, spectral_context(setup.cfg)).re_sigma
     S, mu = setup.dip.S, setup.dip.mu
     want = eps**2 / math.sqrt(2.0) * math.exp(-2 * a * k) * k * k * (
         S + 2 * math.pi * mu)
@@ -161,7 +161,7 @@ def test_criterion_06_homogeneous_limit_upper():
 def test_criterion_07_weak_stratification_limit_lower():
     alpha, a, eps, k, b = 1e-3, 0.5, 0.01, 1.0, 1.0
     setup = _std_setup(alpha=alpha, side="L", a=a, eps=eps)
-    got = resonance_lower(setup).re_sigma
+    got = resonance_lower(setup, spectral_context(setup.cfg)).re_sigma
     S, mu = setup.dip.S, setup.dip.mu
     want = eps**2 / math.sqrt(2.0) * k * k * math.exp(-2 * (a + b) * k) * (
         S + 2 * math.pi * mu)
@@ -208,6 +208,7 @@ def test_criterion_08_positivity_ledger():
 
 def test_criterion_09_scaling_laws():
     su, sl = _std_setup(), _std_setup(side="L")
+    ctx = spectral_context(su.cfg)
     ratios = []
     for fn, s, attr, want in (
         (trapped_upper, su, "sigma", 4.0),
@@ -217,8 +218,8 @@ def test_criterion_09_scaling_laws():
         (resonance_upper, su, "im_sigma", 16.0),
         (resonance_lower, sl, "im_sigma", 16.0),
     ):
-        small = getattr(fn(s), attr)
-        big = getattr(fn(dataclasses.replace(s, epsilon=2 * s.epsilon)), attr)
+        small = getattr(fn(s, ctx), attr)
+        big = getattr(fn(dataclasses.replace(s, epsilon=2 * s.epsilon), ctx), attr)
         ratios.append((big / small, want))
     exact = all(r == w for r, w in ratios)
     # eigenvalue depth ~ alpha: log-log slope 1
@@ -228,7 +229,7 @@ def test_criterion_09_scaling_laws():
     for al in alphas:
         cfg = FluidConfig(beta=1.0 - al, b=1.0, k=1.0)
         s = ProblemSetup(cfg=cfg, side="U", a=0.5, epsilon=0.01, dip=dip)
-        res = trapped_upper(s)
+        res = trapped_upper(s, spectral_context(cfg))
         depths.append(res.threshold - res.lam)
     slope = float(np.polyfit(np.log(alphas), np.log(depths), 1)[0])
     ok = exact and abs(slope - 1.0) < 0.05
@@ -275,7 +276,8 @@ def test_criterion_11_profile_non_monotonicity():
 
 
 def test_criterion_12_small_alpha_asymptote():
-    res = a_star(_std_setup(alpha=0.05))
+    setup = _std_setup(alpha=0.05)
+    res = a_star(setup, spectral_context(setup.cfg))
     pred = 0.05**2 * (1.0 + res.delta) / 4.0
     ratio = res.a_star / pred
     ok = 0.9 <= ratio <= 1.1

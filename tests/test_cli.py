@@ -163,6 +163,23 @@ def test_non_finite_and_nonpositive_g_exit_2(args, field, tmp_path, capsys):
     assert err.startswith(f"error: {field} ")
 
 
+@pytest.mark.parametrize("content", [
+    None,  # missing file
+    "1.0 0.0 0.0\n",  # three columns
+    "1.0 0.0 0.0 0.0\n0.0 0.0 0.0 1.0\n",  # figure-eight
+], ids=["missing", "three-columns", "self-intersecting"])
+def test_fourier_file_errors_name_the_field(content, tmp_path, capsys):
+    path = tmp_path / "contour.txt"
+    if content is not None:
+        path.write_text(content)
+    code, stdout, err = run_cli(["dipoles", "--shape", "fourier",
+                                 "--fourier-file", str(path),
+                                 "--out", str(tmp_path / "x")], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: fourier_file: ")
+
+
 @pytest.mark.parametrize("args", [
     ["dipoles", "--shape", "ellipse", "--sweep", "r:0.5:2:3"],
     ["trapped", "--sweep", "a0:0.5:2:3"],

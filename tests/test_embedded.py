@@ -15,6 +15,7 @@ from trapmodes import (
     resonance_upper,
     small_alpha_asymptote,
     solve_w,
+    spectral_context,
     sweep_f,
     tau0,
 )
@@ -58,20 +59,22 @@ def test_a_star_half(ctx_half):
     # the resonance evaluated at a* is flagged as (near-)embedded
     check = resonance_upper(
         ProblemSetup(cfg=_setup(0.5).cfg, side="U", a=res.a_star,
-                     epsilon=0.01, dip=_setup(0.5).dip))
+                     epsilon=0.01, dip=_setup(0.5).dip), ctx_half)
     assert check.near_embedded
     assert res.sigma == pytest.approx(check.re_sigma, rel=1e-13)
 
 
 def test_a_star_alpha091():
-    res = a_star(_setup(0.91))
+    s = _setup(0.91)
+    res = a_star(s, spectral_context(s.cfg))
     assert res.exists
     assert res.a_star == pytest.approx(GOLD["a_star_alpha091"], rel=1e-12)
     assert 0.95 <= res.a_star < 1.0
 
 
 def test_a_star_alpha097_does_not_fit():
-    res = a_star(_setup(0.97))
+    s = _setup(0.97)
+    res = a_star(s, spectral_context(s.cfg))
     assert not res.exists
     assert res.a_star is None and res.sigma is None
     assert "does not fit" in res.diagnostics
@@ -81,10 +84,10 @@ def test_a_star_alpha097_does_not_fit():
         GOLD["a_star_alpha097_candidate"], rel=1e-12)
 
 
-def test_a_star_asymmetric_section():
+def test_a_star_asymmetric_section(ctx_half):
     dip = analytic_dipoles("ellipse", a0=1.5, b0=0.7, theta0=0.4)
     assert dip.nu != 0.0
-    res = a_star(_setup(0.5, dip))
+    res = a_star(_setup(0.5, dip), ctx_half)
     assert not res.exists
     assert "asymmetric" in res.diagnostics
     assert res.a_star is None
@@ -108,7 +111,8 @@ def test_f_circle_values():
 def test_small_alpha_asymptote_golden():
     pred = small_alpha_asymptote(0.05, 0.5, 1.0)
     assert pred == pytest.approx(GOLD["a_star_alpha005_pred"], rel=1e-15)
-    res = a_star(_setup(0.05))
+    s = _setup(0.05)
+    res = a_star(s, spectral_context(s.cfg))
     assert res.a_star == pytest.approx(GOLD["a_star_alpha005"], rel=1e-12)
     assert res.a_star / pred == pytest.approx(GOLD["a_star_alpha005_ratio"], rel=1e-12)
     with pytest.raises(ValidationError):
@@ -164,5 +168,5 @@ def test_consistency_between_routes(ctx_half):
     res = a_star(_setup(0.5), ctx_half)
     s = ProblemSetup(cfg=_setup(0.5).cfg, side="U", a=res.a_star,
                      epsilon=0.01, dip=_setup(0.5).dip)
-    r, _ = rcal_jcal(s)
+    r, _ = rcal_jcal(s, ctx_half)
     assert abs(r) < 1e-9 * abs(GOLD["Rcal_std"])

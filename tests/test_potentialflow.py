@@ -47,7 +47,7 @@ def test_apply_n0_constant(unit_circle):
 
 def test_circle_dipoles_machine_precision():
     for r in (0.5, 1.0, 2.0):
-        d = dipoles_bem(make_circle(r), 128)
+        d = dipoles_bem(assemble(make_circle(r), 128))
         assert d.mu == pytest.approx(r * r, rel=1e-12)
         assert d.kappa == pytest.approx(r * r, rel=1e-12)
         assert abs(d.nu) < 1e-13 * max(1.0, r * r)
@@ -57,7 +57,7 @@ def test_circle_dipoles_machine_precision():
 @pytest.mark.parametrize("theta0", [0.0, math.pi / 6.0, math.pi / 4.0, -0.7, 1.2])
 def test_ellipse_dipoles_match_closed_form(theta0):
     C = make_ellipse(2.0, 1.0, theta0)
-    got = dipoles_bem(C, 256)
+    got = dipoles_bem(assemble(C, 256))
     want = analytic_dipoles("ellipse", a0=2.0, b0=1.0, theta0=theta0)
     assert got.mu == pytest.approx(want.mu, rel=1e-10)
     assert got.kappa == pytest.approx(want.kappa, rel=1e-10)
@@ -66,14 +66,15 @@ def test_ellipse_dipoles_match_closed_form(theta0):
 
 
 def test_flux_route_agrees_for_egg(egg):
-    d = dipoles_bem(egg, 256)
-    assert dipole_mu_flux(egg, 256) == pytest.approx(d.mu, rel=1e-11)
+    system = assemble(egg, 256)
+    d = dipoles_bem(system)
+    assert dipole_mu_flux(system) == pytest.approx(d.mu, rel=1e-11)
 
 
 def test_boundary_potential_circle(unit_circle):
     # psi on the unit circle is the trace of -y/r^2, i.e. -sin t
     sys = assemble(unit_circle, 64)
-    psi = boundary_potential(unit_circle, 64)
+    psi = boundary_potential(sys)
     assert np.allclose(psi, -np.sin(sys.t), atol=1e-13)
 
 
@@ -81,7 +82,7 @@ def test_spectral_convergence():
     # aspect ratio tuned so N = 32 is resolved but not yet at round-off
     C = make_ellipse(2.0, 0.7, 0.5)
     want = analytic_dipoles("ellipse", a0=2.0, b0=0.7, theta0=0.5)
-    err = {N: abs(dipoles_bem(C, N).mu - want.mu) for N in (32, 64)}
+    err = {N: abs(dipoles_bem(assemble(C, N)).mu - want.mu) for N in (32, 64)}
     assert 1e-12 < err[32] < 1e-6
     # doubling N must slash the error by far more than a fixed-order method
     assert err[64] < 1e-2 * err[32]
@@ -99,7 +100,7 @@ def test_dipoles_translation_invariant(egg):
     # shifting the contour must not change the far-field coefficients:
     # translation only adds a j = 0 harmonic, which the representation
     # drops, so compare against an off-centre ellipse built by rotation
-    d1 = dipoles_bem(make_ellipse(1.4, 0.6, 0.9), 128)
+    d1 = dipoles_bem(assemble(make_ellipse(1.4, 0.6, 0.9), 128))
     want = analytic_dipoles("ellipse", a0=1.4, b0=0.6, theta0=0.9)
     assert d1.mu == pytest.approx(want.mu, rel=1e-10)
     assert d1.nu == pytest.approx(want.nu, rel=1e-8)
@@ -107,5 +108,5 @@ def test_dipoles_translation_invariant(egg):
 
 def test_nu_symmetry_of_egg(egg):
     # X even and Y odd in t: the egg is symmetric about the x axis, so nu = 0
-    d = dipoles_bem(egg, 128)
+    d = dipoles_bem(assemble(egg, 128))
     assert abs(d.nu) < 1e-12 * max(1.0, d.S)
