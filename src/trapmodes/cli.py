@@ -392,8 +392,6 @@ def _row_embedded(run: RunConfig, stages: _Stages) -> dict:
     # the submergence field is solved for, not prescribed; seed with b/2
     res = a_star(ProblemSetup(cfg=ctx.cfg, side="U", a=0.5 * run.b,
                               epsilon=run.epsilon, dip=dip), ctx)
-    # res.a0 and res.b0 (k a*, k b) shadow the ellipse inputs, which this
-    # table does not show
     return {**vars(run), **vars(res)}
 
 
@@ -411,7 +409,7 @@ def _rows_sweep(run: RunConfig, stages: _Stages):
     stages.manifest["inputs"]["sweep_grid"] = [float(v) for v in grid]
     if run.what == "f":
         dip = stages.dipoles(run)
-        rows = sweep_f([_fluid(run)], grid, delta=dip.delta)
+        rows = sweep_f(_fluid(run), grid, dip.delta)
         return COLUMNS["f"], rows
     rows = []
     for v in grid:

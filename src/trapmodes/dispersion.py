@@ -148,8 +148,6 @@ def solve_tau1(cfg: FluidConfig) -> float:
     hi = 2.0 * k
     while f(hi) <= 0.0:
         hi *= 2.0
-        if hi > 1e12 * k:  # pragma: no cover
-            raise ConsistencyError("failed to bracket tau1")
     tau1 = brentq(f, k, hi, rtol=ROOT_RTOL, xtol=1e-300 * k + 1e-15)
     if abs(lambda1(tau1, cfg) - k) > 1e-12 * k:
         raise ConsistencyError(
@@ -166,7 +164,7 @@ def spectral_context(cfg: FluidConfig) -> SpectralContext:
         raise ConsistencyError("cut-off ordering Lambda1 < Lambda2 failed")
     tau1 = solve_tau1(cfg)
     p1_zero = math.sqrt(tau1 * tau1 - cfg.k * cfg.k)
-    return SpectralContext(
+    ctx = SpectralContext(
         cfg=cfg,
         Lambda1=Lambda1,
         Lambda2=Lambda2,
@@ -175,6 +173,13 @@ def spectral_context(cfg: FluidConfig) -> SpectralContext:
         dlam1_k=lambda1_prime(cfg.k, cfg),
         dlam1_tau1=lambda1_prime(tau1, cfg),
     )
+    # all three are positive and the formulas divide by them; an exact 0
+    # means b k is so small that they underflowed
+    if ctx.Lambda1 == 0.0 or ctx.dlam1_k == 0.0 or ctx.q1 == 0.0:
+        raise ConsistencyError(
+            f"Lambda1 = {ctx.Lambda1}, lambda1'(k) = {ctx.dlam1_k}: "
+            f"k b = {cfg.k * cfg.b} is out of double range")
+    return ctx
 
 
 def g_profile(y, tau: float, lam: float):

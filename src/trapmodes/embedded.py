@@ -45,7 +45,6 @@ class EmbeddedResult:
     exists      : whether the leading-order embedded mode fits in the layer
     a_star      : the special submergence (None when absent)
     w, tau0     : dimensionless solution variables, w = k a* tau0
-    a0, b0      : k a*, k b
     delta       : S / (2 pi mu) of the section
     sigma       : real sigma of the mode (the resonance formula's real part
                   evaluated at a*), None when absent
@@ -56,8 +55,6 @@ class EmbeddedResult:
     a_star: float | None
     w: float
     tau0: float
-    a0: float | None
-    b0: float
     delta: float
     sigma: float | None
     diagnostics: str = ""
@@ -69,6 +66,9 @@ def tau0(cfg: FluidConfig) -> float:
     Solved on its own and cross-checked against tau1/k from the dispersion
     module; the two must agree to 1e-12 relative.
     """
+    # first: it refuses a fluid whose b k underflows, which keeps b0 > 0 and
+    # so ends the doubling below
+    t0_disp = spectral_context(cfg).tau1 / cfg.k
     b0 = cfg.k * cfg.b
     alpha, beta = cfg.alpha, cfg.beta
 
@@ -79,10 +79,7 @@ def tau0(cfg: FluidConfig) -> float:
     hi = 2.0
     while f(hi) <= 0.0:
         hi *= 2.0
-        if hi > 1e12:  # pragma: no cover
-            raise ConsistencyError("failed to bracket tau0")
     t0 = brentq(f, 1.0, hi, rtol=ROOT_RTOL, xtol=1e-15)
-    t0_disp = spectral_context(cfg).tau1 / cfg.k
     if abs(t0 - t0_disp) > 1e-12 * t0:
         raise ConsistencyError(
             f"tau0 routes disagree: dimensionless {t0} vs tau1/k {t0_disp}"
@@ -126,8 +123,7 @@ def a_star(setup: ProblemSetup, ctx: SpectralContext) -> EmbeddedResult:
 
     if abs(setup.dip.nu) > SYMMETRY_RTOL * setup.dip.mu:
         return EmbeddedResult(
-            exists=False, a_star=None, w=w, tau0=t0, a0=None, b0=k * b,
-            delta=delta, sigma=None,
+            exists=False, a_star=None, w=w, tau0=t0, delta=delta, sigma=None,
             diagnostics="asymmetric contour (Jcal != 0)",
         )
 
@@ -145,8 +141,7 @@ def a_star(setup: ProblemSetup, ctx: SpectralContext) -> EmbeddedResult:
         )
     if not exists_closed:
         return EmbeddedResult(
-            exists=False, a_star=None, w=w, tau0=t0, a0=None, b0=k * b,
-            delta=delta, sigma=None,
+            exists=False, a_star=None, w=w, tau0=t0, delta=delta, sigma=None,
             diagnostics=f"a* = {a1:.6g} >= b = {b:.6g} (mode does not fit in the layer)",
         )
 
@@ -167,8 +162,7 @@ def a_star(setup: ProblemSetup, ctx: SpectralContext) -> EmbeddedResult:
         setup_star = replace(setup, a=a1)
     sigma = resonance_upper(setup_star, ctx).re_sigma
     return EmbeddedResult(
-        exists=True, a_star=a1, w=w, tau0=t0, a0=k * a1, b0=k * b,
-        delta=delta, sigma=sigma,
+        exists=True, a_star=a1, w=w, tau0=t0, delta=delta, sigma=sigma,
     )
 
 
@@ -196,32 +190,28 @@ def small_alpha_asymptote(alpha: float, delta: float, k: float) -> float:
     return alpha * alpha * (1.0 + delta) / (4.0 * k)
 
 
-def sweep_f(cfgs, a_grid, delta: float = 0.5):
-    """Tabulate f(a) for each config (the unit-circle family, b = k = 1).
+def sweep_f(cfg: FluidConfig, a_grid, delta: float):
+    """Tabulate the circle function f(a) of tau0(cfg) over a_grid.
 
-    Returns one row per (cfg, a) pair as a dict with keys
-    alpha, tau0, a, f, has_root, a_star; has_root marks a sign change of f on
-    the grid and a_star is the closed-form root location when it exists.
+    f is f_circle (the delta = 1/2 circle function) at tau0(cfg); has_root
+    marks a sign change of f on the grid. a_star is the closed-form root
+    w/(k tau0) of the section with the given delta when it fits in the layer
+    (a* < b), None otherwise. Returns one dict per grid point with keys
+    alpha, tau0, a, f, has_root, a_star.
     """
     grid = [float(a) for a in a_grid]
     if len(grid) < 2 or any(g2 <= g1 for g1, g2 in zip(grid, grid[1:])):
         raise ValidationError("a_grid must be strictly increasing with >= 2 points")
     if grid[0] <= 0.0 or grid[-1] > 1.0:
         raise ValidationError(f"a_grid must lie in (0, 1], got [{grid[0]}, {grid[-1]}]")
-    rows = []
-    for cfg in cfgs:
-        t0 = tau0(cfg)
-        f_vals = [f_circle(a, t0) for a in grid]
-        has_root = any(f1 * f2 < 0.0 for f1, f2 in zip(f_vals, f_vals[1:]))
-        w = solve_w(delta, t0)
-        a1 = w / (cfg.k * t0)
-        a_root = a1 if a1 < cfg.b else None
-        for a, f in zip(grid, f_vals):
-            rows.append({
-                "alpha": cfg.alpha, "tau0": t0, "a": a, "f": f,
-                "has_root": has_root, "a_star": a_root,
-            })
-    return rows
+    t0 = tau0(cfg)
+    f_vals = [f_circle(a, t0) for a in grid]
+    has_root = any(f1 * f2 < 0.0 for f1, f2 in zip(f_vals, f_vals[1:]))
+    a1 = solve_w(delta, t0) / (cfg.k * t0)
+    a_root = a1 if a1 < cfg.b else None
+    return [{"alpha": cfg.alpha, "tau0": t0, "a": a, "f": f,
+             "has_root": has_root, "a_star": a_root}
+            for a, f in zip(grid, f_vals)]
 
 
 def alpha_threshold(b: float = 1.0, k: float = 1.0, delta: float = 0.5,

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +37,13 @@ def test_cutoffs_example(tmp_path, capsys):
     assert float(rows[0]["tau1"]) == pytest.approx(GOLD["tau1"], abs=1e-10)
     # stdout mirrors the file byte for byte
     assert stdout == (tmp_path / "run.csv").read_text()
+    # weakest stratification: tau1 = (1 + beta) / alpha ~ 2e12 in tanh saturation
+    beta = 0.999999999999
+    code, _, _ = run_cli(["cutoffs", "--beta", repr(beta),
+                          "--out", str(tmp_path / "weak")], capsys)
+    assert code == 0
+    assert float(read_rows(tmp_path / "weak.csv")[0]["tau1"]) == pytest.approx(
+        (1.0 + beta) / (1.0 - beta), rel=1e-11)
 
 
 def test_dipoles_example(tmp_path, capsys):
@@ -251,10 +260,14 @@ def test_parse_run_defaults():
 
 
 def test_console_script_installed(tmp_path):
-    # one end-to-end subprocess check of the installed entry point
+    # one end-to-end subprocess check of the module entry point; pytest's
+    # pythonpath does not reach the child, so it gets src on PYTHONPATH
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "trapmodes.cli", "cutoffs",
          "--out", str(tmp_path / "p")],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("beta,b,k,Lambda1")

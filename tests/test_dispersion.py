@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trapmodes import (
@@ -17,6 +17,7 @@ from trapmodes import (
     mode_profiles,
     near_threshold_wavenumbers,
     spectral_context,
+    tau0,
 )
 from trapmodes.dispersion import solve_tau1
 
@@ -101,6 +102,7 @@ def test_tau1_other_alphas():
 
 @given(beta=betas, b=depths, k=waves)
 @settings(max_examples=40, deadline=None)
+@example(beta=1 - 1e-12, b=1.0, k=1.0)  # tau1 ~ 2e12 k
 def test_tau1_solves_crossing(beta, b, k):
     cfg = FluidConfig(beta=beta, b=b, k=k)
     t1 = solve_tau1(cfg)
@@ -114,6 +116,15 @@ def test_spectral_context_golden(cfg_half, ctx_half):
     assert ctx_half.tau1 == pytest.approx(GOLD["tau1"], rel=1e-13)
     assert ctx_half.p1_zero == pytest.approx(GOLD["p1_zero"], rel=1e-13)
     assert ctx_half.Lambda1 < ctx_half.Lambda2 < ctx_half.tau1
+
+
+def test_spectral_context_refuses_underflowed_cutoffs():
+    # b k = 1e-400 is 0 in double precision: Lambda1 and lambda1'(k) underflow
+    cfg = FluidConfig(beta=0.5, b=1e-200, k=1e-200)
+    with pytest.raises(ConsistencyError, match="out of double range"):
+        spectral_context(cfg)
+    with pytest.raises(ConsistencyError, match="out of double range"):
+        tau0(cfg)
 
 
 def test_profile_derivative_consistency():

@@ -36,6 +36,10 @@ def test_tau0_golden(cfg_half):
     assert tau0(cfg_half) == pytest.approx(GOLD["tau1"], rel=1e-13)
     cfg005 = FluidConfig(beta=0.95, b=1.0, k=1.0)
     assert tau0(cfg005) == pytest.approx(GOLD["tau0_alpha005"], rel=1e-12)
+    # tanh saturates here too: tau0 = (1 + beta) / alpha ~ 2e12
+    cfg_weak = FluidConfig(beta=1 - 1e-12, b=1.0, k=1.0)
+    assert tau0(cfg_weak) == pytest.approx(
+        (1.0 + cfg_weak.beta) / cfg_weak.alpha, rel=1e-12)
 
 
 def test_solve_w_goldens():
@@ -120,13 +124,14 @@ def test_small_alpha_asymptote_golden():
 
 
 def test_sweep_f_table():
-    cfgs = [FluidConfig(beta=1.0 - al, b=1.0, k=1.0) for al in (0.5, 0.91, 0.97)]
     grid = np.linspace(0.05, 1.0, 20)
-    rows = sweep_f(cfgs, grid)
-    assert len(rows) == 3 * 20
     by_alpha = {}
-    for row in rows:
-        by_alpha.setdefault(round(row["alpha"], 6), []).append(row)
+    for al in (0.5, 0.91, 0.97):
+        cfg = FluidConfig(beta=1.0 - al, b=1.0, k=1.0)
+        rows = sweep_f(cfg, grid, 0.5)
+        assert len(rows) == 20
+        for row in rows:
+            by_alpha.setdefault(round(row["alpha"], 6), []).append(row)
     # alpha = 0.5: root far below the grid floor is still reported via a_star
     assert by_alpha[0.5][0]["a_star"] == pytest.approx(GOLD["a_star_alpha05"], rel=1e-12)
     # alpha = 0.91: f changes sign inside (0, 1)
@@ -143,11 +148,11 @@ def test_sweep_f_table():
 
 def test_sweep_f_validation(cfg_half):
     with pytest.raises(ValidationError):
-        sweep_f([cfg_half], [0.5])  # too short
+        sweep_f(cfg_half, [0.5], 0.5)  # too short
     with pytest.raises(ValidationError):
-        sweep_f([cfg_half], [0.5, 0.4])  # not increasing
+        sweep_f(cfg_half, [0.5, 0.4], 0.5)  # not increasing
     with pytest.raises(ValidationError):
-        sweep_f([cfg_half], [0.0, 0.5])  # outside (0, 1]
+        sweep_f(cfg_half, [0.0, 0.5], 0.5)  # outside (0, 1]
 
 
 def test_alpha_threshold_matches_critical_tau():
