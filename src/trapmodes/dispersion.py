@@ -27,12 +27,82 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConsistencyError, ValidationError
 
 # Relative abscissa tolerance for every 1-D root solve in the package.
 ROOT_RTOL = 1e-13
+BRENT_MAXITER = 100
+
+
+def brentq(f, a, b, *, xtol, rtol, what):
+    """Root of f on [a, b] by Brent's method; f(a) and f(b) must differ in sign.
+
+    A line-for-line port of scipy's brentq.c (the same update order, the same
+    tolerance delta = (xtol + rtol |x|)/2, the same interpolate, extrapolate
+    and bisect tests, at most 100 iterations), so it returns the same float
+    bit for bit. A zero denominator gives inf or nan in C, which fails the
+    short-step test and bisects; Python raises instead, so the step is set
+    to nan, which takes the same branch. No sign change, a NaN value of f and
+    no convergence raise ConsistencyError naming `what`.
+    """
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ConsistencyError(f"{what}: f({x!r}) is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ConsistencyError(
+            f"{what}: f({xpre!r}) = {fpre!r} and f({xcur!r}) = {fcur!r} "
+            f"have the same sign")
+    for _ in range(BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                stry = math.nan
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise ConsistencyError(
+        f"{what}: no convergence in {BRENT_MAXITER} iterations, last x = {xcur!r}")
 
 
 @dataclass(frozen=True)
@@ -148,7 +218,12 @@ def solve_tau1(cfg: FluidConfig) -> float:
     hi = 2.0 * k
     while f(hi) <= 0.0:
         hi *= 2.0
-    tau1 = brentq(f, k, hi, rtol=ROOT_RTOL, xtol=1e-300 * k + 1e-15)
+        if hi == math.inf:
+            raise ConsistencyError(
+                f"tau1 overflows: beta = {cfg.beta}, k = {k} is out of "
+                f"double range")
+    tau1 = brentq(f, k, hi, rtol=ROOT_RTOL, xtol=1e-300 * k + 1e-15,
+                  what="tau1 root search")
     if abs(lambda1(tau1, cfg) - k) > 1e-12 * k:
         raise ConsistencyError(
             f"tau1 root residual {abs(lambda1(tau1, cfg) - k):.3e} exceeds 1e-12*k"
@@ -179,6 +254,11 @@ def spectral_context(cfg: FluidConfig) -> SpectralContext:
         raise ConsistencyError(
             f"Lambda1 = {ctx.Lambda1}, lambda1'(k) = {ctx.dlam1_k}: "
             f"k b = {cfg.k * cfg.b} is out of double range")
+    # tau1^2 and 2 k Lambda1 overflow once k or tau1 passes ~1e154
+    if not (math.isfinite(ctx.p1_zero) and math.isfinite(ctx.q1)):
+        raise ConsistencyError(
+            f"p1_zero = {ctx.p1_zero}, q1 = {ctx.q1}: k = {cfg.k}, "
+            f"tau1 = {tau1} is out of double range")
     return ctx
 
 
@@ -288,4 +368,5 @@ def near_threshold_wavenumbers(sigma: float, which: str, cfg: FluidConfig) -> fl
         return lambda1(tau, cfg) - target
 
     hi = k * (1.0 - 1e-13)
-    return brentq(f, 0.0, hi, rtol=ROOT_RTOL, xtol=1e-300 * k + 1e-15)
+    return brentq(f, 0.0, hi, rtol=ROOT_RTOL, xtol=1e-300 * k + 1e-15,
+                  what="p01 root search")

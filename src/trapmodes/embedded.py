@@ -28,9 +28,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 
-from scipy.optimize import brentq
-
-from .dispersion import ROOT_RTOL, FluidConfig, SpectralContext, spectral_context
+from .dispersion import ROOT_RTOL, FluidConfig, SpectralContext, brentq, spectral_context
 from .errors import ConsistencyError, ValidationError
 from .spectra import ProblemSetup, _require_ctx, rcal_jcal_scaled, resonance_upper
 
@@ -79,7 +77,7 @@ def tau0(cfg: FluidConfig) -> float:
     hi = 2.0
     while f(hi) <= 0.0:
         hi *= 2.0
-    t0 = brentq(f, 1.0, hi, rtol=ROOT_RTOL, xtol=1e-15)
+    t0 = brentq(f, 1.0, hi, rtol=ROOT_RTOL, xtol=1e-15, what="tau0 root search")
     if abs(t0 - t0_disp) > 1e-12 * t0:
         raise ConsistencyError(
             f"tau0 routes disagree: dimensionless {t0} vs tau1/k {t0_disp}"
@@ -145,7 +143,7 @@ def a_star(setup: ProblemSetup, ctx: SpectralContext) -> EmbeddedResult:
             diagnostics=f"a* = {a1:.6g} >= b = {b:.6g} (mode does not fit in the layer)",
         )
 
-    a2 = brentq(rc, 0.0, b, rtol=ROOT_RTOL, xtol=1e-15 * b)
+    a2 = brentq(rc, 0.0, b, rtol=ROOT_RTOL, xtol=1e-15 * b, what="a* root search")
     if abs(a1 - a2) > ROUTE_AGREEMENT * b:
         raise ConsistencyError(
             f"a* routes disagree: closed form {a1} vs root search {a2}"

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
 from .contour import Contour, DipoleStrengths, area
 from .errors import ConsistencyError, ValidationError
@@ -61,6 +60,9 @@ def assemble(C: Contour, N: int = 256) -> NystromSystem:
     N must be a power of two with N >= 32 (the convergence study doubles N).
     Raises ConsistencyError if the discrete Gauss law fails beyond 1e-8.
     """
+    # imported here so that commands without a BEM never load scipy.linalg
+    from scipy.linalg import get_lapack_funcs, lu_factor
+
     if N < 32 or (N & (N - 1)) != 0:
         raise ValidationError(f"N must be a power of two >= 32, got {N}")
     t = 2.0 * np.pi * np.arange(N) / N
@@ -99,6 +101,8 @@ def apply_n0(sys: NystromSystem, f) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if f.shape != (sys.N,):
         raise ValidationError(f"f must have shape ({sys.N},), got {f.shape}")
+    from scipy.linalg import lu_solve
+
     return lu_solve(sys.lu, f)
 
 

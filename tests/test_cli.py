@@ -259,15 +259,59 @@ def test_parse_run_defaults():
     assert run.out == "trapmodes_cutoffs"
 
 
-def test_console_script_installed(tmp_path):
-    # one end-to-end subprocess check of the module entry point; pytest's
-    # pythonpath does not reach the child, so it gets src on PYTHONPATH
+def _child_env():
+    # pytest's pythonpath does not reach a child process, so it gets src on
+    # PYTHONPATH
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_console_script_installed(tmp_path):
+    # one end-to-end subprocess check of the module entry point
     proc = subprocess.run(
         [sys.executable, "-m", "trapmodes.cli", "cutoffs",
          "--out", str(tmp_path / "p")],
-        capture_output=True, text=True, timeout=120, env=env)
+        capture_output=True, text=True, timeout=120, env=_child_env())
     assert proc.returncode == 0
     assert proc.stdout.startswith("beta,b,k,Lambda1")
+
+
+def _scipy_modules_after(code):
+    """The scipy modules loaded in a fresh interpreter after running code."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\nimport json, sys\nprint(json.dumps(sorted("
+         "m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))"],
+        capture_output=True, text=True, timeout=120, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cold_start_loads_no_scipy(tmp_path):
+    # import trapmodes.cli loads no scipy module; cutoffs builds no BEM and so
+    # never loads scipy.linalg, dipoles does
+    assert _scipy_modules_after("import trapmodes.cli") == []
+    run = "from trapmodes.cli import main\nassert main({!r}) == 0"
+    out = ["--out", str(tmp_path / "p")]
+    cutoffs = _scipy_modules_after(run.format(["cutoffs", *out]))
+    assert "scipy.linalg" not in cutoffs and "scipy.optimize" not in cutoffs
+    dipoles = _scipy_modules_after(run.format(["dipoles", "--N", "32", *out]))
+    assert "scipy.linalg" in dipoles and "scipy.optimize" not in dipoles
+    src = Path(__file__).resolve().parents[1] / "src"
+    users = [p for p in src.rglob("*") if p.is_file()
+             and b"scipy.optimize" in p.read_bytes()]
+    assert users == []
+
+
+@pytest.mark.parametrize("args", [
+    ["--k", "1e200"],  # p1_zero = nan and q1 = inf
+    ["--k", "1e300"],
+    ["--k", "1e300", "--beta", "0.999999999999"],  # tau1 > 1.8e308
+])
+def test_cutoffs_out_of_double_range_exit_3(args, tmp_path, capsys):
+    code, stdout, err = run_cli(["cutoffs", *args, "--out", str(tmp_path / "x")],
+                                capsys)
+    assert code == 3
+    assert stdout == ""
+    assert err.startswith("consistency error:")
+    assert "out of double range" in err

@@ -2,13 +2,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import trapmodes.dispersion as dispersion
+import trapmodes.embedded as embedded
 from trapmodes import (
     ConsistencyError,
     FluidConfig,
+    ProblemSetup,
     ValidationError,
+    a_star,
+    analytic_dipoles,
     g_profile,
     g_profile_scaled,
     lambda1,
@@ -125,6 +131,100 @@ def test_spectral_context_refuses_underflowed_cutoffs():
         spectral_context(cfg)
     with pytest.raises(ConsistencyError, match="out of double range"):
         tau0(cfg)
+
+
+@pytest.mark.parametrize("k", [1e200, 1e300])
+def test_spectral_context_refuses_overflowed_p1_zero_and_q1(k):
+    # tau1^2 and 2 k Lambda1 overflow: p1_zero and q1 would be nan and inf
+    with pytest.raises(ConsistencyError, match="out of double range"):
+        spectral_context(FluidConfig(beta=0.5, b=1.0, k=k))
+
+
+def test_tau1_beyond_double_range_is_refused():
+    # tau1 ~ 2 k / alpha = 2e312: the bracket doubling reaches inf
+    cfg = FluidConfig(beta=0.999999999999, b=1.0, k=1e300)
+    with pytest.raises(ConsistencyError, match="tau1 .* out of double range"):
+        solve_tau1(cfg)
+
+
+def _recorded_solves(monkeypatch_ctx, run):
+    """The (f, a, b, xtol, rtol, what) of every brentq call that run() makes."""
+    calls, brentq = [], dispersion.brentq
+
+    def record(f, a, b, *, xtol, rtol, what):
+        calls.append((f, a, b, xtol, rtol, what))
+        return brentq(f, a, b, xtol=xtol, rtol=rtol, what=what)
+
+    monkeypatch_ctx.setattr(dispersion, "brentq", record)
+    monkeypatch_ctx.setattr(embedded, "brentq", record)
+    run()
+    return calls
+
+
+def _assert_matches_scipy(calls):
+    for f, a, b, xtol, rtol, what in calls:
+        ours = dispersion.brentq(f, a, b, xtol=xtol, rtol=rtol, what=what)
+        theirs = scipy.optimize.brentq(f, a, b, xtol=xtol, rtol=rtol)
+        assert type(ours) is float
+        assert ours == theirs, what  # bit for bit, not approximately
+
+
+@given(beta=st.floats(0.01, 0.99), eb=st.floats(-1.0, 1.0),
+       ek=st.floats(-1.0, 1.0), sigma=st.floats(1e-6, 0.49))
+@settings(max_examples=40, deadline=None)
+@example(beta=0.5, eb=0.0, ek=0.0, sigma=0.1)  # a* = 0.17 < b: a* is solved
+def test_brentq_matches_scipy_at_every_call_site(beta, eb, ek, sigma):
+    cfg = FluidConfig(beta=beta, b=10.0 ** eb, k=10.0 ** ek)
+    setup = ProblemSetup(cfg=cfg, side="U", a=0.5 * cfg.b, epsilon=0.01,
+                         dip=analytic_dipoles("circle", r=1.0))
+
+    def run():
+        ctx = spectral_context(cfg)
+        near_threshold_wavenumbers(sigma, "first", cfg)
+        tau0(cfg)
+        a_star(setup, ctx)
+
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _recorded_solves(mp, run)
+    whats = {c[-1] for c in calls}
+    assert {"tau1 root search", "p01 root search", "tau0 root search"} <= whats
+    if a_star(setup, spectral_context(cfg)).exists:
+        assert "a* root search" in whats
+    _assert_matches_scipy(calls)
+
+
+def test_brentq_zero_denominator_bisects_like_c():
+    # at b = k = 1e-200 the tau1 solve meets a zero interpolation denominator;
+    # C gets inf or nan there and bisects, Python would raise ZeroDivisionError
+    cfg = FluidConfig(beta=0.5, b=1e-200, k=1e-200)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _recorded_solves(mp, lambda: solve_tau1(cfg))
+    assert [c[-1] for c in calls] == ["tau1 root search"]
+    _assert_matches_scipy(calls)
+
+
+def test_brentq_failures_raise_consistency_error():
+    brentq = dispersion.brentq
+    tol = dict(xtol=1e-15, rtol=1e-13)
+    # the second one's f(a) f(b) underflows to 0: the test is on the signs
+    for positive in (lambda x: x * x + 1.0, lambda x: 1e-200 * (x + 2.0)):
+        with pytest.raises(ConsistencyError, match="^demo: .*same sign"):
+            brentq(positive, -1.0, 1.0, what="demo", **tol)
+        with pytest.raises(ValueError):  # scipy's outcome on the same input
+            scipy.optimize.brentq(positive, -1.0, 1.0, **tol)
+
+    nan_above = lambda x: math.nan if x > 0.5 else x - 0.7
+    with pytest.raises(ConsistencyError, match="^demo: f.* is NaN"):
+        brentq(nan_above, 0.0, 1.0, what="demo", **tol)
+    with pytest.raises(ValueError):
+        scipy.optimize.brentq(nan_above, 0.0, 1.0, **tol)
+
+    # a jump over 600 decades: 100 steps cannot shrink the bracket enough
+    step = lambda x: -1.0 if x < 0.3 else 1.0
+    with pytest.raises(ConsistencyError, match="^demo: no convergence in 100"):
+        brentq(step, -1e300, 1e300, what="demo", **tol)
+    with pytest.raises(RuntimeError):
+        scipy.optimize.brentq(step, -1e300, 1e300, **tol)
 
 
 def test_profile_derivative_consistency():
