@@ -11,8 +11,9 @@ is a single closed-loop client and must not share the machine with itself).
 The file holds, per workload and trace level, each metric's median, quartiles
 and IQR over the seeds, the values themselves and the operation counts, plus
 the checkout's git revision and the ``# env`` line that ``run.py`` prints
-(machine, library versions, BLAS thread count). It is written next to this
-script's checkout unless ``--out`` says otherwise. Standard library only.
+(machine, library versions, BLAS thread count). It is written to the root
+of this script's checkout. Standard library only; the window of each run is
+``BENCHMARK.json``'s ``run_seconds``.
 """
 
 from __future__ import annotations
@@ -55,12 +56,14 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float,
                          f"{proc.stderr[-2000:]}")
     env = next((json.loads(line[len("# env "):]) for line in lines
                 if line.startswith("# env ")), {})
+    env.pop("trapmodes_file", None)  # a local path; the revision names the code
     return env, json.loads(lines[-1])
 
 
 def summary(values: list[float]) -> dict:
-    q1, q3 = (statistics.quantiles(values, n=4, method="inclusive")
-              if len(values) > 1 else (values[0], values[0]))
+    q1 = q3 = values[0]
+    if len(values) > 1:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": statistics.median(values), "q1": q1, "q3": q3,
             "iqr": q3 - q1, "values": values}
 
@@ -100,15 +103,11 @@ def main(argv=None) -> int:
                     help="names the output file BENCH_<tag>.json")
     ap.add_argument("--checkout", type=Path, default=REPO,
                     help="the checkout to benchmark (default: this one)")
-    ap.add_argument("--out", type=Path, default=None,
-                    help="output path (default: BENCH_<tag>.json in this checkout)")
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="window per run (default: BENCHMARK.json run_seconds)")
     args = ap.parse_args(argv)
 
     checkout = args.checkout.resolve()
     spec = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
     revision = git(checkout, "rev-parse", "HEAD")
     dirty = git(checkout, "status", "--porcelain", "--untracked-files=no") != ""
@@ -120,7 +119,7 @@ def main(argv=None) -> int:
                        "--seed", "S", "--seconds", f"{seconds:g}",
                        "--trace", "T"],
            **body}
-    out = args.out or REPO / f"BENCH_{args.tag}.json"
+    out = REPO / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}")
     return 0
