@@ -42,66 +42,77 @@ from .spectra import (
     trapped_upper,
 )
 
-COMMANDS = ("cutoffs", "dipoles", "trapped", "resonance", "embedded", "sweep")
-SHAPES = ("circle", "ellipse", "fourier")
-SWEEP_TARGETS = ("cutoffs", "dipoles", "trapped", "resonance", "embedded", "f")
-
-# CSV column sets, fixed per command (documented in --help).
-COLUMNS = {
-    "cutoffs": ["beta", "b", "k", "Lambda1", "Lambda2", "tau1", "p1_zero",
-                "q1", "q2"],
-    "dipoles": ["shape", "r", "a0", "b0", "theta0", "N", "mu", "kappa", "nu",
-                "S", "delta"],
-    "trapped": ["beta", "b", "k", "side", "a", "epsilon", "shape", "mu", "S",
-                "sigma", "lambda", "threshold", "omega", "D"],
-    "resonance": ["beta", "b", "k", "side", "a", "epsilon", "shape", "mu",
-                  "S", "re_sigma", "im_sigma", "rcal", "jcal",
-                  "near_embedded", "decay_rate", "D", "D1"],
-    "embedded": ["beta", "b", "k", "epsilon", "shape", "delta", "exists",
-                 "a_star", "w", "tau0", "sigma", "diagnostics"],
-    "f": ["alpha", "tau0", "a", "f", "has_root", "a_star"],
+# One entry per CSV table: (description, columns, the scalars a sweep may
+# range over). Each command but `sweep` computes the table of its name, and
+# `sweep` computes any table, `f` included, over a grid.
+_TABLES = {
+    "cutoffs": ("Cut-off values and threshold roots of the two branches.",
+                "beta b k Lambda1 Lambda2 tau1 p1_zero q1 q2", "beta b k"),
+    "dipoles": ("Dipole coefficients of the cross-section by boundary quadrature.",
+                "shape r a0 b0 theta0 N mu kappa nu S delta", "r a0 b0 theta0"),
+    "trapped": ("Trapped-mode eigenvalue below the first cut-off.",
+                "beta b k side a epsilon shape mu S sigma lambda threshold "
+                "omega D", "beta b k a epsilon r a0 b0 theta0"),
+    "resonance": ("Complex resonance near the second cut-off.",
+                  "beta b k side a epsilon shape mu S re_sigma im_sigma rcal "
+                  "jcal near_embedded decay_rate D D1",
+                  "beta b k a epsilon r a0 b0 theta0"),
+    "embedded": ("Special submergence turning the resonance into an embedded "
+                 "trapped mode.", "beta b k epsilon shape delta exists a_star "
+                 "w tau0 sigma diagnostics", "beta b k epsilon r a0 b0 theta0"),
+    "f": ("the circle root function", "alpha tau0 a f has_root a_star", "a"),
 }
+COLUMNS = {name: columns.split() for name, (_, columns, _) in _TABLES.items()}
+_SWEEPABLE = {name: tuple(params.split())
+              for name, (_, _, params) in _TABLES.items()}
+SWEEP_TARGETS = tuple(_TABLES)
+COMMANDS = tuple(name for name in _TABLES if name != "f") + ("sweep",)
+SHAPES = ("circle", "ellipse", "fourier")
+
+
+def _field(default, text: str, **flag):
+    """A run field's default, and the help text ('{default}' shows the
+    default) and any further add_argument settings of its flag."""
+    return dataclasses.field(default=default, metadata={"help": text, **flag})
 
 
 @dataclasses.dataclass
 class RunConfig:
+    """The inputs of one run. Every field but `command` is set by the flag
+    of its name (`_` spelt `-`) and by the config key of its name; its type
+    parses both."""
+
     command: str
-    beta: float = 0.5
-    b: float = 1.0
-    k: float = 1.0
-    side: str = "U"
-    a: float = 0.5
-    epsilon: float = 0.01
-    shape: str = "circle"
-    r: float = 1.0
-    a0: float = 1.0
-    b0: float = 1.0
-    theta0: float = 0.0
-    fourier_file: str | None = None
-    N: int = 256
-    g: float | None = None
-    out: str | None = None
-    sweep: str | None = None
-    what: str | None = None
+    beta: float = _field(0.5, "density ratio rho1/rho2 in (0, 1) [{default}]")
+    b: float = _field(1.0, "upper layer depth [{default}]")
+    k: float = _field(1.0, "axial wavenumber [{default}]")
+    side: str = _field("U", "cylinder in upper (U) or lower (L) layer [{default}]",
+                       choices=("U", "L"))
+    a: float = _field(0.5, "submergence depth of the cylinder axis [{default}]; "
+                           "ignored by 'embedded', which solves for it")
+    epsilon: float = _field(0.01, "slenderness parameter [{default}]")
+    shape: str = _field("circle", "cross-section family [{default}]", choices=SHAPES)
+    r: float = _field(1.0, "circle radius [{default}]")
+    a0: float = _field(1.0, "ellipse semi-axis along x before tilt [{default}]")
+    b0: float = _field(1.0, "ellipse semi-axis along y before tilt [{default}]")
+    theta0: float = _field(0.0, "ellipse tilt, radians clockwise [{default}]")
+    fourier_file: str | None = _field(None, "4-column coefficient file (cos_x sin_x "
+                                            "cos_y sin_y) for --shape fourier")
+    N: int = _field(256, "boundary quadrature nodes, power of two [{default}]")
+    g: float | None = _field(None, "gravitational acceleration; enables the omega "
+                                   "and decay_rate columns")
+    out: str | None = _field(None, "output stem; writes <out>.csv and "
+                                   "<out>.manifest.json [trapmodes_<command>]")
+    sweep: str | None = _field(None, "grid for the 'sweep' command",
+                               metavar="PARAM:START:STOP:COUNT")
+    what: str | None = _field(None, "which table the 'sweep' command produces",
+                              choices=SWEEP_TARGETS)
 
 
-_FIELD_TYPES = {
-    "beta": float, "b": float, "k": float, "side": str, "a": float,
-    "epsilon": float, "shape": str, "r": float, "a0": float, "b0": float,
-    "theta0": float, "fourier_file": str, "N": int, "g": float, "out": str,
-    "sweep": str, "what": str,
-}
-
-# Scalars a sweep may range over, per target command.
-_SWEEPABLE = {
-    "cutoffs": ("beta", "b", "k"),
-    "dipoles": ("r", "a0", "b0", "theta0"),
-    "trapped": ("beta", "b", "k", "a", "epsilon", "r", "a0", "b0", "theta0"),
-    "resonance": ("beta", "b", "k", "a", "epsilon", "r", "a0", "b0",
-                  "theta0"),
-    "embedded": ("beta", "b", "k", "epsilon", "r", "a0", "b0", "theta0"),
-    "f": ("a",),
-}
+_FIELDS = dataclasses.fields(RunConfig)[1:]  # all but command
+# the annotations are strings (postponed evaluation)
+_FIELD_TYPES = {f.name: {"float": float, "int": int, "str": str}[
+    f.type.removesuffix(" | None")] for f in _FIELDS}
 
 # Shape parameters each section family ignores: blank in its rows, and not
 # sweepable with it.
@@ -147,90 +158,46 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version",
                      version=f"trapmodes {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
-    descr = {
-        "cutoffs": "Cut-off values and threshold roots of the two branches. "
-                   "Columns: " + ", ".join(COLUMNS["cutoffs"]),
-        "dipoles": "Dipole coefficients of the cross-section by boundary "
-                   "quadrature. Columns: " + ", ".join(COLUMNS["dipoles"]),
-        "trapped": "Trapped-mode eigenvalue below the first cut-off. "
-                   "Columns: " + ", ".join(COLUMNS["trapped"]),
-        "resonance": "Complex resonance near the second cut-off. Columns: "
-                     + ", ".join(COLUMNS["resonance"]),
-        "embedded": "Special submergence turning the resonance into an "
-                    "embedded trapped mode. Columns: "
-                    + ", ".join(COLUMNS["embedded"]),
-        "sweep": "Run another command over a grid of one scalar parameter "
-                 "(--what picks the command, --sweep the grid). "
-                 "--what f tabulates the circle root function "
-                 "(columns: " + ", ".join(COLUMNS["f"]) + ").",
-    }
     for name in COMMANDS:
-        p = sub.add_parser(name, description=descr[name])
+        if name == "sweep":
+            descr = ("Run another command over a grid of one scalar parameter "
+                     "(--what picks the command, --sweep the grid). --what f "
+                     f"tabulates {_TABLES['f'][0]} (columns: "
+                     f"{', '.join(COLUMNS['f'])}).")
+        else:
+            descr = f"{_TABLES[name][0]} Columns: {', '.join(COLUMNS[name])}"
+        p = sub.add_parser(name, description=descr)
         p.add_argument("--config", help="key = value file; flags override it")
-        p.add_argument("--beta", type=float, default=None,
-                       help="density ratio rho1/rho2 in (0, 1) [0.5]")
-        p.add_argument("--b", type=float, default=None,
-                       help="upper layer depth [1.0]")
-        p.add_argument("--k", type=float, default=None,
-                       help="axial wavenumber [1.0]")
-        p.add_argument("--side", choices=("U", "L"), default=None,
-                       help="cylinder in upper (U) or lower (L) layer [U]")
-        p.add_argument("--a", type=float, default=None,
-                       help="submergence depth of the cylinder axis [0.5]; "
-                            "ignored by 'embedded', which solves for it")
-        p.add_argument("--epsilon", type=float, default=None,
-                       help="slenderness parameter [0.01]")
-        p.add_argument("--shape", choices=SHAPES, default=None,
-                       help="cross-section family [circle]")
-        p.add_argument("--r", type=float, default=None,
-                       help="circle radius [1.0]")
-        p.add_argument("--a0", type=float, default=None,
-                       help="ellipse semi-axis along x before tilt [1.0]")
-        p.add_argument("--b0", type=float, default=None,
-                       help="ellipse semi-axis along y before tilt [1.0]")
-        p.add_argument("--theta0", type=float, default=None,
-                       help="ellipse tilt, radians clockwise [0.0]")
-        p.add_argument("--fourier-file", dest="fourier_file", default=None,
-                       help="4-column coefficient file (cos_x sin_x cos_y "
-                            "sin_y) for --shape fourier")
-        p.add_argument("--N", type=int, default=None,
-                       help="boundary quadrature nodes, power of two [256]")
-        p.add_argument("--g", type=float, default=None,
-                       help="gravitational acceleration; enables the omega "
-                            "and decay_rate columns")
-        p.add_argument("--out", default=None,
-                       help="output stem; writes <out>.csv and "
-                            "<out>.manifest.json [trapmodes_<command>]")
-        p.add_argument("--sweep", default=None, metavar="PARAM:START:STOP:COUNT",
-                       help="grid for the 'sweep' command")
-        p.add_argument("--what", choices=SWEEP_TARGETS, default=None,
-                       help="which table the 'sweep' command produces")
+        for f in _FIELDS:
+            flag = dict(f.metadata, help=f.metadata["help"].format(default=f.default))
+            p.add_argument("--" + f.name.replace("_", "-"),
+                           type=_FIELD_TYPES[f.name], default=None, **flag)
     return top
 
 
 def parse_run(argv=None) -> RunConfig:
     ns = _build_parser().parse_args(argv)
-    run = RunConfig(command=ns.command)
-    if ns.config is not None:
-        for key, value in read_config_file(ns.config).items():
-            setattr(run, key, value)
-    for key in _FIELD_TYPES:
-        value = getattr(ns, key, None)
-        if value is not None:
-            setattr(run, key, value)
+    # the config file's values first; flags override them
+    given = {} if ns.config is None else read_config_file(ns.config)
+    given.update({key: value for key, value in vars(ns).items()
+                  if key in _FIELD_TYPES and value is not None})
+    run = RunConfig(command=ns.command, **given)
     for key, conv in _FIELD_TYPES.items():
         value = getattr(run, key)
         if conv is float and value is not None and not math.isfinite(value):
             raise ValidationError(f"{key} must be finite, got {value}")
     if run.g is not None and not run.g > 0.0:
         raise ValidationError(f"g must be positive, got {run.g}")
-    if run.side not in ("U", "L"):
-        raise ValidationError(f"side must be 'U' or 'L', got {run.side!r}")
-    if run.shape not in SHAPES:
-        raise ValidationError(f"shape must be one of {SHAPES}, got {run.shape!r}")
-    if run.what is not None and run.what not in SWEEP_TARGETS:
-        raise ValidationError(
-            f"what must be one of {SWEEP_TARGETS}, got {run.what!r}")
+    for f in _FIELDS:
+        value, choices = getattr(run, f.name), f.metadata.get("choices")
+        if choices is not None and value is not None and value not in choices:
+            raise ValidationError(
+                f"{f.name} must be one of {choices}, got {value!r}")
+    for key in ("sweep", "what"):
+        if run.command != "sweep" and getattr(run, key) is not None:
+            raise ValidationError(
+                f"{key} applies only to the 'sweep' command, not to "
+                f"{run.command!r}")
     if run.out is None:
         run.out = f"trapmodes_{run.command}"
     return run
@@ -366,42 +333,34 @@ def _row_dipoles(run: RunConfig, stages: _Stages) -> dict:
             **stages.manifest["dipoles"]}
 
 
-def _row_trapped(run: RunConfig, stages: _Stages) -> dict:
+def _row_formula(run: RunConfig, stages: _Stages) -> dict:
+    """The trapped or resonance row, by the formula of the run's side."""
     dip = stages.dipoles(run)
     ctx = stages.context(run)
-    fn = trapped_upper if run.side == "U" else trapped_lower
+    # looked up per call, so that rebinding these module globals takes effect
+    if run.command == "trapped":
+        fn = trapped_upper if run.side == "U" else trapped_lower
+    else:
+        fn = resonance_upper if run.side == "U" else resonance_lower
     res = fn(ProblemSetup(cfg=ctx.cfg, side=run.side, a=run.a,
                           epsilon=run.epsilon, dip=dip), ctx, g_grav=run.g)
     return {**vars(run), **vars(res), "mu": dip.mu, "S": dip.S,
-            "lambda": res.lam, "D": res.coefficients.D}
-
-
-def _row_resonance(run: RunConfig, stages: _Stages) -> dict:
-    dip = stages.dipoles(run)
-    ctx = stages.context(run)
-    fn = resonance_upper if run.side == "U" else resonance_lower
-    res = fn(ProblemSetup(cfg=ctx.cfg, side=run.side, a=run.a,
-                          epsilon=run.epsilon, dip=dip), ctx, g_grav=run.g)
-    return {**vars(run), **vars(res), "mu": dip.mu, "S": dip.S,
-            "D": res.coefficients.D, "D1": res.coefficients.D1}
+            "lambda": getattr(res, "lam", None), "D": res.coefficients.D,
+            "D1": res.coefficients.D1}
 
 
 def _row_embedded(run: RunConfig, stages: _Stages) -> dict:
     dip = stages.dipoles(run)
     ctx = stages.context(run)
     # the submergence field is solved for, not prescribed; seed with b/2
-    res = a_star(ProblemSetup(cfg=ctx.cfg, side="U", a=0.5 * run.b,
+    res = a_star(ProblemSetup(cfg=ctx.cfg, side=run.side, a=0.5 * run.b,
                               epsilon=run.epsilon, dip=dip), ctx)
     return {**vars(run), **vars(res)}
 
 
-_ROW_FN = {
-    "cutoffs": _row_cutoffs,
-    "dipoles": _row_dipoles,
-    "trapped": _row_trapped,
-    "resonance": _row_resonance,
-    "embedded": _row_embedded,
-}
+_ROW_FN = {"cutoffs": _row_cutoffs, "dipoles": _row_dipoles,
+           "trapped": _row_formula, "resonance": _row_formula,
+           "embedded": _row_embedded}
 
 
 def _rows_sweep(run: RunConfig, stages: _Stages):

@@ -131,26 +131,22 @@ class FluidConfig:
         return 1.0 - self.beta
 
 
-def _check_tau(tau):
-    arr = np.asarray(tau, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
+def _check_tau(tau: float) -> None:
+    if not (math.isfinite(tau) and tau > 0.0):
         raise ValidationError(f"tau must be positive and finite, got {tau}")
-    return arr
 
 
-def lambda1(tau, cfg: FluidConfig):
-    """Interfacial branch of the dispersion relation. Accepts scalars or arrays."""
-    t = _check_tau(tau)
-    T = np.tanh(cfg.b * t)
-    out = cfg.alpha * t * T / (1.0 + cfg.beta * T)
-    return float(out) if np.isscalar(tau) else out
+def lambda1(tau: float, cfg: FluidConfig) -> float:
+    """Interfacial branch of the dispersion relation."""
+    _check_tau(tau)
+    T = np.tanh(cfg.b * tau)
+    return float(cfg.alpha * tau * T / (1.0 + cfg.beta * T))
 
 
-def lambda2(tau, cfg: FluidConfig):
+def lambda2(tau: float, cfg: FluidConfig) -> float:
     """Surface branch; the deep-water identity lam = tau."""
-    t = _check_tau(tau)
-    out = t + 0.0
-    return float(out) if np.isscalar(tau) else out
+    _check_tau(tau)
+    return float(tau)
 
 
 def _sech(x):
@@ -158,19 +154,19 @@ def _sech(x):
     return 2.0 * np.exp(-x) / (1.0 + np.exp(-2.0 * x))
 
 
-def lambda1_prime(tau, cfg: FluidConfig):
+def lambda1_prime(tau: float, cfg: FluidConfig) -> float:
     """d lambda1 / d tau, closed form.
 
     With T = tanh(b tau):
         lambda1' = alpha [ T (1 + beta T) + b tau sech^2(b tau) ] / (1 + beta T)^2
     Strictly positive for tau > 0, which makes lambda1 invertible.
     """
-    t = _check_tau(tau)
-    bt = cfg.b * t
+    _check_tau(tau)
+    bt = cfg.b * tau
     T = np.tanh(bt)
     s2 = _sech(bt) ** 2
-    out = cfg.alpha * (T * (1.0 + cfg.beta * T) + bt * s2) / (1.0 + cfg.beta * T) ** 2
-    return float(out) if np.isscalar(tau) else out
+    return float(cfg.alpha * (T * (1.0 + cfg.beta * T) + bt * s2)
+                 / (1.0 + cfg.beta * T) ** 2)
 
 
 @dataclass(frozen=True)

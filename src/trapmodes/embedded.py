@@ -109,7 +109,8 @@ def a_star(setup: ProblemSetup, ctx: SpectralContext) -> EmbeddedResult:
     exists=False immediately.
     """
     if setup.side != "U":
-        raise ValidationError(f"embedded modes arise in problem U, got side {setup.side!r}")
+        raise ValidationError(
+            f"side must be 'U': embedded modes arise in problem U, got {setup.side!r}")
     _require_ctx(setup, ctx)
     cfg = setup.cfg
     k, b = cfg.k, cfg.b

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .contour import DipoleStrengths
 from .dispersion import FluidConfig, SpectralContext, g_profile_scaled
@@ -89,7 +90,7 @@ class ModeResult:
     lam: float
     threshold: float
     omega: float | None = None
-    order: str = "leading"
+    order: ClassVar[str] = "leading"
     coefficients: Coefficients | None = None
 
 
@@ -101,7 +102,7 @@ class ResonanceResult:
     jcal: float
     near_embedded: bool = False
     decay_rate: float | None = None
-    order: str = "leading"
+    order: ClassVar[str] = "leading"
     coefficients: Coefficients | None = None
 
 

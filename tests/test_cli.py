@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from trapmodes import ConsistencyError
-from trapmodes.cli import main, parse_run, read_config_file
+from trapmodes.cli import _FIELD_TYPES, RunConfig, main, parse_run, read_config_file
 
 from goldens import GOLD
 
@@ -207,6 +208,99 @@ def test_sweep_over_ignored_shape_field_exit_2(args, tmp_path, capsys):
     assert stdout == ""
     assert err.startswith("error: sweep: ")
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("args, field", [
+    (["trapped", "--sweep", "a:0.1:0.9:5"], "sweep"),
+    (["cutoffs", "--what", "f"], "what"),
+    (["trapped", "--config", "{cfg}"], "sweep"),
+    (["dipoles", "--what", "dipoles", "--config", "{cfg}"], "what"),
+], ids=["sweep-flag", "what-flag", "sweep-config", "what-flag-and-config"])
+def test_sweep_and_what_need_the_sweep_command(args, field, tmp_path, capsys):
+    # a point command used to ignore both and print its single row
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sweep = a:0.1:0.9:5\n" if field == "sweep" else "what = f\n")
+    code, stdout, err = run_cli([a.format(cfg=cfg) for a in args]
+                                + ["--out", str(tmp_path / "x")], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith(f"error: {field} ")
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["embedded", "--side", "L"],
+    ["sweep", "--what", "embedded", "--side", "L", "--sweep", "beta:0.1:0.9:3"],
+])
+def test_embedded_requires_side_u(args, tmp_path, capsys):
+    # the a* of side U used to be printed for side L
+    code, stdout, err = run_cli(args + ["--N", "32", "--out", str(tmp_path / "x")],
+                                capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: side ")
+
+
+@pytest.mark.parametrize("args, line, field", [
+    (["trapped"], "side = X", "side"),
+    (["dipoles"], "shape = blob", "shape"),
+    (["sweep", "--sweep", "a:0.1:0.9:3"], "what = g", "what"),
+])
+def test_config_choice_errors_name_the_field(args, line, field, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code, stdout, err = run_cli(args + ["--config", str(cfg),
+                                        "--out", str(tmp_path / "x")], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith(f"error: {field} ")
+
+
+@pytest.mark.parametrize("args", [
+    ["--what", "trapped"],  # no --sweep
+    ["--what", "trapped", "--sweep", "a:0.1:0.9"],
+    ["--what", "cutoffs", "--sweep", "a:0.1:0.9:3"],
+    ["--what", "trapped", "--sweep", "a:x:0.9:3"],
+    ["--what", "trapped", "--sweep", "a:nan:0.9:3"],
+], ids=["missing", "three-parts", "not-sweepable", "unparsable", "nan-start"])
+def test_sweep_spec_errors(args, tmp_path, capsys):
+    code, stdout, err = run_cli(["sweep", *args, "--out", str(tmp_path / "x")],
+                                capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: sweep: ")
+
+
+def test_missing_config_and_unwritable_out_exit_2(tmp_path, capsys):
+    code, _, err = run_cli(["cutoffs", "--config", str(tmp_path / "none.cfg"),
+                            "--out", str(tmp_path / "x")], capsys)
+    assert code == 2
+    assert err.startswith("error: config: cannot read")
+    code, _, err = run_cli(["cutoffs", "--out", str(tmp_path / "no" / "dir")],
+                           capsys)
+    assert code == 2
+    assert err.startswith("error: out: cannot write")
+
+
+def test_every_field_has_a_flag_and_a_config_key(tmp_path):
+    # each RunConfig field is declared once; its flag and its config key are
+    # derived from that declaration and must set it to the same value
+    base = parse_run(["sweep"])
+    for f in dataclasses.fields(RunConfig)[1:]:
+        choices = f.metadata.get("choices")
+        if choices is not None:
+            text = next(c for c in choices if c != f.default)
+        else:
+            text = {float: "0.25", int: "64", str: "given"}[_FIELD_TYPES[f.name]]
+        cfg = tmp_path / f"{f.name}.cfg"
+        cfg.write_text(f"{f.name} = {text}\n")
+        by_flag = parse_run(["sweep", "--" + f.name.replace("_", "-"), text])
+        by_config = parse_run(["sweep", "--config", str(cfg)])
+        value = getattr(by_flag, f.name)
+        assert value == _FIELD_TYPES[f.name](text) != getattr(base, f.name), f.name
+        assert by_config == by_flag, f.name
+        assert dataclasses.replace(by_flag, **{f.name: getattr(base, f.name)}) \
+            == base, f.name
 
 
 def test_consistency_exit_code(tmp_path, capsys, monkeypatch):

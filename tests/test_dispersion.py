@@ -64,13 +64,6 @@ def test_lambda2_is_identity(cfg_half):
         assert lambda2(tau, cfg_half) == tau
 
 
-def test_branches_accept_arrays(cfg_half):
-    tau = np.linspace(0.1, 4.0, 17)
-    l1 = lambda1(tau, cfg_half)
-    assert l1.shape == tau.shape
-    assert np.allclose(l1, [lambda1(t, cfg_half) for t in tau], rtol=1e-15)
-
-
 @given(tau=taus, beta=betas, b=depths)
 @settings(max_examples=60, deadline=None)
 def test_branch_ordering(tau, beta, b):

@@ -113,6 +113,14 @@ def test_resonance_lower_golden(setup_std_lower, ctx_half):
     assert math.isnan(res.rcal) and math.isnan(res.jcal)
 
 
+def test_results_are_tagged_leading_order(setup_std, setup_std_lower, ctx_half):
+    # the tag is a class constant, not a per-result field
+    for res in (trapped_upper(setup_std, ctx_half),
+                resonance_lower(setup_std_lower, ctx_half)):
+        assert res.order == "leading"
+        assert "order" not in vars(res)
+
+
 def test_side_dispatch_is_strict(setup_std, setup_std_lower, ctx_half):
     with pytest.raises(ValidationError):
         trapped_upper(setup_std_lower, ctx_half)
