@@ -51,15 +51,16 @@ _TABLES = {
     "dipoles": ("Dipole coefficients of the cross-section by boundary quadrature.",
                 "shape r a0 b0 theta0 N mu kappa nu S delta", "r a0 b0 theta0"),
     "trapped": ("Trapped-mode eigenvalue below the first cut-off.",
-                "beta b k side a epsilon shape mu S sigma lambda threshold "
-                "omega D", "beta b k a epsilon r a0 b0 theta0"),
+                "beta b k side a epsilon shape mu S sigma lambda threshold omega D",
+                "beta b k a epsilon r a0 b0 theta0"),
     "resonance": ("Complex resonance near the second cut-off.",
                   "beta b k side a epsilon shape mu S re_sigma im_sigma rcal "
                   "jcal near_embedded decay_rate D D1",
                   "beta b k a epsilon r a0 b0 theta0"),
     "embedded": ("Special submergence turning the resonance into an embedded "
-                 "trapped mode.", "beta b k epsilon shape delta exists a_star "
-                 "w tau0 sigma diagnostics", "beta b k epsilon r a0 b0 theta0"),
+                 "trapped mode.",
+                 "beta b k epsilon shape delta exists a_star w tau0 sigma diagnostics",
+                 "beta b k epsilon r a0 b0 theta0"),
     "f": ("the circle root function", "alpha tau0 a f has_root a_star", "a"),
 }
 COLUMNS = {name: columns.split() for name, (_, columns, _) in _TABLES.items()}

@@ -214,8 +214,8 @@ def test_sweep_over_ignored_shape_field_exit_2(args, tmp_path, capsys):
     (["trapped", "--sweep", "a:0.1:0.9:5"], "sweep"),
     (["cutoffs", "--what", "f"], "what"),
     (["trapped", "--config", "{cfg}"], "sweep"),
-    (["dipoles", "--what", "dipoles", "--config", "{cfg}"], "what"),
-], ids=["sweep-flag", "what-flag", "sweep-config", "what-flag-and-config"])
+    (["dipoles", "--config", "{cfg}"], "what"),
+], ids=["sweep-flag", "what-flag", "sweep-config", "what-config"])
 def test_sweep_and_what_need_the_sweep_command(args, field, tmp_path, capsys):
     # a point command used to ignore both and print its single row
     cfg = tmp_path / "run.cfg"
