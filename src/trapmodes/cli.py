@@ -68,7 +68,14 @@ _SWEEPABLE = {name: tuple(params.split())
               for name, (_, _, params) in _TABLES.items()}
 SWEEP_TARGETS = tuple(_TABLES)
 COMMANDS = tuple(name for name in _TABLES if name != "f") + ("sweep",)
-SHAPES = ("circle", "ellipse", "fourier")
+# The run fields each section family reads; the shape parameters it ignores
+# are blank in its rows and not sweepable with it.
+_SECTIONS = {"circle": ("r",), "ellipse": ("a0", "b0", "theta0"),
+             "fourier": ("fourier_file",)}
+SHAPES = tuple(_SECTIONS)
+_UNUSED_SHAPE_FIELDS = {shape: tuple(f for fields in _SECTIONS.values()
+                                     for f in fields if f not in own)
+                        for shape, own in _SECTIONS.items()}
 
 
 def _field(default, text: str, **flag):
@@ -114,11 +121,9 @@ _FIELDS = dataclasses.fields(RunConfig)[1:]  # all but command
 # the annotations are strings (postponed evaluation)
 _FIELD_TYPES = {f.name: {"float": float, "int": int, "str": str}[
     f.type.removesuffix(" | None")] for f in _FIELDS}
-
-# Shape parameters each section family ignores: blank in its rows, and not
-# sweepable with it.
-_UNUSED_SHAPE_FIELDS = {"circle": ("a0", "b0", "theta0"), "ellipse": ("r",),
-                        "fourier": ("r", "a0", "b0", "theta0")}
+# the cells each table computes beyond the run's own fields
+_COMPUTED = {name: [c for c in columns if c not in _FIELD_TYPES]
+             for name, columns in COLUMNS.items()}
 
 
 def read_config_file(path: str) -> dict:
@@ -261,8 +266,7 @@ def _dipoles(run: RunConfig, manifest: dict) -> DipoleStrengths:
     dip = dipoles_bem(system)
     manifest["bem"] = {"N": run.N, "gauss_residual": system.gauss_residual,
                        "cond_estimate": system.cond_estimate}
-    manifest["dipoles"] = {"mu": dip.mu, "kappa": dip.kappa, "nu": dip.nu,
-                           "S": dip.S, "delta": dip.delta}
+    manifest["dipoles"] = {c: getattr(dip, c) for c in _COMPUTED["dipoles"]}
     if run.shape == "fourier":
         manifest["inputs"]["fourier_coefficients"] = [
             list(map(float, C.cos_x)), list(map(float, C.sin_x)),
@@ -273,9 +277,7 @@ def _dipoles(run: RunConfig, manifest: dict) -> DipoleStrengths:
 def _context(cfg: FluidConfig, manifest: dict) -> SpectralContext:
     """Stage 2: cut-offs and threshold data, recorded into the manifest."""
     ctx = spectral_context(cfg)
-    manifest["spectral_context"] = {
-        "Lambda1": ctx.Lambda1, "Lambda2": ctx.Lambda2, "tau1": ctx.tau1,
-        "p1_zero": ctx.p1_zero, "q1": ctx.q1, "q2": ctx.q2}
+    manifest["spectral_context"] = {c: getattr(ctx, c) for c in _COMPUTED["cutoffs"]}
     return ctx
 
 
@@ -307,8 +309,7 @@ class _Stages:
 
     def dipoles(self, run: RunConfig) -> DipoleStrengths:
         # the fields _contour and assemble read
-        inputs = (run.shape, run.r, run.a0, run.b0, run.theta0,
-                  run.fourier_file, run.N)
+        inputs = (run.shape, run.N, *(getattr(run, f) for f in _SECTIONS[run.shape]))
         return self._run_on_new_inputs(
             "dipoles", inputs, lambda: _dipoles(run, self.manifest))
 
@@ -384,12 +385,10 @@ def _rows_sweep(run: RunConfig, stages: _Stages):
 def _format_cell(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, (bool, np.bool_)):
+    if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), ".12g")
+    if isinstance(v, float):
+        return format(v, ".12g")
     return str(v)
 
 

@@ -117,43 +117,22 @@ def _signed_area(x, y, xd, yd) -> float:
 def _self_intersects(x, y, tol) -> bool:
     """Proper-crossing test on the sampled closed polyline.
 
-    Sign-product test on all non-adjacent segment pairs, with a small band of
-    width ~tol treated as touching. Vectorized over the full pair grid.
+    Segment i runs from p_i to p_{i+1} (indices mod n), d_i = p_{i+1} - p_i.
+    Segments i and j cross when P[i, j] P[i, j+1] and P[j, i] P[j, i+1] are
+    both negative, all four factors entries of the one matrix
+    P[i, j] = cross(d_i, p_j - p_i); a band of width ~tol counts as touching.
+    The relation is symmetric, so only the non-adjacent pairs j >= i + 2 are kept.
     """
-    n = len(x)
-    px = np.column_stack([x, y])
-    a = px
-    bpt = np.roll(px, -1, axis=0)
-    d = bpt - a  # segment vectors
-
-    def cross(v, w):
-        return v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]
-
-    # pair grid: segment i = (a[i], b[i]), segment j = (a[j], b[j])
-    ai = a[:, None, :]
-    di = d[:, None, :]
-    aj = a[None, :, :]
-    dj = d[None, :, :]
-    bj = bpt[None, :, :]
-    bi = bpt[:, None, :]
-
-    d1 = cross(di, aj - ai)
-    d2 = cross(di, bj - ai)
-    d3 = cross(dj, ai - aj)
-    d4 = cross(dj, bi - aj)
-
-    li = np.linalg.norm(d, axis=1)
-    eps = (tol * li[:, None]) * (tol * li[None, :]) + 1e-300
-    crossing = (d1 * d2 < eps) & (d3 * d4 < eps)
-
-    idx = np.arange(n)
-    adjacent = (
-        (idx[:, None] == idx[None, :])
-        | ((idx[:, None] + 1) % n == idx[None, :])
-        | ((idx[None, :] + 1) % n == idx[:, None])
-    )
-    crossing &= ~adjacent
-    return bool(np.any(crossing))
+    p = np.column_stack([x, y])
+    d = np.roll(p, -1, axis=0) - p
+    P = (d[:, None, 0] * (p[None, :, 1] - p[:, None, 1])
+         - d[:, None, 1] * (p[None, :, 0] - p[:, None, 0]))
+    tl = tol * np.linalg.norm(d, axis=1)
+    eps = tl[:, None] * tl[None, :] + 1e-300
+    straddles = P * np.roll(P, -1, axis=1) < eps
+    crossing = np.triu(straddles & straddles.T, 2)
+    crossing[0, -1] = False  # segments 0 and n - 1 share p_0
+    return bool(crossing.any())
 
 
 def make_fourier(cos_x, sin_x, cos_y, sin_y) -> Contour:
@@ -194,7 +173,7 @@ def make_fourier(cos_x, sin_x, cos_y, sin_y) -> Contour:
 def make_circle(r: float) -> Contour:
     """Circle of radius r centred at the origin."""
     if not (r > 0.0):
-        raise ValidationError(f"radius must be positive, got {r}")
+        raise ValidationError(f"r (circle radius) must be positive, got {r}")
     return make_fourier([r], [0.0], [0.0], [r])
 
 
@@ -209,8 +188,10 @@ def make_ellipse(a0: float, b0: float, theta0: float = 0.0) -> Contour:
     nu = +(a0^2 - b0^2) sin th cos th / 2 (checked against the boundary
     method and an exterior conformal-map solution).
     """
-    if not (a0 > 0.0 and b0 > 0.0):
-        raise ValidationError(f"semi-axes must be positive, got a0={a0}, b0={b0}")
+    if not (a0 > 0.0):
+        raise ValidationError(f"a0 (semi-axis) must be positive, got {a0}")
+    if not (b0 > 0.0):
+        raise ValidationError(f"b0 (semi-axis) must be positive, got {b0}")
     ct, st = math.cos(theta0), math.sin(theta0)
     return make_fourier([a0 * ct], [b0 * st], [-a0 * st], [b0 * ct])
 

@@ -122,9 +122,9 @@ class FluidConfig:
         if not (0.0 < self.beta < 1.0):
             raise ValidationError(f"beta must lie in (0, 1), got {self.beta}")
         if not (self.b > 0.0):
-            raise ValidationError(f"upper layer depth b must be positive, got {self.b}")
+            raise ValidationError(f"b (upper layer depth) must be positive, got {self.b}")
         if not (self.k > 0.0):
-            raise ValidationError(f"axial wavenumber k must be positive, got {self.k}")
+            raise ValidationError(f"k (axial wavenumber) must be positive, got {self.k}")
 
     @property
     def alpha(self) -> float:

@@ -213,9 +213,8 @@ def sweep_f(cfg: FluidConfig, a_grid, delta: float):
             for a, f in zip(grid, f_vals)]
 
 
-def alpha_threshold(b: float = 1.0, k: float = 1.0, delta: float = 0.5,
-                    lo: float = 0.5, hi: float = 0.97, tol: float = 1e-4) -> float:
-    """Existence threshold in alpha for the closed-chain family at given delta.
+def alpha_threshold(lo: float = 0.5, hi: float = 0.97, tol: float = 1e-4) -> float:
+    """Existence threshold in alpha of the unit circle (delta = 1/2) at b = k = 1.
 
     Bisection on the predicate a*(alpha) < b; embedded modes exist for
     alpha below the returned value. lo must satisfy the predicate and hi must
@@ -227,9 +226,9 @@ def alpha_threshold(b: float = 1.0, k: float = 1.0, delta: float = 0.5,
         raise ValidationError(f"tol must be positive, got {tol}")
 
     def exists_at(alpha):
-        cfg = FluidConfig(beta=1.0 - alpha, b=b, k=k)
+        cfg = FluidConfig(beta=1.0 - alpha, b=1.0, k=1.0)
         t0 = tau0(cfg)
-        return solve_w(delta, t0) / (k * t0) < b
+        return solve_w(0.5, t0) / t0 < 1.0
 
     if not exists_at(lo):
         raise ValidationError(f"no embedded mode at lo={lo}; bracket does not straddle")

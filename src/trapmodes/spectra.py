@@ -60,10 +60,10 @@ class ProblemSetup:
         if self.side not in ("U", "L"):
             raise ValidationError(f"side must be 'U' or 'L', got {self.side!r}")
         if not (self.a > 0.0):
-            raise ValidationError(f"submergence a must be positive, got {self.a}")
+            raise ValidationError(f"a (submergence) must be positive, got {self.a}")
         if self.side == "U" and not (self.a < self.cfg.b):
             raise ValidationError(
-                f"problem U requires a < b (cylinder inside the upper layer), "
+                f"a must be < b for side U (cylinder inside the upper layer), "
                 f"got a={self.a}, b={self.cfg.b}"
             )
         if not (self.epsilon > 0.0):

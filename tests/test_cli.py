@@ -165,6 +165,13 @@ def test_validation_exit_codes(tmp_path, capsys):
     (["trapped", "--epsilon", "inf"], "epsilon"),
     (["trapped", "--side", "L", "--a", "inf"], "a"),
     (["trapped", "--k", "inf"], "k"),
+    (["cutoffs", "--b", "-1"], "b"),
+    (["cutoffs", "--k", "0"], "k"),
+    (["trapped", "--a", "1.5"], "a"),
+    (["trapped", "--side", "L", "--a", "0"], "a"),
+    (["dipoles", "--r", "0"], "r"),
+    (["dipoles", "--shape", "ellipse", "--a0", "0"], "a0"),
+    (["dipoles", "--shape", "ellipse", "--b0", "-2"], "b0"),
 ])
 def test_non_finite_and_nonpositive_g_exit_2(args, field, tmp_path, capsys):
     code, stdout, err = run_cli(args + ["--out", str(tmp_path / "x")], capsys)

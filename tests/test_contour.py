@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from trapmodes import (
     ConsistencyError,
+    Contour,
     DipoleStrengths,
     ValidationError,
     analytic_dipoles,
@@ -16,6 +17,7 @@ from trapmodes import (
     make_fourier,
     read_fourier_file,
 )
+from trapmodes.contour import _diameter, _sample_t, _self_intersects
 
 from goldens import EGG, GOLD
 
@@ -65,6 +67,10 @@ def test_rejects_degenerate_and_self_intersecting():
         make_circle(-1.0)
     with pytest.raises(ValidationError):
         make_ellipse(1.0, 0.0)
+    with pytest.raises(ValidationError, match="self-intersects"):
+        # rank 1: a segment traced back and forth, whose sampled speed
+        # stays above the speed gate
+        make_fourier([1.0], [0.5], [2.0], [1.0])
 
 
 def test_read_fourier_file_roundtrip(tmp_path, egg):
@@ -139,3 +145,77 @@ def test_dipole_strengths_validation():
         DipoleStrengths(mu=0.1, kappa=0.1, nu=0.0, S=3.0)
     d = DipoleStrengths(mu=1.0, kappa=1.0, nu=0.0, S=math.pi)
     assert d.delta == pytest.approx(0.5, rel=1e-15)
+
+
+def _self_intersects_four_grids(x, y, tol) -> bool:
+    """Proper-crossing test on the sampled closed polyline.
+
+    Sign-product test on all non-adjacent segment pairs, with a small band of
+    width ~tol treated as touching. Vectorized over the full pair grid.
+    """
+    n = len(x)
+    px = np.column_stack([x, y])
+    a = px
+    bpt = np.roll(px, -1, axis=0)
+    d = bpt - a  # segment vectors
+
+    def cross(v, w):
+        return v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]
+
+    # pair grid: segment i = (a[i], b[i]), segment j = (a[j], b[j])
+    ai = a[:, None, :]
+    di = d[:, None, :]
+    aj = a[None, :, :]
+    dj = d[None, :, :]
+    bj = bpt[None, :, :]
+    bi = bpt[:, None, :]
+
+    d1 = cross(di, aj - ai)
+    d2 = cross(di, bj - ai)
+    d3 = cross(dj, ai - aj)
+    d4 = cross(dj, bi - aj)
+
+    li = np.linalg.norm(d, axis=1)
+    eps = (tol * li[:, None]) * (tol * li[None, :]) + 1e-300
+    crossing = (d1 * d2 < eps) & (d3 * d4 < eps)
+
+    idx = np.arange(n)
+    adjacent = (
+        (idx[:, None] == idx[None, :])
+        | ((idx[:, None] + 1) % n == idx[None, :])
+        | ((idx[None, :] + 1) % n == idx[:, None])
+    )
+    crossing &= ~adjacent
+    return bool(np.any(crossing))
+
+
+def _verdicts(cos_x, sin_x, cos_y, sin_y):
+    """(one-matrix, four-grid) verdicts on the samples make_fourier checks."""
+    C = Contour(*(np.asarray(c, dtype=float) for c in (cos_x, sin_x, cos_y, sin_y)))
+    x, y = C.evaluate(_sample_t())[:2]
+    tol = 1e-9 * _diameter(x, y)
+    return _self_intersects(x, y, tol), _self_intersects_four_grids(x, y, tol)
+
+
+# four coefficient arrays of one random order J = 1..6; most of these
+# sections self-intersect and some are simple
+_SECTIONS = st.integers(1, 6).flatmap(lambda J: st.lists(
+    st.lists(st.floats(-1.0, 1.0), min_size=J, max_size=J), min_size=4, max_size=4))
+
+
+@given(coeffs=_SECTIONS)
+@settings(max_examples=200, deadline=None)
+def test_self_intersects_matches_four_grid_oracle(coeffs):
+    new, oracle = _verdicts(*coeffs)
+    assert new == oracle
+
+
+@pytest.mark.parametrize("c", sorted({*np.linspace(0.999, 1.001, 21).tolist(),
+                                      1.0 - 1e-9, 1.0 + 1e-9, 1.0 + 1e-8}))
+def test_self_intersects_near_contact_matches_four_grid_oracle(c):
+    # X = cos t, Y = (c - 1/2) sin t + sin(3 t)/2: the waist at x = 0 spans
+    # y = 1 - c .. c - 1 and closes at c = 1; c = 1 + 1e-9 lies inside the
+    # 1e-9 * diameter band and c = 1 + 1e-8 outside it
+    new, oracle = _verdicts([1.0, 0.0, 0.0], [0.0] * 3, [0.0] * 3, [c - 0.5, 0.0, 0.5])
+    assert new == oracle
+    assert new == (c <= 1.0 + 1e-9)
