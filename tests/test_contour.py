@@ -199,11 +199,11 @@ def _verdicts(cos_x, sin_x, cos_y, sin_y):
 
 # four coefficient arrays of one random order J = 1..6; most of these
 # sections self-intersect and some are simple
-_SECTIONS = st.integers(1, 6).flatmap(lambda J: st.lists(
+_FOURIER_SECTIONS = st.integers(1, 6).flatmap(lambda J: st.lists(
     st.lists(st.floats(-1.0, 1.0), min_size=J, max_size=J), min_size=4, max_size=4))
 
 
-@given(coeffs=_SECTIONS)
+@given(coeffs=_FOURIER_SECTIONS)
 @settings(max_examples=200, deadline=None)
 def test_self_intersects_matches_four_grid_oracle(coeffs):
     new, oracle = _verdicts(*coeffs)
