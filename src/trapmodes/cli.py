@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -155,6 +156,7 @@ def read_config_file(path: str) -> dict:
     return pairs
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="trapmodes",

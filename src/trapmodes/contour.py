@@ -20,6 +20,7 @@ data the spectral estimates need, together with the area S.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -104,7 +105,8 @@ def _sample_t() -> np.ndarray:
 
 
 def _diameter(x, y) -> float:
-    return float(math.hypot(x.max() - x.min(), y.max() - y.min()))
+    # Python floats, which overflow to inf without a warning
+    return math.hypot(float(x.max()) - float(x.min()), float(y.max()) - float(y.min()))
 
 
 def _signed_area(x, y, xd, yd) -> float:
@@ -138,9 +140,12 @@ def _self_intersects(x, y, tol) -> bool:
 def make_fourier(cos_x, sin_x, cos_y, sin_y) -> Contour:
     """Build and validate a contour from its Fourier coefficients.
 
-    Checks, in order: coefficient sanity, nowhere-vanishing speed, simplicity
-    of the sampled polyline (tolerance 1e-9 times the diameter), and
-    orientation (a clockwise input is reversed in place and flagged).
+    Checks, in order: coefficient sanity, a positive diameter that is a
+    normal double,
+    nowhere-vanishing speed, simplicity of the sampled polyline (tolerance
+    1e-9 times the diameter), and orientation (a clockwise input is reversed
+    in place and flagged). The last three see the samples divided by the
+    diameter, so their verdict is the same at every scale.
     """
     arrs = []
     for name, c in (("cos_x", cos_x), ("sin_x", sin_x), ("cos_y", cos_y), ("sin_y", sin_y)):
@@ -155,13 +160,19 @@ def make_fourier(cos_x, sin_x, cos_y, sin_y) -> Contour:
 
     C = Contour(*[a.copy() for a in arrs])
     x, y, xd, yd, _, _ = C.evaluate(_sample_t())
-    speed2 = xd * xd + yd * yd
     diam = _diameter(x, y)
     if diam <= 0.0:
         raise ValidationError("degenerate contour (zero diameter)")
-    if np.any(speed2 <= (1e-12 * diam) ** 2):
+    # under the smallest normal double the samples are too coarsely quantized
+    # for the checks
+    if not sys.float_info.min <= diam < math.inf:
+        raise ConsistencyError(f"contour diameter {diam} is out of double range")
+    # the checks see the samples divided by the diameter, so that their
+    # verdict does not depend on the section's scale
+    x, y, xd, yd = x / diam, y / diam, xd / diam, yd / diam
+    if np.any(np.hypot(xd, yd) <= 1e-12):
         raise ValidationError("contour speed vanishes at a sample point")
-    if _self_intersects(x, y, 1e-9 * diam):
+    if _self_intersects(x, y, 1e-9):
         raise ValidationError("contour self-intersects")
 
     if _signed_area(x, y, xd, yd) < 0.0:

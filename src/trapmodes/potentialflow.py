@@ -32,6 +32,11 @@ from .contour import Contour, DipoleStrengths, area
 from .errors import ConsistencyError, ValidationError
 
 GAUSS_TOL = 1e-8
+# Section diameters the BEM accepts. The kernel squares node distances
+# (about diameter / N) and the dipole quadratures sum N products of two
+# lengths; with the diameter in this window both stay inside the normal
+# double range for N up to 4096.
+DIAMETER_RANGE = (1e-150, 1e150)
 
 
 @dataclass
@@ -58,33 +63,53 @@ def assemble(C: Contour, N: int = 256) -> NystromSystem:
     """Build and factor the Nystrom system on N uniform nodes.
 
     N must be a power of two with N >= 32 (the convergence study doubles N).
-    Raises ConsistencyError if the discrete Gauss law fails beyond 1e-8.
+    Raises ConsistencyError if the section's diameter is outside
+    DIAMETER_RANGE ("out of double range") or if the discrete Gauss law
+    fails beyond 1e-8.
     """
     # imported here so that commands without a BEM never load scipy.linalg
     from scipy.linalg import get_lapack_funcs, lu_factor
 
     if N < 32 or (N & (N - 1)) != 0:
         raise ValidationError(f"N must be a power of two >= 32, got {N}")
+    diam = C.diameter()
+    if not DIAMETER_RANGE[0] <= diam <= DIAMETER_RANGE[1]:
+        raise ConsistencyError(
+            f"section diameter {diam:.3e} is out of double range for the BEM "
+            f"(accepted: {DIAMETER_RANGE[0]:g} to {DIAMETER_RANGE[1]:g})")
     t = 2.0 * np.pi * np.arange(N) / N
     x, y, xd, yd, xdd, ydd = C.evaluate(t)
 
-    dx = x[None, :] - x[:, None]
-    dy = y[None, :] - y[:, None]
-    dist2 = dx * dx + dy * dy
+    # M is built as its transpose MT[j, i] = M[i, j] in C order, so that
+    # A = I + MT.T is already in the Fortran order getrf factors in place.
+    # Row j of MT holds s = t_j and column i holds t = t_i; the numerator is
+    # -(r(s) - r(t)) . m(s) = dx Y'(s) - dy X'(s). About 4 N^2 doubles peak.
+    dx = np.subtract.outer(x, x)
+    dy = np.subtract.outer(y, y)
+    dist2 = dx * dx
+    dist2 += dy * dy
     np.fill_diagonal(dist2, 1.0)  # placeholder, diagonal overwritten below
-    K = -(1.0 / math.pi) * (dx * (-yd[None, :]) + dy * xd[None, :]) / dist2
-    np.fill_diagonal(K, (xd * ydd - xdd * yd) / (2.0 * math.pi * (xd * xd + yd * yd)))
+    dx *= yd[:, None]
+    dy *= xd[:, None]
+    MT = dx
+    MT -= dy
+    del dy
+    MT *= 1.0 / math.pi
+    MT /= dist2
+    del dist2
+    np.fill_diagonal(MT, (xd * ydd - xdd * yd) / (2.0 * math.pi * (xd * xd + yd * yd)))
+    MT *= 2.0 * np.pi / N
 
-    M = (2.0 * np.pi / N) * K
-    gauss_residual = float(np.max(np.abs(M.sum(axis=1) - 1.0)))
-    if gauss_residual > GAUSS_TOL:
+    gauss_residual = float(np.max(np.abs(MT.sum(axis=0) - 1.0)))
+    if not gauss_residual <= GAUSS_TOL:  # a NaN residual fails too
         raise ConsistencyError(
             f"discrete Gauss law violated: residual {gauss_residual:.3e} "
             f"(N={N}); contour may be under-resolved"
         )
-    A = np.eye(N) + M
+    A = MT.T
+    np.fill_diagonal(A, A.diagonal() + 1.0)
     anorm = float(np.linalg.norm(A, 1))
-    lu = lu_factor(A)
+    lu = lu_factor(A, overwrite_a=True)
     gecon = get_lapack_funcs("gecon", (A,))
     rcond, info = gecon(lu[0], anorm, norm="1")
     if info != 0:  # pragma: no cover

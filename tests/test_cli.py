@@ -9,7 +9,14 @@ from pathlib import Path
 import pytest
 
 from trapmodes import ConsistencyError
-from trapmodes.cli import _FIELD_TYPES, RunConfig, main, parse_run, read_config_file
+from trapmodes.cli import (
+    _FIELD_TYPES,
+    RunConfig,
+    _build_parser,
+    main,
+    parse_run,
+    read_config_file,
+)
 
 from goldens import GOLD
 
@@ -416,3 +423,62 @@ def test_cutoffs_out_of_double_range_exit_3(args, tmp_path, capsys):
     assert stdout == ""
     assert err.startswith("consistency error:")
     assert "out of double range" in err
+
+
+def test_dipoles_non_finite_matrix_exit_3(tmp_path, capsys):
+    # squared node distances overflow here; the BEM refuses the section
+    code, stdout, err = run_cli(["dipoles", "--shape", "circle", "--r", "1e160",
+                                 "--N", "64", "--out", str(tmp_path / "x")], capsys)
+    assert code == 3
+    assert stdout == ""
+    assert err.startswith("consistency error:")
+    assert "out of double range" in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_circle_radius_over_the_double_range(tmp_path, capsys):
+    # every radius gets a number, a diagnostic naming its field, or the
+    # documented out-of-range outcome; never a traceback or a warning, and a
+    # circle never self-intersects
+    outcomes = set()
+    radii = ["5e-324", *(f"1e{e}" for e in range(-300, 301, 5)), "1.7e308"]
+    for r in radii:
+        code, _, err = run_cli(["dipoles", "--shape", "circle", "--r", r,
+                                "--N", "64", "--out", str(tmp_path / "x")], capsys)
+        assert "self-intersects" not in err, r
+        if code == 2:
+            assert err.split()[1].rstrip(":") in _FIELD_TYPES, (r, err)
+        elif code == 3:
+            assert "out of double range" in err, (r, err)
+        else:
+            assert code == 0, (r, err)
+        outcomes.add(code)
+    assert outcomes == {0, 3}
+
+
+def test_parser_is_built_once_and_calls_share_no_values(tmp_path, capsys):
+    assert _build_parser() is _build_parser()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("beta = 0.3\nb = 2\n")
+    for args, beta, b in ((["--config", str(cfg)], 0.3, 2.0), ([], 0.5, 1.0),
+                          (["--beta", "0.7"], 0.7, 1.0), ([], 0.5, 1.0)):
+        out = tmp_path / "c"
+        code, _, _ = run_cli(["cutoffs", *args, "--out", str(out)], capsys)
+        assert code == 0
+        inputs = json.loads((tmp_path / "c.manifest.json").read_text())["inputs"]
+        assert (inputs["beta"], inputs["b"]) == (beta, b)
+
+
+@pytest.mark.parametrize("args", [["--help"], ["--version"], ["sweep", "--help"],
+                                  ["dipoles", "--help"]])
+def test_help_and_version_unchanged_by_the_cached_parser(args, capsys):
+    # the parser built on first use prints what a freshly built one prints,
+    # on every call
+    fresh = _build_parser.__wrapped__()
+    with pytest.raises(SystemExit):
+        fresh.parse_args(args)
+    want = capsys.readouterr().out
+    assert want
+    for _ in range(2):
+        assert main(args) == 0
+        assert capsys.readouterr().out == want

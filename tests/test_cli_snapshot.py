@@ -4,7 +4,10 @@ Any change in the printed bytes fails here, not only run-to-run drift
 (see test_determinism_byte_identical). The inputs keep every printed
 digit clear of BEM round-off: at N = 64 the circle and the mild ellipse are
 resolved to machine precision, and the dipoles rows are tilted ellipses,
-because the circle's nu prints as round-off of order 1e-17.
+because the circle's nu prints as round-off of order 1e-17. The two shape
+sweeps at N = 1024 and 512 are the exception: they print such round-off on
+purpose (the untilted ellipse's and the circles' nu), so they pin the bits
+of the Nystrom assembly and LU as well as the digits.
 """
 
 import pytest
@@ -90,6 +93,22 @@ SNAPSHOTS = [
      "ellipse,,1.3,0.8,0.3,64,1.31915059891,0.885849401086,0.148218649266,3.26725635973,0.39419305152\n"
      "ellipse,,1.5,0.8,0.3,64,1.654697585,0.990302414999,0.227268595542,3.76991118431,0.362604022293\n"
      "ellipse,,1.7,0.8,0.3,64,2.02675128339,1.09824871661,0.317611391285,4.27256600888,0.33551230759\n"
+     ),
+    ("sweep --what dipoles --sweep theta0:-1.2:1.2:5 --shape ellipse --a0 1.5 --b0 0.7 --N 1024",
+     "shape,r,a0,b0,theta0,N,mu,kappa,nu,S,delta\n"
+     "ellipse,,1.5,0.7,-1.2,1024,0.885546765162,1.53445323484,-0.297203799443,3.29867228627,0.592854065594\n"
+     "ellipse,,1.5,0.7,-0.6,1024,1.36943741197,1.05056258803,-0.410097197826,3.29867228627,0.383369108665\n"
+     "ellipse,,1.5,0.7,0,1024,1.65,0.77,2.83977257605e-17,3.29867228627,0.318181818182\n"
+     "ellipse,,1.5,0.7,0.6,1024,1.36943741197,1.05056258803,0.410097197826,3.29867228627,0.383369108665\n"
+     "ellipse,,1.5,0.7,1.2,1024,0.885546765162,1.53445323484,0.297203799443,3.29867228627,0.592854065594\n"
+     ),
+    ("sweep --what dipoles --sweep r:0.5:2.5:5 --N 512",
+     "shape,r,a0,b0,theta0,N,mu,kappa,nu,S,delta\n"
+     "circle,0.5,,,,512,0.25,0.25,1.23784296337e-18,0.785398163397,0.5\n"
+     "circle,1,,,,512,1,1,4.95137185346e-18,3.14159265359,0.5\n"
+     "circle,1.5,,,,512,2.25,2.25,-1.05383659133e-16,7.06858347058,0.5\n"
+     "circle,2,,,,512,4,4,1.98054874139e-17,12.5663706144,0.5\n"
+     "circle,2.5,,,,512,6.25,6.25,-1.27413219596e-15,19.6349540849,0.5\n"
      ),
 ]
 

@@ -219,3 +219,30 @@ def test_self_intersects_near_contact_matches_four_grid_oracle(c):
     new, oracle = _verdicts([1.0, 0.0, 0.0], [0.0] * 3, [0.0] * 3, [c - 0.5, 0.0, 0.5])
     assert new == oracle
     assert new == (c <= 1.0 + 1e-9)
+
+
+# (coefficients, verdict at unit scale): simple, clockwise, a figure-eight,
+# a rank-1 segment and a waist 1e-8 wide (outside the 1e-9 band)
+_SCALE_CASES = [
+    (([1.0], [0.0], [0.0], [1.0]), "simple"),
+    (([1.0], [0.0], [0.0], [-1.0]), "reversed"),
+    (([1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 1.0]), "self-intersects"),
+    (([1.0], [0.5], [2.0], [1.0]), "self-intersects"),
+    (([1.0, 0.0, 0.0], [0.0] * 3, [0.0] * 3, [0.5 + 1e-8, 0.0, 0.5]), "simple"),
+]
+
+
+def _verdict(coeffs):
+    try:
+        C = make_fourier(*coeffs)
+    except ValidationError as exc:
+        return "self-intersects" if "self-intersects" in str(exc) else str(exc)
+    return "reversed" if C.reversed_input else "simple"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("coeffs, want", _SCALE_CASES)
+def test_validation_verdict_does_not_depend_on_scale(coeffs, want):
+    for e in range(-300, 301, 20):
+        scaled = [[10.0 ** e * c for c in arr] for arr in coeffs]
+        assert _verdict(scaled) == want, e

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor
 
 from trapmodes import (
+    ConsistencyError,
     ValidationError,
     analytic_dipoles,
     apply_n0,
@@ -13,6 +16,7 @@ from trapmodes import (
     dipoles_bem,
     make_circle,
     make_ellipse,
+    make_fourier,
 )
 
 from goldens import GOLD
@@ -91,7 +95,6 @@ def test_spectral_convergence():
 
 def test_under_resolved_contour_is_rejected():
     # slender section at coarse N: the discrete Gauss law catches it
-    from trapmodes import ConsistencyError
     with pytest.raises(ConsistencyError):
         assemble(make_ellipse(2.0, 0.3, 0.5), 32)
 
@@ -110,3 +113,58 @@ def test_nu_symmetry_of_egg(egg):
     # X even and Y odd in t: the egg is symmetric about the x axis, so nu = 0
     d = dipoles_bem(assemble(egg, 128))
     assert abs(d.nu) < 1e-12 * max(1.0, d.S)
+
+
+def _textbook_lu(C, N):
+    """LU of I + (2 pi / N) K, with K built whole and in C order."""
+    t = 2.0 * np.pi * np.arange(N) / N
+    x, y, xd, yd, xdd, ydd = C.evaluate(t)
+    dx = x[None, :] - x[:, None]
+    dy = y[None, :] - y[:, None]
+    dist2 = dx * dx + dy * dy
+    np.fill_diagonal(dist2, 1.0)
+    K = -(1.0 / math.pi) * (dx * (-yd[None, :]) + dy * xd[None, :]) / dist2
+    np.fill_diagonal(K, (xd * ydd - xdd * yd) / (2.0 * math.pi * (xd * xd + yd * yd)))
+    return lu_factor(np.eye(N) + (2.0 * np.pi / N) * K)
+
+
+_J3 = make_fourier([1.0, 0.1, 0.05], [0.0, 0.0, 0.02], [0.0, 0.03, 0.0], [0.9, 0.0, -0.04])
+
+
+@pytest.mark.parametrize("N", [64, 256, 512, 1024])
+@pytest.mark.parametrize("C", [make_circle(1.0), make_ellipse(1.5, 0.7, 0.4), _J3],
+                         ids=["circle", "tilted_ellipse", "fourier_J3"])
+def test_lu_matches_textbook_assembly_bit_for_bit(C, N):
+    lu, piv = assemble(C, N).lu
+    want_lu, want_piv = _textbook_lu(C, N)
+    assert lu.view(np.uint64).tolist() == want_lu.view(np.uint64).tolist()
+    assert np.array_equal(piv, want_piv)
+
+
+def test_assembly_peak_memory():
+    # the kernel is built in place and factored without a copy: about 4 N^2
+    # doubles at the peak, where a whole K, M, eye(N) and A take about 7
+    C, N = make_ellipse(1.5, 0.7, 0.4), 1024
+    assemble(C, 64)  # imports scipy.linalg outside the measurement
+    tracemalloc.start()
+    try:
+        assemble(C, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 8 * N * N
+
+
+@pytest.mark.parametrize("r", [1e-160, 1e-152, 1e152, 1e160])
+def test_section_out_of_double_range_is_refused(r):
+    # beyond the diameter window the squared node distances under- or
+    # overflow; at 1e160 the matrix would hold NaN
+    with pytest.raises(ConsistencyError, match="out of double range"):
+        assemble(make_circle(r), 64)
+
+
+@pytest.mark.parametrize("r", [1e-150, 1e149])
+def test_dipoles_scale_at_the_ends_of_the_diameter_window(r):
+    d = dipoles_bem(assemble(make_circle(r), 64))
+    assert d.mu == pytest.approx(r * r, rel=1e-12)
+    assert d.S == pytest.approx(math.pi * r * r, rel=1e-13)
