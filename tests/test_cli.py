@@ -425,8 +425,9 @@ def test_cutoffs_out_of_double_range_exit_3(args, tmp_path, capsys):
     assert "out of double range" in err
 
 
-def test_dipoles_non_finite_matrix_exit_3(tmp_path, capsys):
-    # squared node distances overflow here; the BEM refuses the section
+def test_dipoles_section_out_of_double_range_exit_3(tmp_path, capsys):
+    # the squared node distances would overflow into a NaN matrix; the BEM
+    # refuses the section before building it
     code, stdout, err = run_cli(["dipoles", "--shape", "circle", "--r", "1e160",
                                  "--N", "64", "--out", str(tmp_path / "x")], capsys)
     assert code == 3
