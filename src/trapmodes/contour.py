@@ -141,11 +141,11 @@ def make_fourier(cos_x, sin_x, cos_y, sin_y) -> Contour:
     """Build and validate a contour from its Fourier coefficients.
 
     Checks, in order: coefficient sanity, a positive diameter that is a
-    normal double,
-    nowhere-vanishing speed, simplicity of the sampled polyline (tolerance
-    1e-9 times the diameter), and orientation (a clockwise input is reversed
-    in place and flagged). The last three see the samples divided by the
-    diameter, so their verdict is the same at every scale.
+    normal double, nowhere-vanishing speed, simplicity of the sampled
+    polyline (tolerance 1e-9 times the diameter), and orientation (a
+    clockwise input is reversed in place and flagged). The last three see
+    the samples divided by the diameter, so their verdict is the same at
+    every scale.
     """
     arrs = []
     for name, c in (("cos_x", cos_x), ("sin_x", sin_x), ("cos_y", cos_y), ("sin_y", sin_y)):
