@@ -10,7 +10,8 @@ trapped mode), and `cli` (batch front end).
 Each stage takes the previous stage's result: a contour from `make_circle`,
 `make_ellipse` or `read_fourier_file`, its system `assemble(C, N)`, the
 dipoles `dipoles_bem(system)`; the fluid's `spectral_context(cfg)`; then a
-formula such as `trapped_upper(setup, ctx)`.
+formula such as `trapped_upper(setup)` of a `ProblemSetup` that carries the
+context and the dipoles.
 """
 
 from .contour import (

@@ -346,8 +346,8 @@ def _row_formula(run: RunConfig, stages: _Stages) -> dict:
         fn = trapped_upper if run.side == "U" else trapped_lower
     else:
         fn = resonance_upper if run.side == "U" else resonance_lower
-    res = fn(ProblemSetup(cfg=ctx.cfg, side=run.side, a=run.a,
-                          epsilon=run.epsilon, dip=dip), ctx, g_grav=run.g)
+    res = fn(ProblemSetup(ctx=ctx, side=run.side, a=run.a, epsilon=run.epsilon,
+                          dip=dip), g_grav=run.g)
     return {**vars(run), **vars(res), "mu": dip.mu, "S": dip.S,
             "lambda": getattr(res, "lam", None), "D": res.coefficients.D,
             "D1": res.coefficients.D1}
@@ -357,8 +357,8 @@ def _row_embedded(run: RunConfig, stages: _Stages) -> dict:
     dip = stages.dipoles(run)
     ctx = stages.context(run)
     # the submergence field is solved for, not prescribed; seed with b/2
-    res = a_star(ProblemSetup(cfg=ctx.cfg, side=run.side, a=0.5 * run.b,
-                              epsilon=run.epsilon, dip=dip), ctx)
+    res = a_star(ProblemSetup(ctx=ctx, side=run.side, a=0.5 * run.b,
+                              epsilon=run.epsilon, dip=dip))
     return {**vars(run), **vars(res)}
 
 
@@ -372,7 +372,7 @@ def _rows_sweep(run: RunConfig, stages: _Stages):
     stages.manifest["inputs"]["sweep_grid"] = [float(v) for v in grid]
     if run.what == "f":
         dip = stages.dipoles(run)
-        rows = sweep_f(_fluid(run), grid, dip.delta)
+        rows = sweep_f(stages.context(run), grid, dip.delta)
         return COLUMNS["f"], rows
     rows = []
     for v in grid:

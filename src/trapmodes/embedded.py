@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 from .dispersion import ROOT_RTOL, FluidConfig, SpectralContext, brentq, spectral_context
 from .errors import ConsistencyError, ValidationError
-from .spectra import ProblemSetup, _require_ctx, rcal_jcal_scaled, resonance_upper
+from .spectra import ProblemSetup, rcal_jcal_scaled, resonance_upper
 
 SYMMETRY_RTOL = 1e-9  # |nu| <= this * mu counts as symmetric (BEM noise floor)
 ROUTE_AGREEMENT = 1e-9  # the two a* routes must match to this * b
@@ -58,15 +58,17 @@ class EmbeddedResult:
     diagnostics: str = ""
 
 
-def tau0(cfg: FluidConfig) -> float:
-    """Dimensionless threshold root: 1 = alpha t tanh(b0 t) / (1 + beta tanh(b0 t)).
+def tau0(ctx: SpectralContext) -> float:
+    """Dimensionless threshold root of ctx's fluid:
+    1 = alpha t tanh(b0 t) / (1 + beta tanh(b0 t)).
 
     Solved on its own and cross-checked against tau1/k from the dispersion
     module; the two must agree to 1e-12 relative.
     """
-    # first: it refuses a fluid whose b k underflows, which keeps b0 > 0 and
-    # so ends the doubling below
-    t0_disp = spectral_context(cfg).tau1 / cfg.k
+    cfg = ctx.cfg
+    t0_disp = ctx.tau1 / cfg.k
+    # spectral_context refuses a fluid whose b k underflows, so b0 > 0 and
+    # the doubling below ends
     b0 = cfg.k * cfg.b
     alpha, beta = cfg.alpha, cfg.beta
 
@@ -99,7 +101,7 @@ def solve_w(delta: float, tau0_val: float) -> float:
     return math.atanh(rhs)
 
 
-def a_star(setup: ProblemSetup, ctx: SpectralContext) -> EmbeddedResult:
+def a_star(setup: ProblemSetup) -> EmbeddedResult:
     """Find the embedded-mode submergence for a symmetric section.
 
     Route 1 solves the closed dimensionless chain (tau0, w, a* = w/(k tau0));
@@ -111,8 +113,8 @@ def a_star(setup: ProblemSetup, ctx: SpectralContext) -> EmbeddedResult:
     if setup.side != "U":
         raise ValidationError(
             f"side must be 'U': embedded modes arise in problem U, got {setup.side!r}")
-    _require_ctx(setup, ctx)
-    cfg = setup.cfg
+    ctx = setup.ctx
+    cfg = ctx.cfg
     k, b = cfg.k, cfg.b
     t0 = ctx.tau1 / k
     if not (t0 > 1.0):
@@ -159,7 +161,7 @@ def a_star(setup: ProblemSetup, ctx: SpectralContext) -> EmbeddedResult:
         # the caller was warned about a large epsilon when building setup
         warnings.simplefilter("ignore")
         setup_star = replace(setup, a=a1)
-    sigma = resonance_upper(setup_star, ctx).re_sigma
+    sigma = resonance_upper(setup_star).re_sigma
     return EmbeddedResult(
         exists=True, a_star=a1, w=w, tau0=t0, delta=delta, sigma=sigma,
     )
@@ -189,10 +191,10 @@ def small_alpha_asymptote(alpha: float, delta: float, k: float) -> float:
     return alpha * alpha * (1.0 + delta) / (4.0 * k)
 
 
-def sweep_f(cfg: FluidConfig, a_grid, delta: float):
-    """Tabulate the circle function f(a) of tau0(cfg) over a_grid.
+def sweep_f(ctx: SpectralContext, a_grid, delta: float):
+    """Tabulate the circle function f(a) of tau0(ctx) over a_grid.
 
-    f is f_circle (the delta = 1/2 circle function) at tau0(cfg); has_root
+    f is f_circle (the delta = 1/2 circle function) at tau0(ctx); has_root
     marks a sign change of f on the grid. a_star is the closed-form root
     w/(k tau0) of the section with the given delta when it fits in the layer
     (a* < b), None otherwise. Returns one dict per grid point with keys
@@ -203,7 +205,8 @@ def sweep_f(cfg: FluidConfig, a_grid, delta: float):
         raise ValidationError("a_grid must be strictly increasing with >= 2 points")
     if grid[0] <= 0.0 or grid[-1] > 1.0:
         raise ValidationError(f"a_grid must lie in (0, 1], got [{grid[0]}, {grid[-1]}]")
-    t0 = tau0(cfg)
+    cfg = ctx.cfg
+    t0 = tau0(ctx)
     f_vals = [f_circle(a, t0) for a in grid]
     has_root = any(f1 * f2 < 0.0 for f1, f2 in zip(f_vals, f_vals[1:]))
     a1 = solve_w(delta, t0) / (cfg.k * t0)
@@ -226,8 +229,7 @@ def alpha_threshold(lo: float = 0.5, hi: float = 0.97, tol: float = 1e-4) -> flo
         raise ValidationError(f"tol must be positive, got {tol}")
 
     def exists_at(alpha):
-        cfg = FluidConfig(beta=1.0 - alpha, b=1.0, k=1.0)
-        t0 = tau0(cfg)
+        t0 = tau0(spectral_context(FluidConfig(beta=1.0 - alpha, b=1.0, k=1.0)))
         return solve_w(0.5, t0) / t0 < 1.0
 
     if not exists_at(lo):

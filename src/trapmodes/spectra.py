@@ -43,6 +43,7 @@ NEAR_EMBEDDED_RTOL = 1e-14
 class ProblemSetup:
     """One cylinder configuration.
 
+    ctx  : spectral context of the fluid (ctx.cfg is the fluid)
     side : 'U' (upper layer, a measured from the free surface, a < b)
            or 'L' (lower layer, a measured down from the interface)
     a    : submergence of the cylinder center, > 0
@@ -50,7 +51,7 @@ class ProblemSetup:
     dip  : dipole strengths and area of the unit contour
     """
 
-    cfg: FluidConfig
+    ctx: SpectralContext
     side: str
     a: float
     epsilon: float
@@ -61,10 +62,10 @@ class ProblemSetup:
             raise ValidationError(f"side must be 'U' or 'L', got {self.side!r}")
         if not (self.a > 0.0):
             raise ValidationError(f"a (submergence) must be positive, got {self.a}")
-        if self.side == "U" and not (self.a < self.cfg.b):
+        if self.side == "U" and not (self.a < self.ctx.cfg.b):
             raise ValidationError(
                 f"a must be < b for side U (cylinder inside the upper layer), "
-                f"got a={self.a}, b={self.cfg.b}"
+                f"got a={self.a}, b={self.ctx.cfg.b}"
             )
         if not (self.epsilon > 0.0):
             raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
@@ -136,12 +137,7 @@ def _require_side(setup: ProblemSetup, side: str, what: str):
         raise ValidationError(f"{what} is defined for problem {side}, got side {setup.side!r}")
 
 
-def _require_ctx(setup: ProblemSetup, ctx: SpectralContext):
-    if ctx.cfg != setup.cfg:
-        raise ValidationError("ctx was built for a different FluidConfig")
-
-
-def rcal_jcal(setup: ProblemSetup, ctx: SpectralContext):
+def rcal_jcal(setup: ProblemSetup):
     """Rcal and Jcal, the two obstruction integrals of the problem-U resonance.
 
     Rcal = k S g(-a; tau1, Lambda2) + 2 pi mu g'(-a; tau1, Lambda2)
@@ -153,10 +149,9 @@ def rcal_jcal(setup: ProblemSetup, ctx: SpectralContext):
     (the resonance formula itself always uses the rescaled finite pair).
     """
     _require_side(setup, "U", "rcal_jcal")
-    _require_ctx(setup, ctx)
-    r_hat, j_hat, _ = rcal_jcal_scaled(setup.a, ctx, setup.dip)
+    r_hat, j_hat, _ = rcal_jcal_scaled(setup.a, setup.ctx, setup.dip)
     try:
-        scale = math.exp(setup.a * ctx.tau1)
+        scale = math.exp(setup.a * setup.ctx.tau1)
     except OverflowError:
         scale = math.inf
 
@@ -177,8 +172,7 @@ def rcal_jcal_scaled(a: float, ctx: SpectralContext, dip: DipoleStrengths):
     return r_hat, j_hat, g_hat
 
 
-def trapped_upper(setup: ProblemSetup, ctx: SpectralContext,
-                  g_grav: float | None = None) -> ModeResult:
+def trapped_upper(setup: ProblemSetup, g_grav: float | None = None) -> ModeResult:
     """Trapped mode below Lambda1 for a cylinder in the upper layer.
 
     sigma = 2 eps^2 D e^{-bk} ( S g^2 + 2 pi mu k^{-2} g'^2 ),  g at (-a; k, Lambda1),
@@ -187,8 +181,8 @@ def trapped_upper(setup: ProblemSetup, ctx: SpectralContext,
     and the eigenvalue is lam = Lambda1 (1 - sigma^2).
     """
     _require_side(setup, "U", "trapped_upper")
-    _require_ctx(setup, ctx)
-    cfg = setup.cfg
+    ctx = setup.ctx
+    cfg = ctx.cfg
     k, b, a = cfg.k, cfg.b, setup.a
     Lam1, Lam2 = ctx.Lambda1, ctx.Lambda2
     dl1 = ctx.dlam1_k
@@ -211,8 +205,7 @@ def trapped_upper(setup: ProblemSetup, ctx: SpectralContext,
                       coefficients=Coefficients(D=D))
 
 
-def resonance_upper(setup: ProblemSetup, ctx: SpectralContext,
-                    g_grav: float | None = None) -> ResonanceResult:
+def resonance_upper(setup: ProblemSetup, g_grav: float | None = None) -> ResonanceResult:
     """Resonance near the embedded cut-off Lambda2, cylinder in the upper layer.
 
     Re sigma = (eps^2/2) D k^2 e^{-ak} (S + 2 pi mu),
@@ -225,8 +218,8 @@ def resonance_upper(setup: ProblemSetup, ctx: SpectralContext,
     embedded module is the right tool.
     """
     _require_side(setup, "U", "resonance_upper")
-    _require_ctx(setup, ctx)
-    cfg = setup.cfg
+    ctx = setup.ctx
+    cfg = ctx.cfg
     k, b, a = cfg.k, cfg.b, setup.a
     Lam1, Lam2, tau1 = ctx.Lambda1, ctx.Lambda2, ctx.tau1
     core = 4.0 / (q_factor(k, cfg) * (Lam2 - Lam1) * ctx.q2)
@@ -253,15 +246,14 @@ def resonance_upper(setup: ProblemSetup, ctx: SpectralContext,
         raise ConsistencyError(
             f"resonance parts out of range: re={re_sigma}, im={im_sigma}"
         )
-    rcal, jcal = rcal_jcal(setup, ctx)
+    rcal, jcal = rcal_jcal(setup)
     decay = math.sqrt(k * g_grav) * re_sigma * im_sigma if g_grav is not None else None
     return ResonanceResult(re_sigma=re_sigma, im_sigma=im_sigma, rcal=rcal, jcal=jcal,
                            near_embedded=near_embedded, decay_rate=decay,
                            coefficients=Coefficients(D=D, D1=D1))
 
 
-def trapped_lower(setup: ProblemSetup, ctx: SpectralContext,
-                  g_grav: float | None = None) -> ModeResult:
+def trapped_lower(setup: ProblemSetup, g_grav: float | None = None) -> ModeResult:
     """Trapped mode below Lambda1 for a cylinder in the lower layer.
 
     sigma = (eps^2/2) D e^{-ak} k (S + 2 pi mu),
@@ -269,8 +261,8 @@ def trapped_lower(setup: ProblemSetup, ctx: SpectralContext,
     P0(k, Lambda1) < 0, so D > 0; a sign flip here means a bug, not physics.
     """
     _require_side(setup, "L", "trapped_lower")
-    _require_ctx(setup, ctx)
-    cfg = setup.cfg
+    ctx = setup.ctx
+    cfg = ctx.cfg
     k, a = cfg.k, setup.a
     Lam1, Lam2 = ctx.Lambda1, ctx.Lambda2
     P0 = p0_factor(k, Lam1, cfg)
@@ -291,8 +283,7 @@ def trapped_lower(setup: ProblemSetup, ctx: SpectralContext,
                       coefficients=Coefficients(D=D))
 
 
-def resonance_lower(setup: ProblemSetup, ctx: SpectralContext,
-                    g_grav: float | None = None) -> ResonanceResult:
+def resonance_lower(setup: ProblemSetup, g_grav: float | None = None) -> ResonanceResult:
     """Resonance near Lambda2 for a cylinder in the lower layer; always leaky.
 
     Re sigma = (eps^2/2) D e^{-ak} k (S + 2 pi mu),
@@ -305,8 +296,8 @@ def resonance_lower(setup: ProblemSetup, ctx: SpectralContext,
     cylinder's resonance never becomes a trapped mode.
     """
     _require_side(setup, "L", "resonance_lower")
-    _require_ctx(setup, ctx)
-    cfg = setup.cfg
+    ctx = setup.ctx
+    cfg = ctx.cfg
     k, a = cfg.k, setup.a
     Lam1, Lam2, tau1 = ctx.Lambda1, ctx.Lambda2, ctx.tau1
     P0_top = p0_factor(k, Lam2, cfg)

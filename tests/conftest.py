@@ -44,12 +44,12 @@ def egg():
 
 
 @pytest.fixture()
-def setup_std(cfg_half, dip_circle):
-    return ProblemSetup(cfg=cfg_half, side="U", a=0.5, epsilon=0.01,
+def setup_std(ctx_half, dip_circle):
+    return ProblemSetup(ctx=ctx_half, side="U", a=0.5, epsilon=0.01,
                         dip=dip_circle)
 
 
 @pytest.fixture()
-def setup_std_lower(cfg_half, dip_circle):
-    return ProblemSetup(cfg=cfg_half, side="L", a=0.5, epsilon=0.01,
+def setup_std_lower(ctx_half, dip_circle):
+    return ProblemSetup(ctx=ctx_half, side="L", a=0.5, epsilon=0.01,
                         dip=dip_circle)

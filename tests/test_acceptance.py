@@ -52,7 +52,8 @@ def _report(num: int, ok: bool, detail: str) -> str:
 def _std_setup(alpha=0.5, side="U", a=0.5, eps=0.01):
     cfg = FluidConfig(beta=1.0 - alpha, b=1.0, k=1.0)
     dip = analytic_dipoles("circle", r=1.0)
-    return ProblemSetup(cfg=cfg, side=side, a=a, epsilon=eps, dip=dip)
+    return ProblemSetup(ctx=spectral_context(cfg), side=side, a=a, epsilon=eps,
+                        dip=dip)
 
 
 def test_criterion_01_gauss_law_all_contours():
@@ -100,8 +101,8 @@ def test_criterion_02_dipole_oracle():
 def test_criterion_03_unit_circle_special_submergence():
     t0 = time.perf_counter()
     setup = _std_setup()
-    ctx = spectral_context(setup.cfg)
-    res = a_star(setup, ctx)
+    ctx = setup.ctx
+    res = a_star(setup)
     elapsed = time.perf_counter() - t0
     ok = (abs(ctx.tau1 - 3.0) <= 0.02 and res.exists
           and abs(res.a_star - 0.17) <= 0.005 and elapsed < 1.0)
@@ -113,8 +114,8 @@ def test_criterion_03_unit_circle_special_submergence():
 def test_criterion_04_existence_band_and_threshold():
     t0 = time.perf_counter()
     s91, s97 = _std_setup(alpha=0.91), _std_setup(alpha=0.97)
-    res91 = a_star(s91, spectral_context(s91.cfg))
-    res97 = a_star(s97, spectral_context(s97.cfg))
+    res91 = a_star(s91)
+    res97 = a_star(s97)
     alpha_c = alpha_threshold(tol=1e-5)
     elapsed = time.perf_counter() - t0
     ok_91 = res91.exists and 0.95 <= res91.a_star < 1.0
@@ -131,11 +132,10 @@ def test_criterion_04_existence_band_and_threshold():
 
 def test_criterion_05_circle_specialization_identity():
     setup = _std_setup()
-    ctx = spectral_context(setup.cfg)
-    tau = ctx.tau1
+    tau = setup.ctx.tau1
     worst = 0.0
     for a in np.linspace(0.05, 0.95, 19):
-        r, _ = rcal_jcal(dataclasses.replace(setup, a=float(a)), ctx)
+        r, _ = rcal_jcal(dataclasses.replace(setup, a=float(a)))
         rhs = math.pi * math.cosh(a * tau) * f_circle(float(a), tau)
         worst = max(worst, abs(r - rhs) / abs(rhs))
     ok = worst < 1e-12
@@ -147,7 +147,7 @@ def test_criterion_05_circle_specialization_identity():
 def test_criterion_06_homogeneous_limit_upper():
     alpha, a, eps, k = 1e-3, 0.5, 0.01, 1.0
     setup = _std_setup(alpha=alpha, a=a, eps=eps)
-    got = resonance_upper(setup, spectral_context(setup.cfg)).re_sigma
+    got = resonance_upper(setup).re_sigma
     S, mu = setup.dip.S, setup.dip.mu
     want = eps**2 / math.sqrt(2.0) * math.exp(-2 * a * k) * k * k * (
         S + 2 * math.pi * mu)
@@ -161,7 +161,7 @@ def test_criterion_06_homogeneous_limit_upper():
 def test_criterion_07_weak_stratification_limit_lower():
     alpha, a, eps, k, b = 1e-3, 0.5, 0.01, 1.0, 1.0
     setup = _std_setup(alpha=alpha, side="L", a=a, eps=eps)
-    got = resonance_lower(setup, spectral_context(setup.cfg)).re_sigma
+    got = resonance_lower(setup).re_sigma
     S, mu = setup.dip.S, setup.dip.mu
     want = eps**2 / math.sqrt(2.0) * k * k * math.exp(-2 * (a + b) * k) * (
         S + 2 * math.pi * mu)
@@ -187,14 +187,14 @@ def test_criterion_08_positivity_ledger():
             dip = analytic_dipoles(
                 "ellipse", a0=rng.uniform(0.3, 2.0), b0=rng.uniform(0.3, 2.0),
                 theta0=0.0 if kind == 1 else rng.uniform(-1.5, 1.5))
-        su = ProblemSetup(cfg=cfg, side="U", a=rng.uniform(0.02, 0.98) * cfg.b,
+        su = ProblemSetup(ctx=ctx, side="U", a=rng.uniform(0.02, 0.98) * cfg.b,
                           epsilon=rng.uniform(1e-4, 0.05), dip=dip)
-        sl = ProblemSetup(cfg=cfg, side="L", a=rng.uniform(0.05, 1.5),
+        sl = ProblemSetup(ctx=ctx, side="L", a=rng.uniform(0.05, 1.5),
                           epsilon=su.epsilon, dip=dip)
-        r1 = trapped_upper(su, ctx)
-        r2 = resonance_upper(su, ctx)
-        r3 = trapped_lower(sl, ctx)
-        r4 = resonance_lower(sl, ctx)
+        r1 = trapped_upper(su)
+        r2 = resonance_upper(su)
+        r3 = trapped_lower(sl)
+        r4 = resonance_lower(sl)
         if not (r1.coefficients.D > 0 and r2.coefficients.D > 0
                 and r2.coefficients.D1 > 0 and r3.coefficients.D > 0
                 and r4.coefficients.D > 0 and r4.coefficients.D1 > 0
@@ -208,7 +208,6 @@ def test_criterion_08_positivity_ledger():
 
 def test_criterion_09_scaling_laws():
     su, sl = _std_setup(), _std_setup(side="L")
-    ctx = spectral_context(su.cfg)
     ratios = []
     for fn, s, attr, want in (
         (trapped_upper, su, "sigma", 4.0),
@@ -218,8 +217,8 @@ def test_criterion_09_scaling_laws():
         (resonance_upper, su, "im_sigma", 16.0),
         (resonance_lower, sl, "im_sigma", 16.0),
     ):
-        small = getattr(fn(s, ctx), attr)
-        big = getattr(fn(dataclasses.replace(s, epsilon=2 * s.epsilon), ctx), attr)
+        small = getattr(fn(s), attr)
+        big = getattr(fn(dataclasses.replace(s, epsilon=2 * s.epsilon)), attr)
         ratios.append((big / small, want))
     exact = all(r == w for r, w in ratios)
     # eigenvalue depth ~ alpha: log-log slope 1
@@ -228,8 +227,9 @@ def test_criterion_09_scaling_laws():
     dip = analytic_dipoles("circle", r=1.0)
     for al in alphas:
         cfg = FluidConfig(beta=1.0 - al, b=1.0, k=1.0)
-        s = ProblemSetup(cfg=cfg, side="U", a=0.5, epsilon=0.01, dip=dip)
-        res = trapped_upper(s, spectral_context(cfg))
+        s = ProblemSetup(ctx=spectral_context(cfg), side="U", a=0.5, epsilon=0.01,
+                         dip=dip)
+        res = trapped_upper(s)
         depths.append(res.threshold - res.lam)
     slope = float(np.polyfit(np.log(alphas), np.log(depths), 1)[0])
     ok = exact and abs(slope - 1.0) < 0.05
@@ -277,7 +277,7 @@ def test_criterion_11_profile_non_monotonicity():
 
 def test_criterion_12_small_alpha_asymptote():
     setup = _std_setup(alpha=0.05)
-    res = a_star(setup, spectral_context(setup.cfg))
+    res = a_star(setup)
     pred = 0.05**2 * (1.0 + res.delta) / 4.0
     ratio = res.a_star / pred
     ok = 0.9 <= ratio <= 1.1

@@ -69,7 +69,7 @@ def calls(monkeypatch):
     (["sweep", "--what", "trapped", "--sweep", "beta:0.1:0.9:50"], 1, 50),
     (["sweep", "--what", "resonance", "--sweep", "a0:0.9:1.7:50", *ELL], 50, 1),
     (["sweep", "--what", "embedded", "--sweep", "epsilon:0.005:0.05:5"], 1, 1),
-    (["sweep", "--what", "f", "--sweep", "a:0.1:0.9:5"], 1, 0),
+    (["sweep", "--what", "f", "--sweep", "a:0.1:0.9:5"], 1, 1),
     # the stages stay lazy: a cutoffs sweep reads no section
     (["sweep", "--what", "cutoffs", "--shape", "fourier",
       "--sweep", "k:0.5:2:4"], 0, 4),

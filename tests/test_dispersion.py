@@ -123,7 +123,7 @@ def test_spectral_context_refuses_underflowed_cutoffs():
     with pytest.raises(ConsistencyError, match="out of double range"):
         spectral_context(cfg)
     with pytest.raises(ConsistencyError, match="out of double range"):
-        tau0(cfg)
+        tau0(spectral_context(cfg))
 
 
 @pytest.mark.parametrize("k", [1e200, 1e300])
@@ -168,20 +168,20 @@ def _assert_matches_scipy(calls):
 @example(beta=0.5, eb=0.0, ek=0.0, sigma=0.1)  # a* = 0.17 < b: a* is solved
 def test_brentq_matches_scipy_at_every_call_site(beta, eb, ek, sigma):
     cfg = FluidConfig(beta=beta, b=10.0 ** eb, k=10.0 ** ek)
-    setup = ProblemSetup(cfg=cfg, side="U", a=0.5 * cfg.b, epsilon=0.01,
-                         dip=analytic_dipoles("circle", r=1.0))
+    setup = ProblemSetup(ctx=spectral_context(cfg), side="U", a=0.5 * cfg.b,
+                         epsilon=0.01, dip=analytic_dipoles("circle", r=1.0))
 
     def run():
         ctx = spectral_context(cfg)
         near_threshold_wavenumbers(sigma, "first", cfg)
-        tau0(cfg)
-        a_star(setup, ctx)
+        tau0(ctx)
+        a_star(setup)
 
     with pytest.MonkeyPatch.context() as mp:
         calls = _recorded_solves(mp, run)
     whats = {c[-1] for c in calls}
     assert {"tau1 root search", "p01 root search", "tau0 root search"} <= whats
-    if a_star(setup, spectral_context(cfg)).exists:
+    if a_star(setup).exists:
         assert "a* root search" in whats
     _assert_matches_scipy(calls)
 

@@ -29,16 +29,18 @@ def _setup(alpha, dip=None):
     cfg = FluidConfig(beta=1.0 - alpha, b=1.0, k=1.0)
     if dip is None:
         dip = analytic_dipoles("circle", r=1.0)
-    return ProblemSetup(cfg=cfg, side="U", a=0.5, epsilon=0.01, dip=dip)
+    return ProblemSetup(ctx=spectral_context(cfg), side="U", a=0.5, epsilon=0.01,
+                        dip=dip)
 
 
-def test_tau0_golden(cfg_half):
-    assert tau0(cfg_half) == pytest.approx(GOLD["tau1"], rel=1e-13)
+def test_tau0_golden(ctx_half):
+    assert tau0(ctx_half) == pytest.approx(GOLD["tau1"], rel=1e-13)
     cfg005 = FluidConfig(beta=0.95, b=1.0, k=1.0)
-    assert tau0(cfg005) == pytest.approx(GOLD["tau0_alpha005"], rel=1e-12)
+    assert tau0(spectral_context(cfg005)) == pytest.approx(GOLD["tau0_alpha005"],
+                                                           rel=1e-12)
     # tanh saturates here too: tau0 = (1 + beta) / alpha ~ 2e12
     cfg_weak = FluidConfig(beta=1 - 1e-12, b=1.0, k=1.0)
-    assert tau0(cfg_weak) == pytest.approx(
+    assert tau0(spectral_context(cfg_weak)) == pytest.approx(
         (1.0 + cfg_weak.beta) / cfg_weak.alpha, rel=1e-12)
 
 
@@ -53,8 +55,8 @@ def test_solve_w_goldens():
         solve_w(0.5, 0.9)  # tau0 must exceed 1
 
 
-def test_a_star_half(ctx_half):
-    res = a_star(_setup(0.5), ctx_half)
+def test_a_star_half():
+    res = a_star(_setup(0.5))
     assert res.exists
     assert res.a_star == pytest.approx(GOLD["a_star_alpha05"], rel=1e-12)
     assert res.delta == pytest.approx(0.5, rel=1e-15)
@@ -62,15 +64,15 @@ def test_a_star_half(ctx_half):
     assert res.diagnostics == ""
     # the resonance evaluated at a* is flagged as (near-)embedded
     check = resonance_upper(
-        ProblemSetup(cfg=_setup(0.5).cfg, side="U", a=res.a_star,
-                     epsilon=0.01, dip=_setup(0.5).dip), ctx_half)
+        ProblemSetup(ctx=_setup(0.5).ctx, side="U", a=res.a_star,
+                     epsilon=0.01, dip=_setup(0.5).dip))
     assert check.near_embedded
     assert res.sigma == pytest.approx(check.re_sigma, rel=1e-13)
 
 
 def test_a_star_alpha091():
     s = _setup(0.91)
-    res = a_star(s, spectral_context(s.cfg))
+    res = a_star(s)
     assert res.exists
     assert res.a_star == pytest.approx(GOLD["a_star_alpha091"], rel=1e-12)
     assert 0.95 <= res.a_star < 1.0
@@ -78,7 +80,7 @@ def test_a_star_alpha091():
 
 def test_a_star_alpha097_does_not_fit():
     s = _setup(0.97)
-    res = a_star(s, spectral_context(s.cfg))
+    res = a_star(s)
     assert not res.exists
     assert res.a_star is None and res.sigma is None
     assert "does not fit" in res.diagnostics
@@ -88,10 +90,10 @@ def test_a_star_alpha097_does_not_fit():
         GOLD["a_star_alpha097_candidate"], rel=1e-12)
 
 
-def test_a_star_asymmetric_section(ctx_half):
+def test_a_star_asymmetric_section():
     dip = analytic_dipoles("ellipse", a0=1.5, b0=0.7, theta0=0.4)
     assert dip.nu != 0.0
-    res = a_star(_setup(0.5, dip), ctx_half)
+    res = a_star(_setup(0.5, dip))
     assert not res.exists
     assert "asymmetric" in res.diagnostics
     assert res.a_star is None
@@ -116,7 +118,7 @@ def test_small_alpha_asymptote_golden():
     pred = small_alpha_asymptote(0.05, 0.5, 1.0)
     assert pred == pytest.approx(GOLD["a_star_alpha005_pred"], rel=1e-15)
     s = _setup(0.05)
-    res = a_star(s, spectral_context(s.cfg))
+    res = a_star(s)
     assert res.a_star == pytest.approx(GOLD["a_star_alpha005"], rel=1e-12)
     assert res.a_star / pred == pytest.approx(GOLD["a_star_alpha005_ratio"], rel=1e-12)
     with pytest.raises(ValidationError):
@@ -128,7 +130,7 @@ def test_sweep_f_table():
     by_alpha = {}
     for al in (0.5, 0.91, 0.97):
         cfg = FluidConfig(beta=1.0 - al, b=1.0, k=1.0)
-        rows = sweep_f(cfg, grid, 0.5)
+        rows = sweep_f(spectral_context(cfg), grid, 0.5)
         assert len(rows) == 20
         for row in rows:
             by_alpha.setdefault(round(row["alpha"], 6), []).append(row)
@@ -146,13 +148,13 @@ def test_sweep_f_table():
     assert a_vals == sorted(a_vals)
 
 
-def test_sweep_f_validation(cfg_half):
+def test_sweep_f_validation(ctx_half):
     with pytest.raises(ValidationError):
-        sweep_f(cfg_half, [0.5], 0.5)  # too short
+        sweep_f(ctx_half, [0.5], 0.5)  # too short
     with pytest.raises(ValidationError):
-        sweep_f(cfg_half, [0.5, 0.4], 0.5)  # not increasing
+        sweep_f(ctx_half, [0.5, 0.4], 0.5)  # not increasing
     with pytest.raises(ValidationError):
-        sweep_f(cfg_half, [0.0, 0.5], 0.5)  # outside (0, 1]
+        sweep_f(ctx_half, [0.0, 0.5], 0.5)  # outside (0, 1]
 
 
 def test_alpha_threshold_matches_critical_tau():
@@ -166,12 +168,12 @@ def test_alpha_threshold_matches_critical_tau():
         alpha_threshold(lo=0.96, hi=0.97)  # bracket does not straddle
 
 
-def test_consistency_between_routes(ctx_half):
+def test_consistency_between_routes():
     # a_star agrees with a brentq root of the scaled obstruction at 1e-9;
     # re-evaluating Rcal there must give a residual at round-off level
     from trapmodes import rcal_jcal
-    res = a_star(_setup(0.5), ctx_half)
-    s = ProblemSetup(cfg=_setup(0.5).cfg, side="U", a=res.a_star,
+    res = a_star(_setup(0.5))
+    s = ProblemSetup(ctx=_setup(0.5).ctx, side="U", a=res.a_star,
                      epsilon=0.01, dip=_setup(0.5).dip)
-    r, _ = rcal_jcal(s, ctx_half)
+    r, _ = rcal_jcal(s)
     assert abs(r) < 1e-9 * abs(GOLD["Rcal_std"])

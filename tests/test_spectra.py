@@ -26,24 +26,24 @@ from trapmodes import (
 from goldens import GOLD
 
 
-def test_setup_validation(cfg_half, dip_circle):
+def test_setup_validation(ctx_half, dip_circle):
     with pytest.raises(ValidationError):
-        ProblemSetup(cfg=cfg_half, side="X", a=0.5, epsilon=0.01, dip=dip_circle)
+        ProblemSetup(ctx=ctx_half, side="X", a=0.5, epsilon=0.01, dip=dip_circle)
     with pytest.raises(ValidationError):
-        ProblemSetup(cfg=cfg_half, side="U", a=0.0, epsilon=0.01, dip=dip_circle)
+        ProblemSetup(ctx=ctx_half, side="U", a=0.0, epsilon=0.01, dip=dip_circle)
     with pytest.raises(ValidationError):
         # upper cylinder must fit inside the layer
-        ProblemSetup(cfg=cfg_half, side="U", a=1.5, epsilon=0.01, dip=dip_circle)
+        ProblemSetup(ctx=ctx_half, side="U", a=1.5, epsilon=0.01, dip=dip_circle)
     with pytest.raises(ValidationError):
-        ProblemSetup(cfg=cfg_half, side="U", a=0.5, epsilon=0.0, dip=dip_circle)
+        ProblemSetup(ctx=ctx_half, side="U", a=0.5, epsilon=0.0, dip=dip_circle)
     # lower cylinder: the submergence is measured from the interface and is
     # not capped by the layer depth
-    ProblemSetup(cfg=cfg_half, side="L", a=3.0, epsilon=0.01, dip=dip_circle)
+    ProblemSetup(ctx=ctx_half, side="L", a=3.0, epsilon=0.01, dip=dip_circle)
     with pytest.warns(UserWarning) as record:
-        setup = ProblemSetup(cfg=cfg_half, side="U", a=0.5, epsilon=0.2,
+        setup = ProblemSetup(ctx=ctx_half, side="U", a=0.5, epsilon=0.2,
                              dip=dip_circle)
         # a_star rebuilds the setup at a*; that must not warn a second time
-        a_star(setup, spectral_context(cfg_half))
+        a_star(setup)
     # attributed to the line that built the setup, not to its __init__
     assert [w.filename for w in record] == [__file__]
 
@@ -69,8 +69,8 @@ def test_p0_factor_goldens(cfg_half, ctx_half):
         GOLD["P0_tau1_Lam2"], rel=1e-13)
 
 
-def test_trapped_upper_golden(setup_std, ctx_half):
-    res = trapped_upper(setup_std, ctx_half)
+def test_trapped_upper_golden(setup_std):
+    res = trapped_upper(setup_std)
     assert res.coefficients.D == pytest.approx(GOLD["D_trapped_upper"], rel=1e-12)
     assert res.sigma == pytest.approx(GOLD["sigma_trapped_upper"], rel=1e-12)
     assert res.threshold == pytest.approx(GOLD["Lambda1"], rel=1e-14)
@@ -80,13 +80,13 @@ def test_trapped_upper_golden(setup_std, ctx_half):
     assert res.omega is None
 
 
-def test_trapped_upper_omega(setup_std, ctx_half):
-    res = trapped_upper(setup_std, ctx_half, g_grav=9.81)
+def test_trapped_upper_omega(setup_std):
+    res = trapped_upper(setup_std, g_grav=9.81)
     assert res.omega == pytest.approx(math.sqrt(9.81 * res.lam), rel=1e-14)
 
 
-def test_resonance_upper_golden(setup_std, ctx_half):
-    res = resonance_upper(setup_std, ctx_half)
+def test_resonance_upper_golden(setup_std):
+    res = resonance_upper(setup_std)
     assert res.coefficients.D == pytest.approx(GOLD["D_resonance_upper"], rel=1e-12)
     assert res.coefficients.D1 == pytest.approx(GOLD["D1_resonance_upper"], rel=1e-12)
     assert res.re_sigma == pytest.approx(GOLD["re_sigma_resonance_upper"], rel=1e-12)
@@ -97,15 +97,15 @@ def test_resonance_upper_golden(setup_std, ctx_half):
     assert res.im_sigma < res.re_sigma  # eps^4 vs eps^2
 
 
-def test_trapped_lower_golden(setup_std_lower, ctx_half):
-    res = trapped_lower(setup_std_lower, ctx_half)
+def test_trapped_lower_golden(setup_std_lower):
+    res = trapped_lower(setup_std_lower)
     assert res.coefficients.D == pytest.approx(GOLD["D_trapped_lower"], rel=1e-12)
     assert res.sigma == pytest.approx(GOLD["sigma_trapped_lower"], rel=1e-12)
     assert 0.0 < res.lam < res.threshold
 
 
-def test_resonance_lower_golden(setup_std_lower, ctx_half):
-    res = resonance_lower(setup_std_lower, ctx_half)
+def test_resonance_lower_golden(setup_std_lower):
+    res = resonance_lower(setup_std_lower)
     assert res.coefficients.D == pytest.approx(GOLD["D_resonance_lower"], rel=1e-12)
     assert res.coefficients.D1 == pytest.approx(GOLD["D1_resonance_lower"], rel=1e-12)
     assert res.re_sigma == pytest.approx(GOLD["re_sigma_resonance_lower"], rel=1e-12)
@@ -113,67 +113,50 @@ def test_resonance_lower_golden(setup_std_lower, ctx_half):
     assert math.isnan(res.rcal) and math.isnan(res.jcal)
 
 
-def test_results_are_tagged_leading_order(setup_std, setup_std_lower, ctx_half):
+def test_results_are_tagged_leading_order(setup_std, setup_std_lower):
     # the tag is a class constant, not a per-result field
-    for res in (trapped_upper(setup_std, ctx_half),
-                resonance_lower(setup_std_lower, ctx_half)):
+    for res in (trapped_upper(setup_std),
+                resonance_lower(setup_std_lower)):
         assert res.order == "leading"
         assert "order" not in vars(res)
 
 
-def test_side_dispatch_is_strict(setup_std, setup_std_lower, ctx_half):
+def test_side_dispatch_is_strict(setup_std, setup_std_lower):
     with pytest.raises(ValidationError):
-        trapped_upper(setup_std_lower, ctx_half)
+        trapped_upper(setup_std_lower)
     with pytest.raises(ValidationError):
-        resonance_lower(setup_std, ctx_half)
+        resonance_lower(setup_std)
 
 
-def test_context_config_mismatch(setup_std, setup_std_lower):
-    other = spectral_context(FluidConfig(beta=0.3, b=1.0, k=1.0))
-    with pytest.raises(ValidationError):
-        trapped_upper(setup_std, other)
-    # a context for alpha = 0.97 would put a* of the alpha = 0.5 setups
-    # outside the layer; every consumer must refuse it, not use it
-    alpha097 = spectral_context(FluidConfig(beta=0.03, b=1.0, k=1.0))
-    tilted = dataclasses.replace(setup_std, dip=analytic_dipoles(
-        "ellipse", a0=1.5, b0=0.7, theta0=0.4))
-    for fn, setup in ((trapped_upper, setup_std), (resonance_upper, setup_std),
-                      (rcal_jcal, setup_std), (a_star, setup_std),
-                      (a_star, tilted), (trapped_lower, setup_std_lower),
-                      (resonance_lower, setup_std_lower)):
-        with pytest.raises(ValidationError, match="different FluidConfig"):
-            fn(setup, alpha097)
-
-
-def test_rcal_golden(setup_std, ctx_half):
-    r, j = rcal_jcal(setup_std, ctx_half)
+def test_rcal_golden(setup_std):
+    r, j = rcal_jcal(setup_std)
     assert r == pytest.approx(GOLD["Rcal_std"], rel=1e-12)
     assert j == 0.0
 
 
-def test_rcal_sign_change_brackets_a_star(cfg_half, ctx_half, dip_circle):
+def test_rcal_sign_change_brackets_a_star(ctx_half, dip_circle):
     # Rcal is strictly decreasing in a and crosses zero near 0.17
     vals = {}
     for a in (0.05, 0.17046, 0.4):
-        s = ProblemSetup(cfg=cfg_half, side="U", a=a, epsilon=0.01, dip=dip_circle)
-        vals[a], _ = rcal_jcal(s, ctx_half)
+        s = ProblemSetup(ctx=ctx_half, side="U", a=a, epsilon=0.01, dip=dip_circle)
+        vals[a], _ = rcal_jcal(s)
     assert vals[0.05] > 0.0 > vals[0.4]
     assert abs(vals[0.17046]) < 1e-3 * abs(vals[0.4])
 
 
-def test_near_embedded_flag(cfg_half, ctx_half, dip_circle):
-    s = ProblemSetup(cfg=cfg_half, side="U", a=GOLD["a_star_alpha05"],
+def test_near_embedded_flag(ctx_half, dip_circle):
+    s = ProblemSetup(ctx=ctx_half, side="U", a=GOLD["a_star_alpha05"],
                      epsilon=0.01, dip=dip_circle)
-    res = resonance_upper(s, ctx_half)
+    res = resonance_upper(s)
     assert res.near_embedded
     assert res.im_sigma <= 1e-20
     # just off the special submergence the resonance is an honest resonance
-    res_off = resonance_upper(dataclasses.replace(s, a=0.3), ctx_half)
+    res_off = resonance_upper(dataclasses.replace(s, a=0.3))
     assert not res_off.near_embedded
     assert res_off.im_sigma > 0.0
 
 
-def test_scaling_in_epsilon(setup_std, setup_std_lower, ctx_half):
+def test_scaling_in_epsilon(setup_std, setup_std_lower):
     for fn, setup, attr, power in (
         (trapped_upper, setup_std, "sigma", 4.0),
         (trapped_lower, setup_std_lower, "sigma", 4.0),
@@ -182,16 +165,16 @@ def test_scaling_in_epsilon(setup_std, setup_std_lower, ctx_half):
         (resonance_upper, setup_std, "im_sigma", 16.0),
         (resonance_lower, setup_std_lower, "im_sigma", 16.0),
     ):
-        small = getattr(fn(setup, ctx_half), attr)
-        big = getattr(fn(dataclasses.replace(setup, epsilon=2.0 * setup.epsilon),
-                         ctx_half), attr)
+        small = getattr(fn(setup), attr)
+        big = getattr(fn(dataclasses.replace(setup, epsilon=2.0 * setup.epsilon)),
+                      attr)
         assert big / small == power  # exact in floating point
 
 
-def test_decay_rate_needs_gravity(setup_std_lower, ctx_half):
-    res = resonance_lower(setup_std_lower, ctx_half)
+def test_decay_rate_needs_gravity(setup_std_lower):
+    res = resonance_lower(setup_std_lower)
     assert res.decay_rate is None
-    res_g = resonance_lower(setup_std_lower, ctx_half, g_grav=9.81)
+    res_g = resonance_lower(setup_std_lower, g_grav=9.81)
     assert res_g.decay_rate == pytest.approx(
         math.sqrt(9.81 * 1.0) * res_g.re_sigma * res_g.im_sigma, rel=1e-14)
 
@@ -202,8 +185,9 @@ def test_decay_rate_needs_gravity(setup_std_lower, ctx_half):
 def test_trapped_upper_properties(beta, b, k, frac, eps):
     cfg = FluidConfig(beta=beta, b=b, k=k)
     dip = analytic_dipoles("circle", r=1.0)
-    s = ProblemSetup(cfg=cfg, side="U", a=frac * b, epsilon=eps, dip=dip)
-    res = trapped_upper(s, spectral_context(cfg))
+    s = ProblemSetup(ctx=spectral_context(cfg), side="U", a=frac * b, epsilon=eps,
+                     dip=dip)
+    res = trapped_upper(s)
     assert res.sigma > 0.0
     assert 0.0 < res.lam <= res.threshold
     # the depth Lambda1 sigma^2 is only representable once sigma^2 clears
@@ -219,8 +203,9 @@ def test_trapped_upper_properties(beta, b, k, frac, eps):
 def test_resonance_lower_properties(beta, b, k, a, eps):
     cfg = FluidConfig(beta=beta, b=b, k=k)
     dip = analytic_dipoles("ellipse", a0=1.3, b0=0.8, theta0=0.5)
-    s = ProblemSetup(cfg=cfg, side="L", a=a, epsilon=eps, dip=dip)
-    res = resonance_lower(s, spectral_context(cfg))
+    s = ProblemSetup(ctx=spectral_context(cfg), side="L", a=a, epsilon=eps,
+                     dip=dip)
+    res = resonance_lower(s)
     assert res.re_sigma > 0.0
     assert res.im_sigma > 0.0
     assert res.coefficients.D > 0.0 and res.coefficients.D1 > 0.0
