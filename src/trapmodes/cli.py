@@ -26,6 +26,7 @@ import json
 import math
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -43,30 +44,75 @@ from .spectra import (
     trapped_upper,
 )
 
+# The row function of each table (see _TABLES) starts its row from the run's
+# own fields and adds the computed cells; _render_csv picks the table's
+# columns. The shape parameters a section family ignores
+# (_UNUSED_SHAPE_FIELDS) are blanked.
+
+
+def _row_cutoffs(run: RunConfig, stages: _Stages) -> dict:
+    stages.context(run)
+    return {**vars(run), **stages.manifest["spectral_context"]}
+
+
+def _row_dipoles(run: RunConfig, stages: _Stages) -> dict:
+    stages.dipoles(run)
+    return {**vars(run), **dict.fromkeys(_UNUSED_SHAPE_FIELDS[run.shape]),
+            **stages.manifest["dipoles"]}
+
+
+def _row_formula(run: RunConfig, stages: _Stages) -> dict:
+    """The trapped or resonance row, by the formula of the run's side."""
+    dip = stages.dipoles(run)
+    ctx = stages.context(run)
+    # looked up per call, so that rebinding these module globals takes effect
+    if run.command == "trapped":
+        fn = trapped_upper if run.side == "U" else trapped_lower
+    else:
+        fn = resonance_upper if run.side == "U" else resonance_lower
+    res = fn(ProblemSetup(ctx=ctx, side=run.side, a=run.a, epsilon=run.epsilon,
+                          dip=dip), g_grav=run.g)
+    return {**vars(run), **vars(res), "mu": dip.mu, "S": dip.S,
+            "lambda": getattr(res, "lam", None), "D": res.coefficients.D,
+            "D1": res.coefficients.D1}
+
+
+def _row_embedded(run: RunConfig, stages: _Stages) -> dict:
+    dip = stages.dipoles(run)
+    ctx = stages.context(run)
+    # the submergence field is solved for, not prescribed; seed with b/2
+    res = a_star(ProblemSetup(ctx=ctx, side=run.side, a=0.5 * run.b,
+                              epsilon=run.epsilon, dip=dip))
+    return {**vars(run), **vars(res)}
+
+
 # One entry per CSV table: (description, columns, the scalars a sweep may
-# range over). Each command but `sweep` computes the table of its name, and
-# `sweep` computes any table, `f` included, over a grid.
+# range over, the row function of one point). Each command but `sweep`
+# computes the table of its name, and `sweep` computes any table, `f`
+# included, over a grid; `f` has no point rows (see _rows_sweep).
 _TABLES = {
     "cutoffs": ("Cut-off values and threshold roots of the two branches.",
-                "beta b k Lambda1 Lambda2 tau1 p1_zero q1 q2", "beta b k"),
+                "beta b k Lambda1 Lambda2 tau1 p1_zero q1 q2", "beta b k",
+                _row_cutoffs),
     "dipoles": ("Dipole coefficients of the cross-section by boundary quadrature.",
-                "shape r a0 b0 theta0 N mu kappa nu S delta", "r a0 b0 theta0"),
+                "shape r a0 b0 theta0 N mu kappa nu S delta", "r a0 b0 theta0",
+                _row_dipoles),
     "trapped": ("Trapped-mode eigenvalue below the first cut-off.",
                 "beta b k side a epsilon shape mu S sigma lambda threshold omega D",
-                "beta b k a epsilon r a0 b0 theta0"),
+                "beta b k a epsilon r a0 b0 theta0", _row_formula),
     "resonance": ("Complex resonance near the second cut-off.",
                   "beta b k side a epsilon shape mu S re_sigma im_sigma rcal "
                   "jcal near_embedded decay_rate D D1",
-                  "beta b k a epsilon r a0 b0 theta0"),
+                  "beta b k a epsilon r a0 b0 theta0", _row_formula),
     "embedded": ("Special submergence turning the resonance into an embedded "
                  "trapped mode.",
                  "beta b k epsilon shape delta exists a_star w tau0 sigma diagnostics",
-                 "beta b k epsilon r a0 b0 theta0"),
-    "f": ("the circle root function", "alpha tau0 a f has_root a_star", "a"),
+                 "beta b k epsilon r a0 b0 theta0", _row_embedded),
+    "f": ("the circle root function", "alpha tau0 a f has_root a_star", "a", None),
 }
-COLUMNS = {name: columns.split() for name, (_, columns, _) in _TABLES.items()}
+COLUMNS = {name: columns.split() for name, (_, columns, _, _) in _TABLES.items()}
 _SWEEPABLE = {name: tuple(params.split())
-              for name, (_, _, params) in _TABLES.items()}
+              for name, (_, _, params, _) in _TABLES.items()}
 SWEEP_TARGETS = tuple(_TABLES)
 COMMANDS = tuple(name for name in _TABLES if name != "f") + ("sweep",)
 # The run fields each section family reads; the shape parameters it ignores
@@ -321,52 +367,6 @@ class _Stages:
             "spectral_context", cfg, lambda: _context(cfg, self.manifest))
 
 
-# Each row function starts its row from the run's own fields and adds the
-# computed cells; _render_csv picks the table's columns. The shape parameters
-# a section family ignores (_UNUSED_SHAPE_FIELDS) are blanked.
-
-
-def _row_cutoffs(run: RunConfig, stages: _Stages) -> dict:
-    stages.context(run)
-    return {**vars(run), **stages.manifest["spectral_context"]}
-
-
-def _row_dipoles(run: RunConfig, stages: _Stages) -> dict:
-    stages.dipoles(run)
-    return {**vars(run), **dict.fromkeys(_UNUSED_SHAPE_FIELDS[run.shape]),
-            **stages.manifest["dipoles"]}
-
-
-def _row_formula(run: RunConfig, stages: _Stages) -> dict:
-    """The trapped or resonance row, by the formula of the run's side."""
-    dip = stages.dipoles(run)
-    ctx = stages.context(run)
-    # looked up per call, so that rebinding these module globals takes effect
-    if run.command == "trapped":
-        fn = trapped_upper if run.side == "U" else trapped_lower
-    else:
-        fn = resonance_upper if run.side == "U" else resonance_lower
-    res = fn(ProblemSetup(ctx=ctx, side=run.side, a=run.a, epsilon=run.epsilon,
-                          dip=dip), g_grav=run.g)
-    return {**vars(run), **vars(res), "mu": dip.mu, "S": dip.S,
-            "lambda": getattr(res, "lam", None), "D": res.coefficients.D,
-            "D1": res.coefficients.D1}
-
-
-def _row_embedded(run: RunConfig, stages: _Stages) -> dict:
-    dip = stages.dipoles(run)
-    ctx = stages.context(run)
-    # the submergence field is solved for, not prescribed; seed with b/2
-    res = a_star(ProblemSetup(ctx=ctx, side=run.side, a=0.5 * run.b,
-                              epsilon=run.epsilon, dip=dip))
-    return {**vars(run), **vars(res)}
-
-
-_ROW_FN = {"cutoffs": _row_cutoffs, "dipoles": _row_dipoles,
-           "trapped": _row_formula, "resonance": _row_formula,
-           "embedded": _row_embedded}
-
-
 def _rows_sweep(run: RunConfig, stages: _Stages):
     param, grid = _parse_sweep(run)
     stages.manifest["inputs"]["sweep_grid"] = [float(v) for v in grid]
@@ -380,8 +380,15 @@ def _rows_sweep(run: RunConfig, stages: _Stages):
         setattr(point, param, float(v))
         # the manifest's stage blocks describe the last point; stage_runs
         # counts how often each stage ran over the grid
-        rows.append(_ROW_FN[run.what](point, stages))
+        rows.append(_TABLES[run.what][3](point, stages))
     return COLUMNS[run.what], rows
+
+
+# The result cells of the formulas. Each must print as a number: the library
+# saturates an overflow to inf (rcal and jcal saturate on purpose and are
+# not listed).
+_RESULT_COLUMNS = ("sigma", "lambda", "re_sigma", "im_sigma", "omega",
+                   "decay_rate")
 
 
 def _format_cell(v) -> str:
@@ -414,41 +421,63 @@ def _write_outputs(run: RunConfig, csv_text: str, manifest: dict) -> None:
         raise ValidationError(f"out: cannot write {run.out!r}: {exc}") from exc
 
 
+def _check_results(row: dict) -> None:
+    """Refuse a result cell that is not a number: it left the double range."""
+    for column in _RESULT_COLUMNS:
+        value = row.get(column)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConsistencyError(f"{column} = {value} is out of double range")
+
+
+def _run(argv, t0: float) -> str:
+    """One run: parse, compute, write the outputs; returns the CSV text."""
+    run = parse_run(argv)
+    manifest = {
+        "tool": "trapmodes",
+        "version": __version__,
+        "command": run.command,
+        "inputs": dataclasses.asdict(run),
+        "spectral_context": None,
+        "bem": None,
+        "dipoles": None,
+    }
+    stages = _Stages(manifest)
+    if run.command == "sweep":
+        columns, rows = _rows_sweep(run, stages)
+    else:
+        columns = COLUMNS[run.command]
+        rows = [_TABLES[run.command][3](run, stages)]
+    for row in rows:
+        _check_results(row)
+    manifest["columns"] = columns
+    manifest["csv"] = f"{run.out}.csv"
+    manifest["wall_time_s"] = time.perf_counter() - t0
+    csv_text = _render_csv(columns, rows)
+    _write_outputs(run, csv_text, manifest)
+    return csv_text
+
+
 def main(argv=None) -> int:
     t0 = time.perf_counter()
-    try:
-        run = parse_run(argv)
-        manifest = {
-            "tool": "trapmodes",
-            "version": __version__,
-            "command": run.command,
-            "inputs": dataclasses.asdict(run),
-            "spectral_context": None,
-            "bem": None,
-            "dipoles": None,
-        }
-        stages = _Stages(manifest)
-        if run.command == "sweep":
-            columns, rows = _rows_sweep(run, stages)
-        else:
-            columns = COLUMNS[run.command]
-            rows = [_ROW_FN[run.command](run, stages)]
-        manifest["columns"] = columns
-        manifest["csv"] = f"{run.out}.csv"
-        manifest["wall_time_s"] = time.perf_counter() - t0
-        csv_text = _render_csv(columns, rows)
-        _write_outputs(run, csv_text, manifest)
-        sys.stdout.write(csv_text)
-        return 0
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConsistencyError as exc:
-        print(f"consistency error: {exc}", file=sys.stderr)
-        return 3
-    except SystemExit as exc:  # argparse --help/--version/bad flag
-        code = exc.code
-        return 0 if code is None else int(code)
+    # every call shows the warnings it raised, whatever ran before it in
+    # this process
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, csv_text, diagnostic = 0, "", None
+        try:
+            csv_text = _run(argv, t0)
+        except ValidationError as exc:
+            code, diagnostic = 2, f"error: {exc}"
+        except ConsistencyError as exc:
+            code, diagnostic = 3, f"consistency error: {exc}"
+        except SystemExit as exc:  # argparse --help/--version/bad flag
+            code = 0 if exc.code is None else int(exc.code)
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    if diagnostic is not None:
+        print(diagnostic, file=sys.stderr)
+    sys.stdout.write(csv_text)
+    return code
 
 
 if __name__ == "__main__":

@@ -204,7 +204,10 @@ def make_ellipse(a0: float, b0: float, theta0: float = 0.0) -> Contour:
     if not (b0 > 0.0):
         raise ValidationError(f"b0 (semi-axis) must be positive, got {b0}")
     ct, st = math.cos(theta0), math.sin(theta0)
-    return make_fourier([a0 * ct], [b0 * st], [-a0 * st], [b0 * ct])
+    try:
+        return make_fourier([a0 * ct], [b0 * st], [-a0 * st], [b0 * ct])
+    except ValidationError as exc:  # e.g. an aspect ratio beyond about 1e12
+        raise ValidationError(f"a0, b0: {exc}") from exc
 
 
 def read_fourier_file(path) -> Contour:

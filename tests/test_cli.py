@@ -483,3 +483,88 @@ def test_help_and_version_unchanged_by_the_cached_parser(args, capsys):
     for _ in range(2):
         assert main(args) == 0
         assert capsys.readouterr().out == want
+
+
+EPS_WARNING = ("warning: epsilon=0.2 is large for a leading-order asymptotic "
+               "result (heuristic validity bound 0.1)\n")
+
+
+def test_warning_names_no_source_path(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "trapmodes.cli", "trapped", "--epsilon", "0.2",
+         "--N", "64", "--out", str(tmp_path / "w")],
+        capture_output=True, text=True, timeout=120, env=_child_env())
+    assert proc.returncode == 0
+    assert proc.stderr == EPS_WARNING
+
+
+@pytest.mark.parametrize("args", [
+    ["trapped", "--epsilon", "0.2"],
+    # five setups warn alike; the message is shown once
+    ["sweep", "--what", "trapped", "--sweep", "a:0.1:0.9:5", "--epsilon", "0.2"],
+], ids=["point", "sweep"])
+def test_warnings_shown_on_every_call(args, tmp_path, capsys):
+    # in one process, what ran before does not hide a warning
+    for _ in range(2):
+        code, _, err = run_cli([*args, "--N", "64", "--out", str(tmp_path / "w")],
+                               capsys)
+        assert code == 0
+        assert err == EPS_WARNING
+
+
+@pytest.mark.parametrize("axes", [["--a0", "1", "--b0", "1e-13"],
+                                  ["--a0", "1e-13", "--b0", "1"]])
+def test_degenerate_ellipse_names_its_fields(axes, tmp_path, capsys):
+    code, stdout, err = run_cli(["dipoles", "--shape", "ellipse", *axes, "--N", "64",
+                                 "--out", str(tmp_path / "x")], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err == "error: a0, b0: contour speed vanishes at a sample point\n"
+
+
+def test_large_sections_print_numbers_or_the_range_outcome(tmp_path, capsys):
+    # each run prints finite results or exits 3 "out of double range"; a* of
+    # a circle depends on its delta alone, not on its size
+    commands = [["trapped"], ["trapped", "--side", "L"], ["resonance"],
+                ["resonance", "--side", "L"], ["embedded"]]
+    outcomes = set()
+    for e in range(0, 146, 5):
+        for command in commands:
+            out = tmp_path / "x"
+            code, _, err = run_cli([*command, "--r", f"1e{e}", "--N", "64",
+                                    "--out", str(out)], capsys)
+            assert "warning" not in err, (e, command, err)
+            outcomes.add((command[0], code))
+            if code == 3:
+                assert "out of double range" in err, (e, command, err)
+                continue
+            assert code == 0, (e, command, err)
+            row = read_rows(out.with_suffix(".csv"))[0]
+            for column in ("sigma", "lambda", "re_sigma", "im_sigma"):
+                if column in row:
+                    assert math.isfinite(float(row[column])), (e, command, row)
+            if command == ["embedded"]:
+                assert row["a_star"] == "0.170459694155", (e, row)
+    assert ("embedded", 0) in outcomes and ("resonance", 3) in outcomes
+
+
+def test_circle_radius_scan_warns_nothing(tmp_path, capsys):
+    # main() shows every warning it records; no radius may raise one
+    radii = ["5e-324", *(f"1e{e}" for e in range(-300, 301, 5)), "1.7e308"]
+    for r in radii:
+        _, _, err = run_cli(["dipoles", "--shape", "circle", "--r", r,
+                             "--N", "64", "--out", str(tmp_path / "x")], capsys)
+        assert "warning" not in err, (r, err)
+
+
+def test_f_sweep_manifest_records_its_context(tmp_path, capsys):
+    manifests = {}
+    for name, args in (("f", ["sweep", "--what", "f", "--sweep", "a:0.1:0.9:5"]),
+                       ("cutoffs", ["cutoffs"])):
+        out = tmp_path / name
+        code, _, _ = run_cli([*args, "--beta", "0.3", "--k", "2", "--N", "64",
+                              "--out", str(out)], capsys)
+        assert code == 0
+        manifests[name] = json.loads(out.with_suffix(".manifest.json").read_text())
+    assert manifests["f"]["spectral_context"] is not None
+    assert manifests["f"]["spectral_context"] == manifests["cutoffs"]["spectral_context"]
