@@ -86,7 +86,6 @@ ERRORS = [
     ["dipoles", "--r", "1e160"], ["trapped", "--r", "1e80"],
     ["trapped", "--side", "L", "--r", "1e80"], ["resonance", "--r", "1e80"],
     ["resonance", "--side", "L", "--r", "1e80"], ["embedded", "--r", "1e80"],
-    ["trapped", "--epsilon", "1e200"],
 ]
 
 

@@ -107,19 +107,6 @@ class ResonanceResult:
     coefficients: Coefficients | None = None
 
 
-def _power(x: float, n: int) -> float:
-    """x ** n for x >= 0, saturating to inf instead of raising OverflowError
-    (the CLI refuses an infinite result as out of double range).
-
-    Kept as a power, not a product: x * x and x ** 2 differ in the last bit
-    for some x, and a result that is finite keeps its bits.
-    """
-    try:
-        return x**n
-    except OverflowError:
-        return math.inf
-
-
 def q_factor(tau: float, cfg: FluidConfig) -> float:
     """Q(tau) = (2/(beta tau^2)) e^{-b tau} (cosh b tau + beta sinh b tau).
 
@@ -209,7 +196,7 @@ def trapped_upper(setup: ProblemSetup, g_grav: float | None = None) -> ModeResul
     shape = setup.dip.S * g_hat * g_hat + (
         2.0 * math.pi * setup.dip.mu / (k * k)
     ) * gp_hat * gp_hat
-    sigma = 2.0 * _power(setup.epsilon, 2) * core * math.exp(2.0 * (a - b) * k) * shape
+    sigma = 2.0 * setup.epsilon**2 * core * math.exp(2.0 * (a - b) * k) * shape
     if not (sigma > 0.0):
         raise ConsistencyError(f"trapped-mode sigma must be positive, got {sigma}")
     lam = Lam1 * (1.0 - sigma * sigma)
@@ -240,14 +227,14 @@ def resonance_upper(setup: ProblemSetup, g_grav: float | None = None) -> Resonan
     D1 = Lam2 * tau1 / (q_factor(tau1, cfg) * ctx.dlam1_tau1 * ctx.p1_zero * (tau1 - Lam2))
     if not (D > 0.0 and D1 > 0.0):
         raise ConsistencyError(f"resonance constants must be positive: D={D}, D1={D1}")
-    re_sigma = 0.5 * _power(setup.epsilon, 2) * core * k * k * math.exp(-2.0 * a * k) * (
+    re_sigma = 0.5 * setup.epsilon**2 * core * k * k * math.exp(-2.0 * a * k) * (
         setup.dip.S + 2.0 * math.pi * setup.dip.mu
     )
     r_hat, j_hat, g_hat = rcal_jcal_scaled(a, ctx, setup.dip)
     # e^{-2 b tau1} (Rcal^2 + Jcal^2) = e^{-2 (b-a) tau1} (r_hat^2 + j_hat^2), b > a
     obstruction = r_hat * r_hat + j_hat * j_hat
     im_sigma = (
-        _power(setup.epsilon, 4)
+        setup.epsilon**4
         * (cfg.alpha * k / (cfg.beta * tau1**3))
         * core
         * D1
@@ -289,7 +276,7 @@ def trapped_lower(setup: ProblemSetup, g_grav: float | None = None) -> ModeResul
         raise ConsistencyError(
             f"coefficient D must be positive, got {D} (P0(k,Lambda1)={P0})"
         )
-    sigma = 0.5 * _power(setup.epsilon, 2) * core * math.exp(-2.0 * a * k) * k * (
+    sigma = 0.5 * setup.epsilon**2 * core * math.exp(-2.0 * a * k) * k * (
         setup.dip.S + 2.0 * math.pi * setup.dip.mu
     )
     if not (sigma > 0.0):
@@ -328,15 +315,18 @@ def resonance_lower(setup: ProblemSetup, g_grav: float | None = None) -> Resonan
             f"D1={D1} (P0(tau1,Lambda2)={P0_tau1})"
         )
     S, mu, nu = setup.dip.S, setup.dip.mu, setup.dip.nu
-    re_sigma = 0.5 * _power(setup.epsilon, 2) * core * math.exp(-2.0 * a * k) * k * (
+    re_sigma = 0.5 * setup.epsilon**2 * core * math.exp(-2.0 * a * k) * k * (
         S + 2.0 * math.pi * mu
     )
-    bracket = _power(k * S + 2.0 * math.pi * tau1 * mu, 2) + _power(
-        2.0 * math.pi * nu, 2
-    ) * (tau1 * tau1 - k * k)
+    try:
+        bracket = (k * S + 2.0 * math.pi * tau1 * mu) ** 2 + (
+            2.0 * math.pi * nu
+        ) ** 2 * (tau1 * tau1 - k * k)
+    except OverflowError:  # a section too large to square; the CLI refuses inf
+        bracket = math.inf
     im_sigma = (
         0.25
-        * _power(setup.epsilon, 4)
+        * setup.epsilon**4
         * (k / tau1)
         * core
         * D1
