@@ -384,13 +384,6 @@ def _rows_sweep(run: RunConfig, stages: _Stages):
     return COLUMNS[run.what], rows
 
 
-# The result cells of the formulas. Each must print as a number: the library
-# saturates an overflow to inf (rcal and jcal saturate on purpose and are
-# not listed).
-_RESULT_COLUMNS = ("sigma", "lambda", "re_sigma", "im_sigma", "omega",
-                   "decay_rate")
-
-
 def _format_cell(v) -> str:
     if v is None:
         return ""
@@ -421,16 +414,23 @@ def _write_outputs(run: RunConfig, csv_text: str, manifest: dict) -> None:
         raise ValidationError(f"out: cannot write {run.out!r}: {exc}") from exc
 
 
+# The result cells of the formulas; an overflow makes one inf or nan. (rcal
+# and jcal saturate to a signed infinity on purpose and are not listed.)
+_RESULT_COLUMNS = ("sigma", "lambda", "re_sigma", "im_sigma", "omega",
+                   "decay_rate")
+
+
 def _check_results(row: dict) -> None:
-    """Refuse a result cell that is not a number: it left the double range."""
+    """Refuse a result cell that would print as inf or nan."""
     for column in _RESULT_COLUMNS:
         value = row.get(column)
         if isinstance(value, float) and not math.isfinite(value):
             raise ConsistencyError(f"{column} = {value} is out of double range")
 
 
-def _run(argv, t0: float) -> str:
+def _run(argv) -> str:
     """One run: parse, compute, write the outputs; returns the CSV text."""
+    t0 = time.perf_counter()
     run = parse_run(argv)
     manifest = {
         "tool": "trapmodes",
@@ -458,14 +458,13 @@ def _run(argv, t0: float) -> str:
 
 
 def main(argv=None) -> int:
-    t0 = time.perf_counter()
     # every call shows the warnings it raised, whatever ran before it in
     # this process
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, csv_text, diagnostic = 0, "", None
         try:
-            csv_text = _run(argv, t0)
+            csv_text = _run(argv)
         except ValidationError as exc:
             code, diagnostic = 2, f"error: {exc}"
         except ConsistencyError as exc:
