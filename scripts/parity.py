@@ -15,9 +15,9 @@ and 2.9980468750000053 for two ``dipoles --N 1024`` runs of one tree).
 The argvs cover every sweepable (table, parameter) pair on a circle, an
 ellipse and a Fourier file at N = 64; each command's point runs plain, with
 --g, --config, epsilon > 0.1, side L and N = 1024; and the error, range,
-help and version paths. Standard library only, and it does not import
-trapmodes, so it compares any two trees. Exit status 1 when a difference
-is found.
+lambda < 0 with --g, help and version paths. Standard library only, and it
+does not import trapmodes, so it compares any two trees. Exit status 1 when
+a difference is found.
 """
 
 from __future__ import annotations
@@ -86,6 +86,14 @@ ERRORS = [
     ["dipoles", "--r", "1e160"], ["trapped", "--r", "1e80"],
     ["trapped", "--side", "L", "--r", "1e80"], ["resonance", "--r", "1e80"],
     ["resonance", "--side", "L", "--r", "1e80"], ["embedded", "--r", "1e80"],
+    ["trapped", "--epsilon", "1e200", *N],
+    ["trapped", "--side", "L", "--epsilon", "1e200", *N],
+    ["resonance", "--epsilon", "1e100", *N],
+    ["resonance", "--side", "L", "--epsilon", "1e100", *N],
+    ["embedded", "--epsilon", "1e100", *N], ["embedded", "--epsilon", "1e200", *N],
+    # lambda < 0 (sigma > 1): no real frequency
+    ["trapped", "--r", "1000", "--g", "9.81", *N],
+    ["trapped", "--side", "L", "--r", "1000", "--g", "9.81", *N],
 ]
 
 

@@ -71,10 +71,19 @@ def _row_formula(run: RunConfig, stages: _Stages) -> dict:
     else:
         fn = resonance_upper if run.side == "U" else resonance_lower
     res = fn(ProblemSetup(ctx=ctx, side=run.side, a=run.a, epsilon=run.epsilon,
-                          dip=dip), g_grav=run.g)
-    return {**vars(run), **vars(res), "mu": dip.mu, "S": dip.S,
-            "lambda": getattr(res, "lam", None), "D": res.coefficients.D,
-            "D1": res.coefficients.D1}
+                          dip=dip))
+    row = {**vars(run), **vars(res), "mu": dip.mu, "S": dip.S,
+           "lambda": getattr(res, "lam", None), "D": res.coefficients.D,
+           "D1": res.coefficients.D1}
+    # the formulas give lam = omega^2/g and sigma; only these two cells need g
+    if run.g is not None:
+        if run.command == "resonance":
+            row["decay_rate"] = math.sqrt(run.k * run.g) * res.re_sigma * res.im_sigma
+        elif res.lam < 0.0:
+            warnings.warn("lambda < 0 (sigma > 1): omega is left blank")
+        else:
+            row["omega"] = math.sqrt(run.g * res.lam)
+    return row
 
 
 def _row_embedded(run: RunConfig, stages: _Stages) -> dict:
@@ -414,7 +423,7 @@ def _write_outputs(run: RunConfig, csv_text: str, manifest: dict) -> None:
         raise ValidationError(f"out: cannot write {run.out!r}: {exc}") from exc
 
 
-# The result cells of the formulas; an overflow makes one inf or nan. (rcal
+# The result cells of a formula row; an overflow makes one inf or nan. (rcal
 # and jcal saturate to a signed infinity on purpose and are not listed.)
 _RESULT_COLUMNS = ("sigma", "lambda", "re_sigma", "im_sigma", "omega",
                    "decay_rate")

@@ -16,7 +16,9 @@ produces, at leading order in eps:
 
 All results are leading order only; the omitted remainders are O(eps^3 ln eps)
 for trapped modes and O(eps^5 ln eps) for resonances. Each result carries an
-`order` tag so this cannot be mistaken for a full series evaluation.
+`order` tag so this cannot be mistaken for a full series evaluation. The
+results are lam = omega^2/g and sigma; gravity, which turns them into a
+frequency or a decay rate, is applied by the caller.
 
 Exponentials are the numerical hazard here: the constants pair growing
 profiles cosh(a tau1) with decaying factors e^{-2 b tau1}, and tau1 ~ 2k/alpha
@@ -90,7 +92,6 @@ class ModeResult:
     sigma: float
     lam: float
     threshold: float
-    omega: float | None = None
     order: ClassVar[str] = "leading"
     coefficients: Coefficients | None = None
 
@@ -102,7 +103,6 @@ class ResonanceResult:
     rcal: float
     jcal: float
     near_embedded: bool = False
-    decay_rate: float | None = None
     order: ClassVar[str] = "leading"
     coefficients: Coefficients | None = None
 
@@ -130,6 +130,17 @@ def p0_factor(tau: float, lam: float, cfg: FluidConfig) -> float:
     one_minus = 1.0 - cfg.beta * T  # > 0 since beta < 1
     one_plus = 1.0 + cfg.beta * T
     return (one_minus / one_plus) * (lam + tau) * (lam - cfg.alpha * tau * T / one_minus)
+
+
+def _power(x: float, n: int) -> float:
+    """x ** n, or inf where that power overflows (the CLI refuses an inf cell).
+
+    Kept as ** rather than a product: x ** 2 and x * x round differently.
+    """
+    try:
+        return x ** n
+    except OverflowError:
+        return math.inf
 
 
 def _require_side(setup: ProblemSetup, side: str, what: str):
@@ -172,7 +183,7 @@ def rcal_jcal_scaled(a: float, ctx: SpectralContext, dip: DipoleStrengths):
     return r_hat, j_hat, g_hat
 
 
-def trapped_upper(setup: ProblemSetup, g_grav: float | None = None) -> ModeResult:
+def trapped_upper(setup: ProblemSetup) -> ModeResult:
     """Trapped mode below Lambda1 for a cylinder in the upper layer.
 
     sigma = 2 eps^2 D e^{-bk} ( S g^2 + 2 pi mu k^{-2} g'^2 ),  g at (-a; k, Lambda1),
@@ -196,16 +207,15 @@ def trapped_upper(setup: ProblemSetup, g_grav: float | None = None) -> ModeResul
     shape = setup.dip.S * g_hat * g_hat + (
         2.0 * math.pi * setup.dip.mu / (k * k)
     ) * gp_hat * gp_hat
-    sigma = 2.0 * setup.epsilon**2 * core * math.exp(2.0 * (a - b) * k) * shape
+    sigma = 2.0 * _power(setup.epsilon, 2) * core * math.exp(2.0 * (a - b) * k) * shape
     if not (sigma > 0.0):
         raise ConsistencyError(f"trapped-mode sigma must be positive, got {sigma}")
     lam = Lam1 * (1.0 - sigma * sigma)
-    omega = math.sqrt(g_grav * lam) if g_grav is not None else None
-    return ModeResult(sigma=sigma, lam=lam, threshold=Lam1, omega=omega,
+    return ModeResult(sigma=sigma, lam=lam, threshold=Lam1,
                       coefficients=Coefficients(D=D))
 
 
-def resonance_upper(setup: ProblemSetup, g_grav: float | None = None) -> ResonanceResult:
+def resonance_upper(setup: ProblemSetup) -> ResonanceResult:
     """Resonance near the embedded cut-off Lambda2, cylinder in the upper layer.
 
     Re sigma = (eps^2/2) D k^2 e^{-ak} (S + 2 pi mu),
@@ -227,14 +237,14 @@ def resonance_upper(setup: ProblemSetup, g_grav: float | None = None) -> Resonan
     D1 = Lam2 * tau1 / (q_factor(tau1, cfg) * ctx.dlam1_tau1 * ctx.p1_zero * (tau1 - Lam2))
     if not (D > 0.0 and D1 > 0.0):
         raise ConsistencyError(f"resonance constants must be positive: D={D}, D1={D1}")
-    re_sigma = 0.5 * setup.epsilon**2 * core * k * k * math.exp(-2.0 * a * k) * (
+    re_sigma = 0.5 * _power(setup.epsilon, 2) * core * k * k * math.exp(-2.0 * a * k) * (
         setup.dip.S + 2.0 * math.pi * setup.dip.mu
     )
     r_hat, j_hat, g_hat = rcal_jcal_scaled(a, ctx, setup.dip)
     # e^{-2 b tau1} (Rcal^2 + Jcal^2) = e^{-2 (b-a) tau1} (r_hat^2 + j_hat^2), b > a
     obstruction = r_hat * r_hat + j_hat * j_hat
     im_sigma = (
-        setup.epsilon**4
+        _power(setup.epsilon, 4)
         * (cfg.alpha * k / (cfg.beta * tau1**3))
         * core
         * D1
@@ -251,13 +261,12 @@ def resonance_upper(setup: ProblemSetup, g_grav: float | None = None) -> Resonan
             f"resonance parts out of range: re={re_sigma}, im={im_sigma}"
         )
     rcal, jcal = rcal_jcal(setup)
-    decay = math.sqrt(k * g_grav) * re_sigma * im_sigma if g_grav is not None else None
     return ResonanceResult(re_sigma=re_sigma, im_sigma=im_sigma, rcal=rcal, jcal=jcal,
-                           near_embedded=near_embedded, decay_rate=decay,
+                           near_embedded=near_embedded,
                            coefficients=Coefficients(D=D, D1=D1))
 
 
-def trapped_lower(setup: ProblemSetup, g_grav: float | None = None) -> ModeResult:
+def trapped_lower(setup: ProblemSetup) -> ModeResult:
     """Trapped mode below Lambda1 for a cylinder in the lower layer.
 
     sigma = (eps^2/2) D e^{-ak} k (S + 2 pi mu),
@@ -276,18 +285,17 @@ def trapped_lower(setup: ProblemSetup, g_grav: float | None = None) -> ModeResul
         raise ConsistencyError(
             f"coefficient D must be positive, got {D} (P0(k,Lambda1)={P0})"
         )
-    sigma = 0.5 * setup.epsilon**2 * core * math.exp(-2.0 * a * k) * k * (
+    sigma = 0.5 * _power(setup.epsilon, 2) * core * math.exp(-2.0 * a * k) * k * (
         setup.dip.S + 2.0 * math.pi * setup.dip.mu
     )
     if not (sigma > 0.0):
         raise ConsistencyError(f"trapped-mode sigma must be positive, got {sigma}")
     lam = Lam1 * (1.0 - sigma * sigma)
-    omega = math.sqrt(g_grav * lam) if g_grav is not None else None
-    return ModeResult(sigma=sigma, lam=lam, threshold=Lam1, omega=omega,
+    return ModeResult(sigma=sigma, lam=lam, threshold=Lam1,
                       coefficients=Coefficients(D=D))
 
 
-def resonance_lower(setup: ProblemSetup, g_grav: float | None = None) -> ResonanceResult:
+def resonance_lower(setup: ProblemSetup) -> ResonanceResult:
     """Resonance near Lambda2 for a cylinder in the lower layer; always leaky.
 
     Re sigma = (eps^2/2) D e^{-ak} k (S + 2 pi mu),
@@ -315,7 +323,7 @@ def resonance_lower(setup: ProblemSetup, g_grav: float | None = None) -> Resonan
             f"D1={D1} (P0(tau1,Lambda2)={P0_tau1})"
         )
     S, mu, nu = setup.dip.S, setup.dip.mu, setup.dip.nu
-    re_sigma = 0.5 * setup.epsilon**2 * core * math.exp(-2.0 * a * k) * k * (
+    re_sigma = 0.5 * _power(setup.epsilon, 2) * core * math.exp(-2.0 * a * k) * k * (
         S + 2.0 * math.pi * mu
     )
     try:
@@ -326,7 +334,7 @@ def resonance_lower(setup: ProblemSetup, g_grav: float | None = None) -> Resonan
         bracket = math.inf
     im_sigma = (
         0.25
-        * setup.epsilon**4
+        * _power(setup.epsilon, 4)
         * (k / tau1)
         * core
         * D1
@@ -342,7 +350,6 @@ def resonance_lower(setup: ProblemSetup, g_grav: float | None = None) -> Resonan
         raise ConsistencyError(
             f"problem-L resonance must have re, im > 0; got re={re_sigma}, im={im_sigma}"
         )
-    decay = math.sqrt(k * g_grav) * re_sigma * im_sigma if g_grav is not None else None
     return ResonanceResult(re_sigma=re_sigma, im_sigma=im_sigma,
                            rcal=math.nan, jcal=math.nan,
-                           decay_rate=decay, coefficients=Coefficients(D=D, D1=D1))
+                           coefficients=Coefficients(D=D, D1=D1))

@@ -8,7 +8,19 @@ from pathlib import Path
 
 import pytest
 
-from trapmodes import ConsistencyError
+from trapmodes import (
+    ConsistencyError,
+    FluidConfig,
+    ProblemSetup,
+    assemble,
+    dipoles_bem,
+    make_circle,
+    resonance_lower,
+    resonance_upper,
+    spectral_context,
+    trapped_lower,
+    trapped_upper,
+)
 from trapmodes.cli import (
     _FIELD_TYPES,
     RunConfig,
@@ -185,6 +197,65 @@ def test_non_finite_and_nonpositive_g_exit_2(args, field, tmp_path, capsys):
     assert code == 2
     assert stdout == ""
     assert err.startswith(f"error: {field} ")
+
+
+@pytest.mark.parametrize("command, side, formula", [
+    ("trapped", "U", trapped_upper), ("trapped", "L", trapped_lower),
+    ("resonance", "U", resonance_upper), ("resonance", "L", resonance_lower),
+])
+def test_g_converts_the_library_result(command, side, formula, tmp_path, capsys):
+    # the formulas give lam and sigma; the CLI alone applies g, and only to
+    # the omega or decay_rate cell
+    fluid = ["--beta", "0.3", "--b", "2", "--k", "0.7", "--a", "0.6"]
+    rows = {}
+    for g in ([], ["--g", "9.81"]):
+        out = tmp_path / f"run{len(g)}"
+        code, _, err = run_cli([command, "--side", side, *fluid, "--N", "64", *g,
+                                "--out", str(out)], capsys)
+        assert (code, err) == (0, "")
+        rows[bool(g)] = read_rows(out.with_suffix(".csv"))[0]
+    setup = ProblemSetup(ctx=spectral_context(FluidConfig(beta=0.3, b=2.0, k=0.7)),
+                         side=side, a=0.6, epsilon=0.01,
+                         dip=dipoles_bem(assemble(make_circle(1.0), 64)))
+    res = formula(setup)
+    if command == "trapped":
+        column, value = "omega", math.sqrt(9.81 * res.lam)
+    else:
+        column, value = "decay_rate", math.sqrt(0.7 * 9.81) * res.re_sigma * res.im_sigma
+    assert rows[False][column] == ""
+    assert rows[True][column] == format(value, ".12g")
+    assert {**rows[True], column: ""} == rows[False]
+
+
+NEGATIVE_LAMBDA_WARNING = "warning: lambda < 0 (sigma > 1): omega is left blank\n"
+
+
+@pytest.mark.parametrize("side", ["U", "L"])
+def test_negative_lambda_leaves_omega_blank(side, tmp_path, capsys):
+    # sigma = 85.7 (U) and 101 (L): lambda < 0 has no real frequency, so g
+    # adds nothing to the table, only the warning
+    args = ["trapped", "--side", side, "--r", "1000", "--N", "64"]
+    code, stdout, err = run_cli([*args, "--out", str(tmp_path / "plain")], capsys)
+    assert (code, err) == (0, "")
+    assert float(read_rows(tmp_path / "plain.csv")[0]["lambda"]) < 0.0
+    code, stdout_g, err = run_cli([*args, "--g", "9.81", "--out", str(tmp_path / "g")],
+                                  capsys)
+    assert code == 0
+    assert err == NEGATIVE_LAMBDA_WARNING
+    assert stdout_g == stdout
+    assert (tmp_path / "g.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
+def test_negative_lambda_warning_shown_once_per_sweep(tmp_path, capsys):
+    code, _, err = run_cli(["sweep", "--what", "trapped", "--sweep", "r:1:1000:20",
+                            "--g", "9.81", "--N", "64", "--out", str(tmp_path / "s")],
+                           capsys)
+    assert code == 0
+    assert err == NEGATIVE_LAMBDA_WARNING
+    rows = read_rows(tmp_path / "s.csv")
+    assert {float(row["lambda"]) < 0.0 for row in rows} == {True, False}
+    for row in rows:
+        assert (row["omega"] == "") == (float(row["lambda"]) < 0.0), row
 
 
 @pytest.mark.parametrize("content", [
@@ -455,6 +526,27 @@ def test_circle_radius_over_the_double_range(tmp_path, capsys):
             assert code == 0, (r, err)
         outcomes.add(code)
     assert outcomes == {0, 3}
+
+
+def test_epsilon_over_the_double_range(tmp_path, capsys):
+    # every epsilon gets a number or the documented out-of-range outcome,
+    # never a traceback: a power of epsilon that overflows saturates to inf,
+    # and the CLI refuses the inf cell. embedded reads Re sigma alone, so it
+    # answers while its own cells are finite
+    commands = [["trapped"], ["trapped", "--side", "L"], ["resonance"],
+                ["resonance", "--side", "L"], ["embedded"]]
+    for e in range(0, 301, 10):
+        for command in commands:
+            code, _, err = run_cli([*command, "--epsilon", f"1e{e}", "--N", "64",
+                                    "--out", str(tmp_path / "x")], capsys)
+            last_answered = 150 if command == ["embedded"] else 70
+            assert code == (0 if e <= last_answered else 3), (e, command, err)
+            lines = err.splitlines()
+            if code == 3:
+                diagnostic = lines.pop()
+                assert diagnostic.startswith("consistency error:"), err
+                assert diagnostic.endswith("is out of double range"), err
+            assert all(line.startswith("warning: epsilon=") for line in lines), err
 
 
 def test_parser_is_built_once_and_calls_share_no_values(tmp_path, capsys):

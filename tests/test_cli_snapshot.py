@@ -7,7 +7,8 @@ resolved to machine precision, and the dipoles rows are tilted ellipses,
 because the circle's nu prints as round-off of order 1e-17. The two shape
 sweeps at N = 1024 and 512 are the exception: they print such round-off on
 purpose (the untilted ellipse's and the circles' nu), so they pin the bits
-of the Nystrom assembly and LU as well as the digits.
+of the Nystrom assembly and LU as well as the digits, and so does the jcal
+of the circle's resonance, which is 2 pi nu times a profile value.
 """
 
 import pytest
@@ -36,6 +37,18 @@ SNAPSHOTS = [
     (f"resonance --a 0.3 --N 64 {ELL}",
      "beta,b,k,side,a,epsilon,shape,mu,S,re_sigma,im_sigma,rcal,jcal,near_embedded,decay_rate,D,D1\n"
      "0.5,1,1,U,0.3,0.01,ellipse,1.16506712298,3.01592894745,0.000353303280172,2.17991482535e-09,-26.7806888344,6.630031623,false,,0.922789232758,4.69863028678\n"
+     ),
+    ("trapped --g 9.81 --N 64",
+     "beta,b,k,side,a,epsilon,shape,mu,S,sigma,lambda,threshold,omega,D\n"
+     "0.5,1,1,U,0.5,0.01,circle,1,3.14159265359,8.5746896916e-05,0.275780620666,0.275780622693,1.64481241749,0.351161777666\n"
+     ),
+    ("trapped --side L --g 9.81 --N 64",
+     "beta,b,k,side,a,epsilon,shape,mu,S,sigma,lambda,threshold,omega,D\n"
+     "0.5,1,1,L,0.5,0.01,circle,1,3.14159265359,0.000100685250137,0.275780619898,0.275780622693,1.6448124152,0.352267001384\n"
+     ),
+    ("resonance --g 9.81 --N 64",
+     "beta,b,k,side,a,epsilon,shape,mu,S,re_sigma,im_sigma,rcal,jcal,near_embedded,decay_rate,D,D1\n"
+     "0.5,1,1,U,0.5,0.01,circle,1,3.14159265359,0.00021594219566,7.27205773632e-09,-61.5469473611,7.99762054263e-15,false,4.91846216409e-12,0.755515923468,4.69863028678\n"
      ),
     ("resonance --side L --N 64 --g 9.81",
      "beta,b,k,side,a,epsilon,shape,mu,S,re_sigma,im_sigma,rcal,jcal,near_embedded,decay_rate,D,D1\n"

@@ -77,12 +77,6 @@ def test_trapped_upper_golden(setup_std):
     assert res.lam == pytest.approx(
         GOLD["Lambda1"] * (1.0 - GOLD["sigma_trapped_upper"] ** 2), rel=1e-12)
     assert 0.0 < res.lam < res.threshold
-    assert res.omega is None
-
-
-def test_trapped_upper_omega(setup_std):
-    res = trapped_upper(setup_std, g_grav=9.81)
-    assert res.omega == pytest.approx(math.sqrt(9.81 * res.lam), rel=1e-14)
 
 
 def test_resonance_upper_golden(setup_std):
@@ -169,14 +163,6 @@ def test_scaling_in_epsilon(setup_std, setup_std_lower):
         big = getattr(fn(dataclasses.replace(setup, epsilon=2.0 * setup.epsilon)),
                       attr)
         assert big / small == power  # exact in floating point
-
-
-def test_decay_rate_needs_gravity(setup_std_lower):
-    res = resonance_lower(setup_std_lower)
-    assert res.decay_rate is None
-    res_g = resonance_lower(setup_std_lower, g_grav=9.81)
-    assert res_g.decay_rate == pytest.approx(
-        math.sqrt(9.81 * 1.0) * res_g.re_sigma * res_g.im_sigma, rel=1e-14)
 
 
 @given(beta=st.floats(0.1, 0.9), b=st.floats(0.3, 2.5), k=st.floats(0.3, 2.5),
