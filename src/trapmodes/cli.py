@@ -75,14 +75,23 @@ def _row_formula(run: RunConfig, stages: _Stages) -> dict:
     row = {**vars(run), **vars(res), "mu": dip.mu, "S": dip.S,
            "lambda": getattr(res, "lam", None), "D": res.coefficients.D,
            "D1": res.coefficients.D1}
-    # the formulas give lam = omega^2/g and sigma; only these two cells need g
-    if run.g is not None:
-        if run.command == "resonance":
-            row["decay_rate"] = math.sqrt(run.k * run.g) * res.re_sigma * res.im_sigma
-        elif res.lam < 0.0:
-            warnings.warn("lambda < 0 (sigma > 1): omega is left blank")
-        else:
-            row["omega"] = math.sqrt(run.g * res.lam)
+    # the formulas give lam = omega^2/g and sigma; only one cell needs g
+    if run.g is None:
+        return row
+    if run.command == "resonance":
+        column, results = "decay_rate", (res.re_sigma, res.im_sigma)
+        value = math.sqrt(run.k * run.g) * res.re_sigma * res.im_sigma
+    else:
+        column, results = "omega", (res.sigma, res.lam)
+        value = math.sqrt(run.g * res.lam) if res.lam >= 0.0 else None
+    if not all(map(math.isfinite, results)):
+        return row  # _check_results refuses the run: no cell, no warning
+    if value is None:
+        warnings.warn("lambda < 0 (sigma > 1): omega is left blank")
+    elif math.isfinite(value):
+        row[column] = value
+    else:  # finite results whose conversion overflows
+        warnings.warn(f"{column} is out of double range: left blank")
     return row
 
 
@@ -424,9 +433,9 @@ def _write_outputs(run: RunConfig, csv_text: str, manifest: dict) -> None:
 
 
 # The result cells of a formula row; an overflow makes one inf or nan. (rcal
-# and jcal saturate to a signed infinity on purpose and are not listed.)
-_RESULT_COLUMNS = ("sigma", "lambda", "re_sigma", "im_sigma", "omega",
-                   "decay_rate")
+# and jcal saturate to a signed infinity on purpose, and an overflowing omega
+# or decay_rate is left blank by _row_formula; neither is listed.)
+_RESULT_COLUMNS = ("sigma", "lambda", "re_sigma", "im_sigma")
 
 
 def _check_results(row: dict) -> None:

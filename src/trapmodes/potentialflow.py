@@ -64,11 +64,11 @@ def assemble(C: Contour, N: int = 256) -> NystromSystem:
 
     N must be a power of two with N >= 32 (the convergence study doubles N).
     Raises ConsistencyError if the section's diameter is outside
-    DIAMETER_RANGE ("out of double range") or if the discrete Gauss law
-    fails beyond 1e-8.
+    DIAMETER_RANGE ("out of double range"), if the discrete Gauss law
+    fails beyond 1e-8 or if LAPACK reports a failure.
     """
     # imported here so that commands without a BEM never load scipy.linalg
-    from scipy.linalg import get_lapack_funcs, lu_factor
+    from scipy.linalg.lapack import dgecon, dgetrf
 
     if N < 32 or (N & (N - 1)) != 0:
         raise ValidationError(f"N must be a power of two >= 32, got {N}")
@@ -100,6 +100,9 @@ def assemble(C: Contour, N: int = 256) -> NystromSystem:
     np.fill_diagonal(MT, (xd * ydd - xdd * yd) / (2.0 * math.pi * (xd * xd + yd * yd)))
     MT *= 2.0 * np.pi / N
 
+    # Every entry of MT lies in exactly one column sum, so a NaN or infinite
+    # entry makes its sum non-finite and fails this guard: A reaches LAPACK
+    # finite without a separate scan.
     gauss_residual = float(np.max(np.abs(MT.sum(axis=0) - 1.0)))
     if not gauss_residual <= GAUSS_TOL:  # a NaN residual fails too
         raise ConsistencyError(
@@ -109,26 +112,36 @@ def assemble(C: Contour, N: int = 256) -> NystromSystem:
     A = MT.T
     np.fill_diagonal(A, A.diagonal() + 1.0)
     anorm = float(np.linalg.norm(A, 1))
-    lu = lu_factor(A, overwrite_a=True)
-    gecon = get_lapack_funcs("gecon", (A,))
-    rcond, info = gecon(lu[0], anorm, norm="1")
-    if info != 0:  # pragma: no cover
-        raise ConsistencyError(f"condition estimate failed (info={info})")
+    lu, piv, info = dgetrf(A, overwrite_a=True)
+    _check_info("dgetrf", info)
+    rcond, info = dgecon(lu, anorm, norm="1")
+    _check_info("dgecon", info)
     cond_estimate = float(1.0 / rcond) if rcond > 0.0 else math.inf
     return NystromSystem(
-        contour=C, N=N, t=t, x=x, y=y, xd=xd, yd=yd, lu=lu,
+        contour=C, N=N, t=t, x=x, y=y, xd=xd, yd=yd, lu=(lu, piv),
         gauss_residual=gauss_residual, cond_estimate=cond_estimate,
     )
 
 
+def _check_info(routine: str, info: int) -> None:
+    # a singular I + M (info > 0 from dgetrf) is a bug, not an input's fault
+    if info != 0:
+        raise ConsistencyError(f"LAPACK {routine} failed (info={info})")
+
+
 def apply_n0(sys: NystromSystem, f) -> np.ndarray:
-    """N0 f = (I + M)^{-1} f on the nodes."""
-    f = np.asarray(f, dtype=float)
+    """N0 f = (I + M)^{-1} f on the nodes.
+
+    Raises ValueError if f holds a NaN or an infinity.
+    """
+    f = np.asarray_chkfinite(f, dtype=float)
     if f.shape != (sys.N,):
         raise ValidationError(f"f must have shape ({sys.N},), got {f.shape}")
-    from scipy.linalg import lu_solve
+    from scipy.linalg.lapack import dgetrs
 
-    return lu_solve(sys.lu, f)
+    x, info = dgetrs(*sys.lu, f)
+    _check_info("dgetrs", info)
+    return x
 
 
 def dipoles_bem(system: NystromSystem) -> DipoleStrengths:

@@ -161,15 +161,20 @@ def rcal_jcal(setup: ProblemSetup):
     """
     _require_side(setup, "U", "rcal_jcal")
     r_hat, j_hat, _ = rcal_jcal_scaled(setup.a, setup.ctx, setup.dip)
+    return _unscale(setup.a * setup.ctx.tau1, r_hat, j_hat)
+
+
+def _unscale(exponent: float, *scaled: float) -> tuple:
+    """The raw values e^{exponent} v of scaled values v.
+
+    A value out of double range saturates to a signed infinity; a zero
+    stays zero (never 0 * inf).
+    """
     try:
-        scale = math.exp(setup.a * setup.ctx.tau1)
+        scale = math.exp(exponent)
     except OverflowError:
         scale = math.inf
-
-    def rescale(v):
-        return 0.0 if v == 0.0 else v * scale
-
-    return rescale(r_hat), rescale(j_hat)
+    return tuple(0.0 if v == 0.0 else v * scale for v in scaled)
 
 
 def rcal_jcal_scaled(a: float, ctx: SpectralContext, dip: DipoleStrengths):
@@ -208,6 +213,11 @@ def trapped_upper(setup: ProblemSetup) -> ModeResult:
         2.0 * math.pi * setup.dip.mu / (k * k)
     ) * gp_hat * gp_hat
     sigma = 2.0 * _power(setup.epsilon, 2) * core * math.exp(2.0 * (a - b) * k) * shape
+    return _trapped_result(sigma, Lam1, D)
+
+
+def _trapped_result(sigma: float, Lam1: float, D: float) -> ModeResult:
+    """The trapped mode of a sigma: lam = Lambda1 (1 - sigma^2)."""
     if not (sigma > 0.0):
         raise ConsistencyError(f"trapped-mode sigma must be positive, got {sigma}")
     lam = Lam1 * (1.0 - sigma * sigma)
@@ -260,7 +270,7 @@ def resonance_upper(setup: ProblemSetup) -> ResonanceResult:
         raise ConsistencyError(
             f"resonance parts out of range: re={re_sigma}, im={im_sigma}"
         )
-    rcal, jcal = rcal_jcal(setup)
+    rcal, jcal = _unscale(a * tau1, r_hat, j_hat)
     return ResonanceResult(re_sigma=re_sigma, im_sigma=im_sigma, rcal=rcal, jcal=jcal,
                            near_embedded=near_embedded,
                            coefficients=Coefficients(D=D, D1=D1))
@@ -288,11 +298,7 @@ def trapped_lower(setup: ProblemSetup) -> ModeResult:
     sigma = 0.5 * _power(setup.epsilon, 2) * core * math.exp(-2.0 * a * k) * k * (
         setup.dip.S + 2.0 * math.pi * setup.dip.mu
     )
-    if not (sigma > 0.0):
-        raise ConsistencyError(f"trapped-mode sigma must be positive, got {sigma}")
-    lam = Lam1 * (1.0 - sigma * sigma)
-    return ModeResult(sigma=sigma, lam=lam, threshold=Lam1,
-                      coefficients=Coefficients(D=D))
+    return _trapped_result(sigma, Lam1, D)
 
 
 def resonance_lower(setup: ProblemSetup) -> ResonanceResult:
@@ -326,12 +332,8 @@ def resonance_lower(setup: ProblemSetup) -> ResonanceResult:
     re_sigma = 0.5 * _power(setup.epsilon, 2) * core * math.exp(-2.0 * a * k) * k * (
         S + 2.0 * math.pi * mu
     )
-    try:
-        bracket = (k * S + 2.0 * math.pi * tau1 * mu) ** 2 + (
-            2.0 * math.pi * nu
-        ) ** 2 * (tau1 * tau1 - k * k)
-    except OverflowError:  # a section too large to square; the CLI refuses inf
-        bracket = math.inf
+    bracket = _power(k * S + 2.0 * math.pi * tau1 * mu, 2) + _power(
+        2.0 * math.pi * nu, 2) * (tau1 * tau1 - k * k)
     im_sigma = (
         0.25
         * _power(setup.epsilon, 4)

@@ -258,6 +258,41 @@ def test_negative_lambda_warning_shown_once_per_sweep(tmp_path, capsys):
         assert (row["omega"] == "") == (float(row["lambda"]) < 0.0), row
 
 
+@pytest.mark.parametrize("side", ["U", "L"])
+def test_refused_result_warns_nothing_about_omega(side, tmp_path, capsys):
+    # sigma = inf has no lambda to convert: the run is refused, and the
+    # lambda < 0 warning would name a cell it never prints
+    code, stdout, err = run_cli(["trapped", "--side", side, "--epsilon", "1e200",
+                                 "--g", "9.81", "--N", "64",
+                                 "--out", str(tmp_path / "x")], capsys)
+    assert (code, stdout) == (3, "")
+    assert err == (
+        "warning: epsilon=1e+200 is large for a leading-order asymptotic result "
+        "(heuristic validity bound 0.1)\n"
+        "consistency error: sigma = inf is out of double range\n")
+
+
+@pytest.mark.parametrize("args, column", [
+    # Re sigma 5.8e119 and Im sigma 1.0e240: their product overflows
+    (["resonance", "--side", "L", "--epsilon", "1e60"], "decay_rate"),
+    # lambda 3.25 times g = 1.7e308 overflows
+    (["trapped", "--k", "10", "--b", "0.2", "--a", "0.1"], "omega"),
+])
+def test_overflowing_derived_cell_is_left_blank(args, column, tmp_path, capsys):
+    # the results are representable, so the run answers; only the cell that
+    # g derives from them is out of range
+    g = "1.7e308" if column == "omega" else "9.81"
+    code, _, err = run_cli([*args, "--N", "64", "--out", str(tmp_path / "plain")],
+                           capsys)
+    assert code == 0
+    code, _, err_g = run_cli([*args, "--g", g, "--N", "64",
+                              "--out", str(tmp_path / "g")], capsys)
+    assert code == 0
+    assert err_g == err + f"warning: {column} is out of double range: left blank\n"
+    assert (tmp_path / "g.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    assert read_rows(tmp_path / "g.csv")[0][column] == ""
+
+
 @pytest.mark.parametrize("content", [
     None,  # missing file
     "1.0 0.0 0.0\n",  # three columns

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import lu_factor
+from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
 from trapmodes import (
     ConsistencyError,
@@ -18,6 +18,7 @@ from trapmodes import (
     make_ellipse,
     make_fourier,
 )
+from trapmodes.contour import Contour
 
 from goldens import GOLD
 
@@ -47,6 +48,9 @@ def test_apply_n0_constant(unit_circle):
     assert np.allclose(out, 0.5, atol=1e-13)
     with pytest.raises(ValidationError):
         apply_n0(sys, np.ones(65))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            apply_n0(sys, np.full(64, bad))
 
 
 def test_circle_dipoles_machine_precision():
@@ -116,7 +120,8 @@ def test_nu_symmetry_of_egg(egg):
 
 
 def _textbook_lu(C, N):
-    """LU of I + (2 pi / N) K, with K built whole and in C order."""
+    """LU of A = I + (2 pi / N) K, with K built whole and in C order, and the
+    1-norm of A."""
     t = 2.0 * np.pi * np.arange(N) / N
     x, y, xd, yd, xdd, ydd = C.evaluate(t)
     dx = x[None, :] - x[:, None]
@@ -125,7 +130,8 @@ def _textbook_lu(C, N):
     np.fill_diagonal(dist2, 1.0)
     K = -(1.0 / math.pi) * (dx * (-yd[None, :]) + dy * xd[None, :]) / dist2
     np.fill_diagonal(K, (xd * ydd - xdd * yd) / (2.0 * math.pi * (xd * xd + yd * yd)))
-    return lu_factor(np.eye(N) + (2.0 * np.pi / N) * K)
+    A = np.eye(N) + (2.0 * np.pi / N) * K
+    return lu_factor(A), float(np.linalg.norm(A, 1))
 
 
 _J3 = make_fourier([1.0, 0.1, 0.05], [0.0, 0.0, 0.02], [0.0, 0.03, 0.0], [0.9, 0.0, -0.04])
@@ -135,10 +141,20 @@ _J3 = make_fourier([1.0, 0.1, 0.05], [0.0, 0.0, 0.02], [0.0, 0.03, 0.0], [0.9, 0
 @pytest.mark.parametrize("C", [make_circle(1.0), make_ellipse(1.5, 0.7, 0.4), _J3],
                          ids=["circle", "tilted_ellipse", "fourier_J3"])
 def test_lu_matches_textbook_assembly_bit_for_bit(C, N):
-    lu, piv = assemble(C, N).lu
-    want_lu, want_piv = _textbook_lu(C, N)
+    system = assemble(C, N)
+    lu, piv = system.lu
+    (want_lu, want_piv), anorm = _textbook_lu(C, N)
     assert np.array_equal(lu.view(np.uint64), want_lu.view(np.uint64))
     assert np.array_equal(piv, want_piv)
+    # the direct LAPACK calls against scipy.linalg's wrappers: the solves bit
+    # for bit, the condition estimate to 1e-12 (its 1-norm moves in the last
+    # bits from process to process)
+    for f in (system.x, system.y):
+        want = lu_solve((want_lu, want_piv), f)
+        assert np.array_equal(apply_n0(system, f).view(np.uint64), want.view(np.uint64))
+    rcond, info = get_lapack_funcs("gecon", (want_lu,))(want_lu, anorm, norm="1")
+    assert info == 0
+    assert system.cond_estimate == pytest.approx(1.0 / rcond, rel=1e-12, abs=0.0)
 
 
 def test_assembly_peak_memory():
@@ -153,6 +169,24 @@ def test_assembly_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 5 * 8 * N * N
+
+
+@pytest.mark.parametrize("cos_x, cos_y, sin_y", [
+    # figure-eight X = cos t, Y = sin 2t / 2: the crossing nodes t = pi/2 and
+    # 3 pi/2 lie 2e-16 apart, so their kernel entries are about 1e15
+    ([1.0, 0.0], [0.0, 0.0], [0.0, 0.5]),
+    # X = cos 2t, Y = cos 4t / 2 runs back and forth along a parabola: nodes
+    # t and t + pi coincide exactly, so the kernel holds NaN entries
+    ([0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.5], [0.0, 0.0, 0.0, 0.0]),
+], ids=["figure_eight", "retraced"])
+def test_self_intersecting_contour_fails_the_gauss_law(cos_x, cos_y, sin_y):
+    # built directly, past make_fourier's simplicity check: the Gauss guard
+    # stops a kernel with non-finite or huge entries before LAPACK sees it
+    C = Contour(np.array(cos_x), np.zeros(len(cos_x)), np.array(cos_y),
+                np.array(sin_y))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        with pytest.raises(ConsistencyError, match="discrete Gauss law violated"):
+            assemble(C, 64)
 
 
 @pytest.mark.parametrize("r", [1e-160, 1e-152, 1e152, 1e160])

@@ -138,6 +138,26 @@ def test_rcal_sign_change_brackets_a_star(ctx_half, dip_circle):
     assert abs(vals[0.17046]) < 1e-3 * abs(vals[0.4])
 
 
+@pytest.mark.parametrize("beta, a", [(0.5, 0.3), (0.5, 0.9), (0.999, 0.9)])
+@pytest.mark.parametrize("shape, axes", [("circle", {"r": 1.0}),
+                                         ("ellipse", {"a0": 1.2, "b0": 0.8,
+                                                      "theta0": 0.3})])
+def test_resonance_upper_rcal_jcal_match_bit_for_bit(beta, a, shape, axes):
+    # the resonance unscales its own obstruction; at beta = 0.999 a tau1 is
+    # about 1800, beyond 709.78, and the raw values saturate to signed
+    # infinities (the circle's Jcal stays an exact zero)
+    ctx = spectral_context(FluidConfig(beta=beta, b=1.0, k=1.0))
+    setup = ProblemSetup(ctx=ctx, side="U", a=a, epsilon=0.01,
+                         dip=analytic_dipoles(shape, **axes))
+    res = resonance_upper(setup)
+    want = rcal_jcal(setup)
+    assert [v.hex() for v in (res.rcal, res.jcal)] == [v.hex() for v in want]
+    saturated = a * ctx.tau1 > 709.78
+    assert math.isinf(want[0]) == saturated
+    assert math.isinf(want[1]) == (saturated and shape == "ellipse")
+    assert (want[1] == 0.0) == (shape == "circle")  # never 0 * inf = nan
+
+
 def test_near_embedded_flag(ctx_half, dip_circle):
     s = ProblemSetup(ctx=ctx_half, side="U", a=GOLD["a_star_alpha05"],
                      epsilon=0.01, dip=dip_circle)
