@@ -15,10 +15,10 @@ and 2.9980468750000053 for two ``dipoles --N 1024`` runs of one tree).
 The argvs cover every sweepable (table, parameter) pair on a circle, an
 ellipse and a Fourier file at N = 64; each command's point runs plain, with
 --g, --config, epsilon > 0.1, side L and N = 1024; and the error, range,
-lambda < 0 with --g, overflowing omega and decay_rate, saturated Rcal and
-Jcal, help and version paths. Standard library only, and it
-does not import trapmodes, so it compares any two trees. Exit status 1 when
-a difference is found.
+lambda < 0 with --g, overflowing decay_rate, overflowing g lambda and k g,
+saturated Rcal and Jcal, help and version paths. Standard library only, and
+it does not import trapmodes, so it compares any two trees. Exit status 1
+when a difference is found.
 """
 
 from __future__ import annotations
@@ -95,12 +95,13 @@ ERRORS = [
     # lambda < 0 (sigma > 1): no real frequency
     ["trapped", "--r", "1000", "--g", "9.81", *N],
     ["trapped", "--side", "L", "--r", "1000", "--g", "9.81", *N],
-    # --g on a refused result, and on results whose omega or decay_rate
-    # overflows
+    # --g on a refused result, on results whose decay_rate overflows, and
+    # where g lambda or k g overflows but omega or decay_rate does not
     ["trapped", "--epsilon", "1e200", "--g", "9.81", *N],
     ["trapped", "--side", "L", "--epsilon", "1e200", "--g", "9.81", *N],
     ["resonance", "--side", "L", "--epsilon", "1e60", "--g", "9.81", *N],
     ["trapped", "--k", "10", "--b", "0.2", "--a", "0.1", "--g", "1.7e308", *N],
+    ["resonance", "--k", "10", "--b", "0.2", "--a", "0.1", "--g", "1.7e308", *N],
     # Rcal and Jcal saturate to signed infinities (a tau1 > 709.78)
     ["resonance", "--beta", "0.999", "--a", "0.9", *SECTIONS["ellipse"], *N],
 ]

@@ -80,10 +80,10 @@ def _row_formula(run: RunConfig, stages: _Stages) -> dict:
         return row
     if run.command == "resonance":
         column, results = "decay_rate", (res.re_sigma, res.im_sigma)
-        value = math.sqrt(run.k * run.g) * res.re_sigma * res.im_sigma
+        value = _root_of_product(run.k, run.g) * res.re_sigma * res.im_sigma
     else:
         column, results = "omega", (res.sigma, res.lam)
-        value = math.sqrt(run.g * res.lam) if res.lam >= 0.0 else None
+        value = _root_of_product(run.g, res.lam) if res.lam >= 0.0 else None
     if not all(map(math.isfinite, results)):
         return row  # _check_results refuses the run: no cell, no warning
     if value is None:
@@ -93,6 +93,13 @@ def _row_formula(run: RunConfig, stages: _Stages) -> dict:
     else:  # finite results whose conversion overflows
         warnings.warn(f"{column} is out of double range: left blank")
     return row
+
+
+def _root_of_product(x: float, y: float) -> float:
+    """sqrt(x y), also where x y overflows but its root does not; a finite
+    sqrt(x y) keeps its bits."""
+    root = math.sqrt(x * y)
+    return root if math.isfinite(root) else math.sqrt(x) * math.sqrt(y)
 
 
 def _row_embedded(run: RunConfig, stages: _Stages) -> dict:

@@ -23,6 +23,7 @@ psi = Y - 2 N0 Y on the contour.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -67,9 +68,6 @@ def assemble(C: Contour, N: int = 256) -> NystromSystem:
     DIAMETER_RANGE ("out of double range"), if the discrete Gauss law
     fails beyond 1e-8 or if LAPACK reports a failure.
     """
-    # imported here so that commands without a BEM never load scipy.linalg
-    from scipy.linalg.lapack import dgecon, dgetrf
-
     if N < 32 or (N & (N - 1)) != 0:
         raise ValidationError(f"N must be a power of two >= 32, got {N}")
     diam = C.diameter()
@@ -112,15 +110,47 @@ def assemble(C: Contour, N: int = 256) -> NystromSystem:
     A = MT.T
     np.fill_diagonal(A, A.diagonal() + 1.0)
     anorm = float(np.linalg.norm(A, 1))
-    lu, piv, info = dgetrf(A, overwrite_a=True)
+    lapack = _lapack()
+    lu, piv, info = lapack.dgetrf(A, overwrite_a=True)
     _check_info("dgetrf", info)
-    rcond, info = dgecon(lu, anorm, norm="1")
+    rcond, info = lapack.dgecon(lu, anorm, norm="1")
     _check_info("dgecon", info)
     cond_estimate = float(1.0 / rcond) if rcond > 0.0 else math.inf
     return NystromSystem(
         contour=C, N=N, t=t, x=x, y=y, xd=xd, yd=yd, lu=(lu, piv),
         gauss_residual=gauss_residual, cond_estimate=cond_estimate,
     )
+
+
+@functools.cache
+def _lapack():
+    """scipy's LAPACK extension module, which holds dgetrf, dgetrs and dgecon.
+
+    Loaded on first use, once per process, from its file in scipy's linalg
+    directory, without importing the scipy.linalg package, which takes more
+    than ten times as long. Bare scipy is imported first: it sets up the
+    paths of the libraries the extension links. A scipy without that file
+    serves scipy.linalg.lapack instead.
+    """
+    import sys
+    from importlib.machinery import PathFinder
+    from importlib.util import module_from_spec, spec_from_file_location
+
+    import scipy
+
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:  # loaded by scipy.linalg already
+        return sys.modules[name]
+    found = PathFinder.find_spec(
+        "_flapack", [f"{root}/linalg" for root in scipy.__path__])
+    if found is None:
+        from scipy.linalg import lapack
+        return lapack
+    spec = spec_from_file_location(name, found.origin)
+    module = module_from_spec(spec)
+    sys.modules[name] = module  # a later scipy.linalg import reuses it
+    spec.loader.exec_module(module)
+    return module
 
 
 def _check_info(routine: str, info: int) -> None:
@@ -137,9 +167,7 @@ def apply_n0(sys: NystromSystem, f) -> np.ndarray:
     f = np.asarray_chkfinite(f, dtype=float)
     if f.shape != (sys.N,):
         raise ValidationError(f"f must have shape ({sys.N},), got {f.shape}")
-    from scipy.linalg.lapack import dgetrs
-
-    x, info = dgetrs(*sys.lu, f)
+    x, info = _lapack().dgetrs(*sys.lu, f)
     _check_info("dgetrs", info)
     return x
 

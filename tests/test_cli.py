@@ -275,22 +275,48 @@ def test_refused_result_warns_nothing_about_omega(side, tmp_path, capsys):
 @pytest.mark.parametrize("args, column", [
     # Re sigma 5.8e119 and Im sigma 1.0e240: their product overflows
     (["resonance", "--side", "L", "--epsilon", "1e60"], "decay_rate"),
-    # lambda 3.25 times g = 1.7e308 overflows
-    (["trapped", "--k", "10", "--b", "0.2", "--a", "0.1"], "omega"),
 ])
 def test_overflowing_derived_cell_is_left_blank(args, column, tmp_path, capsys):
     # the results are representable, so the run answers; only the cell that
     # g derives from them is out of range
-    g = "1.7e308" if column == "omega" else "9.81"
     code, _, err = run_cli([*args, "--N", "64", "--out", str(tmp_path / "plain")],
                            capsys)
     assert code == 0
-    code, _, err_g = run_cli([*args, "--g", g, "--N", "64",
+    code, _, err_g = run_cli([*args, "--g", "9.81", "--N", "64",
                               "--out", str(tmp_path / "g")], capsys)
     assert code == 0
     assert err_g == err + f"warning: {column} is out of double range: left blank\n"
     assert (tmp_path / "g.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
     assert read_rows(tmp_path / "g.csv")[0][column] == ""
+
+
+@pytest.mark.parametrize("command, formula", [
+    ("trapped", trapped_upper),
+    ("resonance", resonance_upper),
+], ids=["omega", "decay_rate"])
+def test_derived_cell_is_printed_where_its_product_overflows(command, formula,
+                                                             tmp_path, capsys):
+    # g lambda = 3.25 g and k g overflow at g = 1.7e308, but omega = 2.35e154
+    # and decay_rate = 7.3e146 do not: the cell is sqrt(g) sqrt(lambda), or
+    # sqrt(k) sqrt(g) Re sigma Im sigma, and the run warns nothing
+    args = [command, "--k", "10", "--b", "0.2", "--a", "0.1", "--N", "64"]
+    rows = {}
+    for g in ([], ["--g", "1.7e308"]):
+        out = tmp_path / f"run{len(g)}"
+        code, _, err = run_cli([*args, *g, "--out", str(out)], capsys)
+        assert (code, err) == (0, "")
+        rows[bool(g)] = read_rows(out.with_suffix(".csv"))[0]
+    res = formula(ProblemSetup(ctx=spectral_context(FluidConfig(beta=0.5, b=0.2, k=10.0)),
+                               side="U", a=0.1, epsilon=0.01,
+                               dip=dipoles_bem(assemble(make_circle(1.0), 64))))
+    if command == "trapped":
+        column, value = "omega", math.sqrt(1.7e308) * math.sqrt(res.lam)
+    else:
+        column = "decay_rate"
+        value = math.sqrt(10.0) * math.sqrt(1.7e308) * res.re_sigma * res.im_sigma
+    assert math.isfinite(value)
+    assert rows[True][column] == format(value, ".12g")
+    assert {**rows[True], column: ""} == rows[False]
 
 
 @pytest.mark.parametrize("content", [
@@ -503,14 +529,18 @@ def _scipy_modules_after(code):
 
 def test_cold_start_loads_no_scipy(tmp_path):
     # import trapmodes.cli loads no scipy module; cutoffs builds no BEM and so
-    # never loads scipy.linalg, dipoles does
+    # never loads scipy.linalg; dipoles loads scipy's LAPACK extension alone,
+    # not the scipy.linalg package nor its array-API layer
     assert _scipy_modules_after("import trapmodes.cli") == []
     run = "from trapmodes.cli import main\nassert main({!r}) == 0"
     out = ["--out", str(tmp_path / "p")]
     cutoffs = _scipy_modules_after(run.format(["cutoffs", *out]))
     assert "scipy.linalg" not in cutoffs and "scipy.optimize" not in cutoffs
     dipoles = _scipy_modules_after(run.format(["dipoles", "--N", "32", *out]))
-    assert "scipy.linalg" in dipoles and "scipy.optimize" not in dipoles
+    assert "scipy.linalg._flapack" in dipoles
+    assert "scipy.linalg" not in dipoles
+    assert "scipy._lib._array_api" not in dipoles
+    assert "scipy.optimize" not in dipoles
     src = Path(__file__).resolve().parents[1] / "src"
     users = [p for p in src.rglob("*") if p.is_file()
              and b"scipy.optimize" in p.read_bytes()]

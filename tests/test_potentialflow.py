@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,6 +126,11 @@ def test_nu_symmetry_of_egg(egg):
 def _textbook_lu(C, N):
     """LU of A = I + (2 pi / N) K, with K built whole and in C order, and the
     1-norm of A."""
+    A = _textbook_matrix(C, N)
+    return lu_factor(A), float(np.linalg.norm(A, 1))
+
+
+def _textbook_matrix(C, N):
     t = 2.0 * np.pi * np.arange(N) / N
     x, y, xd, yd, xdd, ydd = C.evaluate(t)
     dx = x[None, :] - x[:, None]
@@ -130,8 +139,7 @@ def _textbook_lu(C, N):
     np.fill_diagonal(dist2, 1.0)
     K = -(1.0 / math.pi) * (dx * (-yd[None, :]) + dy * xd[None, :]) / dist2
     np.fill_diagonal(K, (xd * ydd - xdd * yd) / (2.0 * math.pi * (xd * xd + yd * yd)))
-    A = np.eye(N) + (2.0 * np.pi / N) * K
-    return lu_factor(A), float(np.linalg.norm(A, 1))
+    return np.eye(N) + (2.0 * np.pi / N) * K
 
 
 _J3 = make_fourier([1.0, 0.1, 0.05], [0.0, 0.0, 0.02], [0.0, 0.03, 0.0], [0.9, 0.0, -0.04])
@@ -157,11 +165,76 @@ def test_lu_matches_textbook_assembly_bit_for_bit(C, N):
     assert system.cond_estimate == pytest.approx(1.0 / rcond, rel=1e-12, abs=0.0)
 
 
+# Runs in a fresh interpreter, since the LAPACK loader runs once per process:
+# argv is the case, the textbook matrix A (.npy) and the output (.npz).
+_LOADER_SCRIPT = """
+import importlib.machinery, sys
+import numpy as np
+case, matrix, out = sys.argv[1:]
+if case == "fallback":  # a scipy without the _flapack file
+    find_spec = importlib.machinery.PathFinder.find_spec
+    importlib.machinery.PathFinder.find_spec = (
+        lambda name, path=None, target=None:
+        None if name == "_flapack" else find_spec(name, path, target))
+if case == "scipy_linalg_first":
+    import scipy.linalg
+from trapmodes import apply_n0, assemble, make_ellipse
+from trapmodes.potentialflow import _lapack
+system = assemble(make_ellipse(1.5, 0.7, 0.4), 64)
+n0x, n0y = apply_n0(system, system.x), apply_n0(system, system.y)
+loaded = {m: m in sys.modules for m in ("scipy.linalg", "scipy.linalg._flapack")}
+import scipy.linalg
+assert (_lapack() is scipy.linalg.lapack) == (case == "fallback")
+if case != "fallback":
+    assert _lapack() is sys.modules["scipy.linalg._flapack"]
+    assert scipy.linalg.lapack._flapack is _lapack()
+A = np.load(matrix)
+later_lu, later_piv = scipy.linalg.lu_factor(A)
+later_x = scipy.linalg.lu_solve((later_lu, later_piv), system.x)
+np.savez(out, lu=system.lu[0], piv=system.lu[1], n0x=n0x, n0y=n0y,
+         later_lu=later_lu, later_piv=later_piv, later_x=later_x,
+         linalg=loaded["scipy.linalg"], flapack=loaded["scipy.linalg._flapack"])
+"""
+
+
+@pytest.mark.parametrize("case, linalg_loaded", [
+    ("assemble_first", False),
+    ("scipy_linalg_first", True),
+    ("fallback", True),
+])
+def test_lapack_loader_in_either_import_order(case, linalg_loaded, tmp_path):
+    # the BEM loads scipy's _flapack extension without scipy.linalg, reuses
+    # the one scipy.linalg loaded, or falls back to scipy.linalg.lapack when
+    # the file is missing; each way its LU, pivots and solves are those of
+    # lu_factor and lu_solve bit for bit, and scipy.linalg still works after
+    C, N = make_ellipse(1.5, 0.7, 0.4), 64
+    A = _textbook_matrix(C, N)
+    np.save(tmp_path / "A.npy", A)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _LOADER_SCRIPT, case,
+                           str(tmp_path / "A.npy"), str(tmp_path / "out.npz")],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    got = np.load(tmp_path / "out.npz")
+    assert bool(got["linalg"]) == linalg_loaded
+    assert bool(got["flapack"])
+    want_lu, want_piv = lu_factor(A)
+    system = assemble(C, N)
+    for lu, piv in ((got["lu"], got["piv"]), (got["later_lu"], got["later_piv"])):
+        assert np.array_equal(lu.view(np.uint64), want_lu.view(np.uint64))
+        assert np.array_equal(piv, want_piv)
+    for key, f in (("n0x", system.x), ("n0y", system.y), ("later_x", system.x)):
+        want = lu_solve((want_lu, want_piv), f)
+        assert np.array_equal(got[key].view(np.uint64), want.view(np.uint64)), key
+
+
 def test_assembly_peak_memory():
     # the kernel is built in place and factored without a copy: about 4 N^2
     # doubles at the peak, where a whole K, M, eye(N) and A take about 7
     C, N = make_ellipse(1.5, 0.7, 0.4), 1024
-    assemble(C, 64)  # imports scipy.linalg outside the measurement
+    assemble(C, 64)  # loads LAPACK outside the measurement
     tracemalloc.start()
     try:
         assemble(C, N)
