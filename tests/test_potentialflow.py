@@ -171,11 +171,13 @@ _LOADER_SCRIPT = """
 import importlib.machinery, sys
 import numpy as np
 case, matrix, out = sys.argv[1:]
-if case == "fallback":  # a scipy without the _flapack file
-    find_spec = importlib.machinery.PathFinder.find_spec
-    importlib.machinery.PathFinder.find_spec = (
-        lambda name, path=None, target=None:
-        None if name == "_flapack" else find_spec(name, path, target))
+find_spec, asked = importlib.machinery.PathFinder.find_spec, set()
+def finder(name, path=None, target=None):
+    asked.add(name)
+    if case == "fallback" and name == "_flapack":  # a scipy without the file
+        return None
+    return find_spec(name, path, target)
+importlib.machinery.PathFinder.find_spec = finder
 if case == "scipy_linalg_first":
     import scipy.linalg
 from trapmodes import apply_n0, assemble, make_ellipse
@@ -193,16 +195,17 @@ later_lu, later_piv = scipy.linalg.lu_factor(A)
 later_x = scipy.linalg.lu_solve((later_lu, later_piv), system.x)
 np.savez(out, lu=system.lu[0], piv=system.lu[1], n0x=n0x, n0y=n0y,
          later_lu=later_lu, later_piv=later_piv, later_x=later_x,
-         linalg=loaded["scipy.linalg"], flapack=loaded["scipy.linalg._flapack"])
+         linalg=loaded["scipy.linalg"], flapack=loaded["scipy.linalg._flapack"],
+         searched="_flapack" in asked)
 """
 
 
-@pytest.mark.parametrize("case, linalg_loaded", [
-    ("assemble_first", False),
-    ("scipy_linalg_first", True),
-    ("fallback", True),
+@pytest.mark.parametrize("case, linalg_loaded, searched", [
+    ("assemble_first", False, True),
+    ("scipy_linalg_first", True, False),
+    ("fallback", True, True),
 ])
-def test_lapack_loader_in_either_import_order(case, linalg_loaded, tmp_path):
+def test_lapack_loader_in_either_import_order(case, linalg_loaded, searched, tmp_path):
     # the BEM loads scipy's _flapack extension without scipy.linalg, reuses
     # the one scipy.linalg loaded, or falls back to scipy.linalg.lapack when
     # the file is missing; each way its LU, pivots and solves are those of
@@ -219,6 +222,7 @@ def test_lapack_loader_in_either_import_order(case, linalg_loaded, tmp_path):
     assert proc.returncode == 0, proc.stderr
     got = np.load(tmp_path / "out.npz")
     assert bool(got["linalg"]) == linalg_loaded
+    assert bool(got["searched"]) == searched
     assert bool(got["flapack"])
     want_lu, want_piv = lu_factor(A)
     system = assemble(C, N)
