@@ -38,6 +38,10 @@ GAUSS_TOL = 1e-8
 # lengths; with the diameter in this window both stay inside the normal
 # double range for N up to 4096.
 DIAMETER_RANGE = (1e-150, 1e150)
+# Rows of the kernel built per pass: a block of MT and its two scratch arrays
+# take 768 kB at N = 1024. Every accepted N is a power of two >= 32, so the
+# blocks tile N exactly.
+_BLOCK = 32
 
 
 @dataclass
@@ -81,22 +85,27 @@ def assemble(C: Contour, N: int = 256) -> NystromSystem:
     # M is built as its transpose MT[j, i] = M[i, j] in C order, so that
     # A = I + MT.T is already in the Fortran order getrf factors in place.
     # Row j of MT holds s = t_j and column i holds t = t_i; the numerator is
-    # -(r(s) - r(t)) . m(s) = dx Y'(s) - dy X'(s). About 4 N^2 doubles peak.
-    dx = np.subtract.outer(x, x)
-    dy = np.subtract.outer(y, y)
-    dist2 = dx * dx
-    dist2 += dy * dy
-    np.fill_diagonal(dist2, 1.0)  # placeholder, diagonal overwritten below
-    dx *= yd[:, None]
-    dy *= xd[:, None]
-    MT = dx
-    MT -= dy
-    del dy
-    MT *= 1.0 / math.pi
-    MT /= dist2
-    del dist2
-    np.fill_diagonal(MT, (xd * ydd - xdd * yd) / (2.0 * math.pi * (xd * xd + yd * yd)))
-    MT *= 2.0 * np.pi / N
+    # -(r(s) - r(t)) . m(s) = dx Y'(s) - dy X'(s). MT is filled _BLOCK rows
+    # at a time, with dx in MT itself and dy and dist2 in block-sized
+    # scratch, so each block stays in cache and MT is the only N^2 array.
+    MT = np.empty((N, N))
+    dy = np.empty((_BLOCK, N))
+    dist2 = np.empty((_BLOCK, N))
+    curvature = (xd * ydd - xdd * yd) / (2.0 * math.pi * (xd * xd + yd * yd))
+    for start in range(0, N, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        dx = np.subtract.outer(x[rows], x, out=MT[rows])
+        np.subtract.outer(y[rows], y, out=dy)
+        np.multiply(dx, dx, out=dist2)
+        dist2 += dy * dy
+        np.fill_diagonal(dist2[:, rows], 1.0)  # placeholder, overwritten below
+        dx *= yd[rows, None]
+        dy *= xd[rows, None]
+        dx -= dy
+        dx *= 1.0 / math.pi
+        dx /= dist2
+        np.fill_diagonal(dx[:, rows], curvature[rows])
+        dx *= 2.0 * np.pi / N
 
     # Every entry of MT lies in exactly one column sum, so a NaN or infinite
     # entry makes its sum non-finite and fails this guard: A reaches LAPACK
@@ -109,7 +118,12 @@ def assemble(C: Contour, N: int = 256) -> NystromSystem:
         )
     A = MT.T
     np.fill_diagonal(A, A.diagonal() + 1.0)
-    anorm = float(np.linalg.norm(A, 1))
+    # the 1-norm of A, its largest column sum of |A|: the row sums of |MT|,
+    # block by block in the dist2 scratch
+    anorm = 0.0
+    for start in range(0, N, _BLOCK):
+        np.abs(MT[start:start + _BLOCK], out=dist2)
+        anorm = max(anorm, float(dist2.sum(axis=1).max()))
     lapack = _lapack()
     lu, piv, info = lapack.dgetrf(A, overwrite_a=True)
     _check_info("dgetrf", info)

@@ -9,13 +9,28 @@ sweeps at N = 1024 and 512 are the exception: they print such round-off on
 purpose (the untilted ellipse's and the circles' nu), so they pin the bits
 of the Nystrom assembly and LU as well as the digits, and so does the jcal
 of the circle's resonance, which is 2 pi nu times a profile value.
+
+At N >= 512 that round-off also depends on the BLAS thread count, because
+the LU rounds differently on one thread than on two. The two shape sweeps
+were recorded with OpenBLAS on two threads, so they run in a child process
+with the thread count fixed at two, whatever the caller's environment says.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from trapmodes.cli import main
 
 ELL = "--shape ellipse --a0 1.2 --b0 0.8 --theta0 0.3"
+THETA0_SWEEP = ("sweep --what dipoles --sweep theta0:-1.2:1.2:5 --shape ellipse "
+                "--a0 1.5 --b0 0.7 --N 1024")
+R_SWEEP = "sweep --what dipoles --sweep r:0.5:2.5:5 --N 512"
+BLAS_THREADS = {var: "2" for var in (
+    "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 SNAPSHOTS = [
     ("cutoffs",
@@ -107,7 +122,7 @@ SNAPSHOTS = [
      "ellipse,,1.5,0.8,0.3,64,1.654697585,0.990302414999,0.227268595542,3.76991118431,0.362604022293\n"
      "ellipse,,1.7,0.8,0.3,64,2.02675128339,1.09824871661,0.317611391285,4.27256600888,0.33551230759\n"
      ),
-    ("sweep --what dipoles --sweep theta0:-1.2:1.2:5 --shape ellipse --a0 1.5 --b0 0.7 --N 1024",
+    (THETA0_SWEEP,
      "shape,r,a0,b0,theta0,N,mu,kappa,nu,S,delta\n"
      "ellipse,,1.5,0.7,-1.2,1024,0.885546765162,1.53445323484,-0.297203799443,3.29867228627,0.592854065594\n"
      "ellipse,,1.5,0.7,-0.6,1024,1.36943741197,1.05056258803,-0.410097197826,3.29867228627,0.383369108665\n"
@@ -115,7 +130,7 @@ SNAPSHOTS = [
      "ellipse,,1.5,0.7,0.6,1024,1.36943741197,1.05056258803,0.410097197826,3.29867228627,0.383369108665\n"
      "ellipse,,1.5,0.7,1.2,1024,0.885546765162,1.53445323484,0.297203799443,3.29867228627,0.592854065594\n"
      ),
-    ("sweep --what dipoles --sweep r:0.5:2.5:5 --N 512",
+    (R_SWEEP,
      "shape,r,a0,b0,theta0,N,mu,kappa,nu,S,delta\n"
      "circle,0.5,,,,512,0.25,0.25,1.23784296337e-18,0.785398163397,0.5\n"
      "circle,1,,,,512,1,1,4.95137185346e-18,3.14159265359,0.5\n"
@@ -129,7 +144,24 @@ SNAPSHOTS = [
 @pytest.mark.parametrize("args, expected", SNAPSHOTS,
                          ids=[args.replace(" ", "_") for args, _ in SNAPSHOTS])
 def test_csv_snapshot(args, expected, tmp_path, capsys):
-    out = tmp_path / "snap"
-    assert main(args.split() + ["--out", str(out)]) == 0
-    assert capsys.readouterr().out == expected
+    argv = args.split() + ["--out", str(tmp_path / "snap")]
+    if args in (THETA0_SWEEP, R_SWEEP):
+        out = _main_on_two_blas_threads(argv)
+    else:
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+    assert out == expected
     assert (tmp_path / "snap.csv").read_text() == expected
+
+
+def _main_on_two_blas_threads(argv):
+    """stdout of `python -m trapmodes.cli argv` with two BLAS threads."""
+    # pytest's pythonpath does not reach a child process, so it gets src on
+    # PYTHONPATH
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, **BLAS_THREADS, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "trapmodes.cli", *argv],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout

@@ -145,7 +145,7 @@ def _textbook_matrix(C, N):
 _J3 = make_fourier([1.0, 0.1, 0.05], [0.0, 0.0, 0.02], [0.0, 0.03, 0.0], [0.9, 0.0, -0.04])
 
 
-@pytest.mark.parametrize("N", [64, 256, 512, 1024])
+@pytest.mark.parametrize("N", [32, 64, 256, 512, 1024])
 @pytest.mark.parametrize("C", [make_circle(1.0), make_ellipse(1.5, 0.7, 0.4), _J3],
                          ids=["circle", "tilted_ellipse", "fourier_J3"])
 def test_lu_matches_textbook_assembly_bit_for_bit(C, N):
@@ -235,8 +235,9 @@ def test_lapack_loader_in_either_import_order(case, linalg_loaded, searched, tmp
 
 
 def test_assembly_peak_memory():
-    # the kernel is built in place and factored without a copy: about 4 N^2
-    # doubles at the peak, where a whole K, M, eye(N) and A take about 7
+    # the kernel is built in place, a block of rows at a time, and factored
+    # without a copy: MT is the only N^2 array, about 1.1 N^2 doubles at the
+    # peak, where a whole K, M, eye(N) and A take about 7
     C, N = make_ellipse(1.5, 0.7, 0.4), 1024
     assemble(C, 64)  # loads LAPACK outside the measurement
     tracemalloc.start()
@@ -245,7 +246,7 @@ def test_assembly_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * 8 * N * N
+    assert peak <= 1.5 * 8 * N * N
 
 
 @pytest.mark.parametrize("cos_x, cos_y, sin_y", [
