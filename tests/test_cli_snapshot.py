@@ -16,14 +16,14 @@ were recorded with OpenBLAS on two threads, so they run in a child process
 with the thread count fixed at two, whatever the caller's environment says.
 """
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from trapmodes.cli import main
+
+from test_cli import _child_env
 
 ELL = "--shape ellipse --a0 1.2 --b0 0.8 --theta0 0.3"
 THETA0_SWEEP = ("sweep --what dipoles --sweep theta0:-1.2:1.2:5 --shape ellipse "
@@ -156,12 +156,8 @@ def test_csv_snapshot(args, expected, tmp_path, capsys):
 
 def _main_on_two_blas_threads(argv):
     """stdout of `python -m trapmodes.cli argv` with two BLAS threads."""
-    # pytest's pythonpath does not reach a child process, so it gets src on
-    # PYTHONPATH
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, **BLAS_THREADS, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "trapmodes.cli", *argv],
-                          capture_output=True, text=True, timeout=120, env=env)
+                          capture_output=True, text=True, timeout=120,
+                          env={**_child_env(), **BLAS_THREADS})
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
