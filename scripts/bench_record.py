@@ -10,7 +10,8 @@ workload ``BENCHMARK.json`` declares. The runs are sequential (the benchmark
 is a single closed-loop client and must not share the machine with itself).
 The file holds, per workload and trace level, each metric's median, quartiles
 and IQR over the seeds, the values themselves and the operation counts, plus
-the checkout's git revision and the ``# env`` line that ``run.py`` prints
+the checkout's git revision (``dirty`` when a file under ``MEASURED`` differs
+from it) and the ``# env`` line that ``run.py`` prints
 (machine, library versions, BLAS thread count). It is written to the root
 of this script's checkout. Standard library only; the window of each run is
 ``BENCHMARK.json``'s ``run_seconds``.
@@ -29,6 +30,9 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 REPO = HERE.parent
 
+# what the benchmark builds and runs: "dirty" means one of these differs from
+# the recorded revision, and an edited document does not count
+MEASURED = ("src", "perfbench", "BENCHMARK.json", "pyproject.toml")
 # fixed per workload so that every BENCH file is measured on the same operations
 SEEDS = {
     "cli-points": (11, 12, 13, 14, 15),
@@ -110,7 +114,8 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
     revision = git(checkout, "rev-parse", "HEAD")
-    dirty = git(checkout, "status", "--porcelain", "--untracked-files=no") != ""
+    dirty = git(checkout, "status", "--porcelain", "--untracked-files=no",
+                "--", *MEASURED) != ""
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     body = record(checkout, seconds, workloads)
     doc = {"tag": args.tag, "revision": revision, "dirty": dirty,

@@ -16,7 +16,10 @@ The argvs cover every sweepable (table, parameter) pair on a circle, an
 ellipse and a Fourier file at N = 64; each command's point runs plain, with
 --g, --config, epsilon > 0.1, side L and N = 1024; and the error, range,
 lambda < 0 with --g, overflowing decay_rate, overflowing g lambda and k g,
-saturated Rcal and Jcal, help and version paths. Standard library only, and
+saturated Rcal and Jcal, help and version paths; and both paths of the
+contour's simplicity check: a non-convex (bean) and a clockwise Fourier
+file, and ellipses of aspect 1e5 (convex certificate) and 1e6 (crossing
+grid, rejected). Standard library only, and
 it does not import trapmodes, so it compares any two trees. Exit status 1
 when a difference is found.
 """
@@ -59,6 +62,10 @@ POINT_COMMANDS = ("cutoffs", "dipoles", "trapped", "resonance", "embedded")
 INPUT_FILES = {
     # a J = 3 egg-shaped section
     "section.txt": "1.0 0.0 0.0 0.8\n0.1 0.0 0.0 0.05\n0.0 0.02 0.03 0.0\n",
+    # a bean, dented at the top: X = cos t, Y = 0.6 sin t + 0.3 cos 2t
+    "bean.txt": "1.0 0.0 0.0 0.6\n0.0 0.0 0.3 0.0\n",
+    # section.txt traversed clockwise (t -> -t)
+    "clockwise.txt": "1.0 0.0 0.0 -0.8\n0.1 0.0 0.0 -0.05\n0.0 -0.02 0.03 0.0\n",
     "run.cfg": "# a non-default fluid and section\nbeta = 0.3\nb = 2\nk = 0.7\n"
                "a = 0.6\nepsilon = 0.02\nshape = ellipse\na0 = 1.3\nb0 = 0.9\n",
     "bad.cfg": "beta = 0.3\nthis line has no equals sign\n",
@@ -105,6 +112,17 @@ ERRORS = [
     # Rcal and Jcal saturate to signed infinities (a tau1 > 709.78)
     ["resonance", "--beta", "0.999", "--a", "0.9", *SECTIONS["ellipse"], *N],
 ]
+# the two paths of the simplicity check: the O(n) convex certificate, and the
+# crossing grid on a section it cannot certify
+CONTOUR_PATHS = [
+    ["dipoles", "--shape", "fourier", "--fourier-file", "bean.txt", *N],
+    ["trapped", "--shape", "fourier", "--fourier-file", "bean.txt", *N],
+    ["dipoles", "--shape", "fourier", "--fourier-file", "clockwise.txt", *N],
+    # certified; the Gauss law then fails at N = 256
+    ["dipoles", "--shape", "ellipse", "--a0", "1", "--b0", "1e-5"],
+    # not certified; the grid refuses it as self-intersecting
+    ["dipoles", "--shape", "ellipse", "--a0", "1", "--b0", "1e-6"],
+]
 
 
 def argvs() -> list[list[str]]:
@@ -125,6 +143,7 @@ def argvs() -> list[list[str]]:
             ["--side", "L"])]
         runs.append([command, "--N", "1024"])
     runs += ERRORS
+    runs += CONTOUR_PATHS
     runs += [["--help"], ["--version"]]
     runs += [[command, "--help"] for command in (*POINT_COMMANDS, "sweep")]
     return runs

@@ -68,6 +68,10 @@ class Contour:
     cos_y: np.ndarray
     sin_y: np.ndarray
     reversed_input: bool = field(default=False, compare=False)
+    # the diameter and area of the samples, kept by make_fourier so that the
+    # BEM does not evaluate them again; None on a contour built directly
+    sample_diameter: float | None = field(default=None, compare=False, repr=False)
+    sample_area: float | None = field(default=None, compare=False, repr=False)
     # samples per period for validation and the area quadrature
     n_samples: ClassVar[int] = 256
 
@@ -96,6 +100,8 @@ class Contour:
         return x, y, xd, yd, xdd, ydd
 
     def diameter(self) -> float:
+        if self.sample_diameter is not None:
+            return self.sample_diameter
         return _diameter(*self.evaluate(_sample_t())[:2])
 
 
@@ -121,8 +127,14 @@ def _self_intersects(x, y, tol) -> bool:
 
     Segment i runs from p_i to p_{i+1} (indices mod n), d_i = p_{i+1} - p_i.
     Segments i and j cross when P[i, j] P[i, j+1] and P[j, i] P[j, i+1] are
-    both negative, all four factors entries of the one matrix
-    P[i, j] = cross(d_i, p_j - p_i); a band of width ~tol counts as touching.
+    both below tol^2 |d_i| |d_j|, all four factors entries of the one matrix
+    P[i, j] = cross(d_i, p_j - p_i) = |d_i| times the signed distance of p_j
+    from segment i's line. So segment j touches segment i when its ends lie
+    on either side of that line or the geometric mean of their distances
+    from it is under tol sqrt(|d_j| / |d_i|), and the same holds with i and
+    j swapped: the band is not tol wide. On a nearly straight stretch it
+    holds segment i + 2, so a convex ellipse with b0/a0 under about 1.9e-6
+    is refused as self-intersecting.
     The relation is symmetric, so only the non-adjacent pairs j >= i + 2 are kept.
     """
     p = np.column_stack([x, y])
@@ -137,6 +149,54 @@ def _self_intersects(x, y, tol) -> bool:
     return bool(crossing.any())
 
 
+# the round-off allowance of _convex_clear's distances, relative to the
+# products of lengths they are made of: about 90 units in the last place,
+# where each carries at most about 6
+_ROUNDOFF = 1e-14
+
+
+def _convex_clear(x, y, tol) -> bool:
+    """O(n) proof that _self_intersects(x, y, tol) is False.
+
+    True only when the closed polyline is strictly convex and, for every
+    segment i, its two nearest non-adjacent segments clear its band. With
+    P computed by the same expression as in _self_intersects:
+    - P[i, i+2], P[i, i+3], P[i, i-2] and P[i, i-1] lie on one side of zero
+      for every i, beyond round-off. P[i, i+2] is the turn
+      cross(d_i, d_{i+1}) up to rounding, so every turn has that sign;
+    - the turning angles sum to 2 pi, so the polygon winds once (a star
+      polygon turns the same way at every vertex and winds more);
+    - min(P[i, i+2] P[i, i+3], P[i, i-2] P[i, i-1]) exceeds 4 times the
+      widest band tol^2 |d_i| max|d| of row i.
+    On a convex polygon the distances of the vertices from segment i's line
+    rise and then fall from p_{i+2} round to p_{i-1}, so those two products
+    bound every other product of row i; the round-off allowance keeps the
+    rounding of the other P from undoing the bound. False proves nothing:
+    the caller then runs _self_intersects.
+    """
+    n = len(x)
+    # the samples p_{-2} .. p_{n+3}, so that every shift below is a view
+    xe = np.concatenate([x[-2:], x, x[:4]])
+    ye = np.concatenate([y[-2:], y, y[:4]])
+    dxe, dye = np.diff(xe), np.diff(ye)
+    dx, dy = dxe[2:n + 2], dye[2:n + 2]  # d_i
+    dxn, dyn = dxe[3:n + 3], dye[3:n + 3]  # d_{i+1}
+    length = np.hypot(dx, dy)
+    # P[i, i+s] for s = -2, -1, 2, 3
+    pm2, pm1, p2, p3 = (dx * (ye[2 + s:n + 2 + s] - y) - dy * (xe[2 + s:n + 2 + s] - x)
+                        for s in (-2, -1, 2, 3))
+    sign = 1.0 if p2[0] > 0.0 else -1.0
+    floor = _ROUNDOFF * math.hypot(float(np.ptp(x)), float(np.ptp(y))) * length
+    if not all(np.all(sign * q > floor) for q in (pm2, pm1, p2, p3)):
+        return False
+    # each turning angle lies in (0, pi), so the sum is 2 pi times the winding
+    turning = np.arctan2(sign * (dx * dyn - dy * dxn), dx * dxn + dy * dyn)
+    if float(turning.sum()) > 3.0 * math.pi:
+        return False
+    band = tol * tol * length * float(length.max()) + 1e-300
+    return bool(np.all(np.minimum(p2 * p3, pm2 * pm1) > 4.0 * band))
+
+
 def make_fourier(cos_x, sin_x, cos_y, sin_y) -> Contour:
     """Build and validate a contour from its Fourier coefficients.
 
@@ -145,7 +205,9 @@ def make_fourier(cos_x, sin_x, cos_y, sin_y) -> Contour:
     polyline (tolerance 1e-9 times the diameter), and orientation (a
     clockwise input is reversed in place and flagged). The last three see
     the samples divided by the diameter, so their verdict is the same at
-    every scale.
+    every scale. Simplicity is settled in O(n) by _convex_clear for a
+    convex section and by the O(n^2) _self_intersects otherwise. The
+    returned contour keeps the diameter and area of its samples.
     """
     arrs = []
     for name, c in (("cos_x", cos_x), ("sin_x", sin_x), ("cos_y", cos_y), ("sin_y", sin_y)):
@@ -159,8 +221,8 @@ def make_fourier(cos_x, sin_x, cos_y, sin_y) -> Contour:
         raise ValidationError("all four coefficient arrays must have the same length")
 
     C = Contour(*[a.copy() for a in arrs])
-    x, y, xd, yd, _, _ = C.evaluate(_sample_t())
-    diam = _diameter(x, y)
+    samples = C.evaluate(_sample_t())[:4]
+    diam = _diameter(*samples[:2])
     if diam <= 0.0:
         raise ValidationError("degenerate contour (zero diameter)")
     # under the smallest normal double the samples are too coarsely quantized
@@ -169,16 +231,25 @@ def make_fourier(cos_x, sin_x, cos_y, sin_y) -> Contour:
         raise ConsistencyError(f"contour diameter {diam} is out of double range")
     # the checks see the samples divided by the diameter, so that their
     # verdict does not depend on the section's scale
-    x, y, xd, yd = x / diam, y / diam, xd / diam, yd / diam
+    x, y, xd, yd = (v / diam for v in samples)
     if np.any(np.hypot(xd, yd) <= 1e-12):
         raise ValidationError("contour speed vanishes at a sample point")
-    if _self_intersects(x, y, 1e-9):
+    if not _convex_clear(x, y, 1e-9) and _self_intersects(x, y, 1e-9):
         raise ValidationError("contour self-intersects")
 
-    if _signed_area(x, y, xd, yd) < 0.0:
-        # t -> -t keeps cos terms and flips sin terms
-        C = Contour(C.cos_x, -C.sin_x, C.cos_y, -C.sin_y, reversed_input=True)
-    return C
+    reversed_input = _signed_area(x, y, xd, yd) < 0.0
+    if reversed_input:
+        # t -> -t keeps cos terms and flips sin terms. The reversed samples
+        # are not the input's in reverse order to the last bit, so the kept
+        # diameter and area are those of the reversed contour's own samples.
+        C = Contour(C.cos_x, -C.sin_x, C.cos_y, -C.sin_y)
+        samples = C.evaluate(_sample_t())[:4]
+        diam = _diameter(*samples[:2])
+    # a section over about 1e154 across overflows its area to inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = _signed_area(*samples)
+    return Contour(C.cos_x, C.sin_x, C.cos_y, C.sin_y, reversed_input=reversed_input,
+                   sample_diameter=diam, sample_area=S)
 
 
 def make_circle(r: float) -> Contour:
@@ -204,9 +275,11 @@ def make_ellipse(a0: float, b0: float, theta0: float = 0.0) -> Contour:
     if not (b0 > 0.0):
         raise ValidationError(f"b0 (semi-axis) must be positive, got {b0}")
     ct, st = math.cos(theta0), math.sin(theta0)
+    # an aspect ratio beyond about 5e5 is refused as self-intersecting (see
+    # _self_intersects), and one beyond about 5e11 by the speed gate
     try:
         return make_fourier([a0 * ct], [b0 * st], [-a0 * st], [b0 * ct])
-    except ValidationError as exc:  # e.g. an aspect ratio beyond about 1e12
+    except ValidationError as exc:
         raise ValidationError(f"a0, b0: {exc}") from exc
 
 
@@ -231,7 +304,9 @@ def read_fourier_file(path) -> Contour:
 
 def area(C: Contour) -> float:
     """Enclosed area by the trapezoid rule (spectrally exact here)."""
-    val = _signed_area(*C.evaluate(_sample_t())[:4])
+    val = C.sample_area
+    if val is None:
+        val = _signed_area(*C.evaluate(_sample_t())[:4])
     if val <= 0.0:
         raise ConsistencyError(f"non-positive area {val} for a validated contour")
     return val

@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +19,14 @@ from trapmodes import (
     make_fourier,
     read_fourier_file,
 )
-from trapmodes.contour import _diameter, _sample_t, _self_intersects
+from trapmodes import contour as contour_mod
+from trapmodes.contour import (
+    _convex_clear,
+    _diameter,
+    _sample_t,
+    _self_intersects,
+    _signed_area,
+)
 
 from goldens import EGG, GOLD
 
@@ -210,15 +219,143 @@ def test_self_intersects_matches_four_grid_oracle(coeffs):
     assert new == oracle
 
 
-@pytest.mark.parametrize("c", sorted({*np.linspace(0.999, 1.001, 21).tolist(),
-                                      1.0 - 1e-9, 1.0 + 1e-9, 1.0 + 1e-8}))
-def test_self_intersects_near_contact_matches_four_grid_oracle(c):
+_NEAR_CONTACT = sorted({*np.linspace(0.999, 1.001, 21).tolist(),
+                        1.0 - 1e-9, 1.0 + 1e-9, 1.0 + 1e-8})
+
+
+def _waist(c):
     # X = cos t, Y = (c - 1/2) sin t + sin(3 t)/2: the waist at x = 0 spans
-    # y = 1 - c .. c - 1 and closes at c = 1; c = 1 + 1e-9 lies inside the
-    # 1e-9 * diameter band and c = 1 + 1e-8 outside it
-    new, oracle = _verdicts([1.0, 0.0, 0.0], [0.0] * 3, [0.0] * 3, [c - 0.5, 0.0, 0.5])
+    # y = 1 - c .. c - 1 and closes at c = 1
+    return [1.0, 0.0, 0.0], [0.0] * 3, [0.0] * 3, [c - 0.5, 0.0, 0.5]
+
+
+@pytest.mark.parametrize("c", _NEAR_CONTACT)
+def test_self_intersects_near_contact_matches_four_grid_oracle(c):
+    # c = 1 + 1e-9 lies inside the 1e-9 * diameter band and c = 1 + 1e-8
+    # outside it
+    new, oracle = _verdicts(*_waist(c))
     assert new == oracle
     assert new == (c <= 1.0 + 1e-9)
+
+
+def _certified(coeffs) -> bool:
+    """The certificate's verdict, checked against both full grids, on the
+    samples over the diameter that make_fourier checks."""
+    C = Contour(*(np.asarray(c, dtype=float) for c in coeffs))
+    x, y = C.evaluate(_sample_t())[:2]
+    diam = _diameter(x, y)
+    if not sys.float_info.min <= diam < math.inf:  # refused before the check
+        return False
+    x, y = x / diam, y / diam
+    clear = _convex_clear(x, y, 1e-9)
+    if clear:
+        assert not _self_intersects(x, y, 1e-9)
+        assert not _self_intersects_four_grids(x, y, 1e-9)
+    return clear
+
+
+@st.composite
+def _damped_sections(draw):
+    """J = 1..6 sections; half with the harmonics above the first damped by
+    1e-4 .. 1e-1, which makes most of those convex."""
+    coeffs = draw(_FOURIER_SECTIONS)
+    if draw(st.booleans()):
+        damping = 10.0 ** draw(st.floats(-4.0, -1.0))
+        coeffs = [[c[0], *(damping * v for v in c[1:])] for c in coeffs]
+    return coeffs
+
+
+@given(coeffs=_damped_sections())
+@settings(max_examples=300, deadline=None)
+def test_convex_certificate_implies_the_grids_accept(coeffs):
+    _certified(coeffs)
+
+
+@given(log_aspect=st.floats(0.0, 13.0), theta=st.floats(-math.pi, math.pi),
+       clockwise=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_convex_certificate_on_thin_ellipses(log_aspect, theta, clockwise):
+    b = (-1.0 if clockwise else 1.0) * 10.0 ** -log_aspect
+    ct, st_ = math.cos(theta), math.sin(theta)
+    _certified(([ct], [b * st_], [-st_], [b * ct]))
+
+
+@pytest.mark.parametrize("c", _NEAR_CONTACT)
+def test_convex_certificate_near_contact(c):
+    # the waist is not convex: the full grid decides
+    assert not _certified(_waist(c))
+
+
+def test_convex_certificate_refuses_a_multiply_wound_polygon():
+    # X + iY = e^{3it}: 256 distinct samples, every turn of the same sign and
+    # every near segment clear, but the polygon winds three times
+    assert not _certified(([0.0, 0.0, 1.0], [0.0] * 3, [0.0] * 3, [0.0, 0.0, 1.0]))
+
+
+# the sections that must be validated without the O(n^2) grid
+_CONVEX_SECTIONS = {
+    "circle": ([1.0], [0.0], [0.0], [1.0]),
+    "clockwise_circle": ([1.0], [0.0], [0.0], [-1.0]),
+    "ellipse_1e2": ([0.8], [0.006], [-0.6], [0.008]),
+    "ellipse_1e4": ([1.0], [0.0], [0.0], [1e-4]),
+    "tilted_ellipse_1e4": ([math.cos(0.7)], [1e-4 * math.sin(0.7)],
+                           [-math.sin(0.7)], [1e-4 * math.cos(0.7)]),
+    "egg": (EGG["cos_x"], EGG["sin_x"], EGG["cos_y"], EGG["sin_y"]),
+    # perfbench's Fourier sections: sine series in X, cosine series in Y
+    "fourier_j4": ([0.0] * 4, [1.1, 0.01, 0.003, 0.002],
+                   [0.9, 0.02, -0.004, 0.001], [0.0] * 4),
+}
+
+
+@pytest.mark.parametrize("coeffs", _CONVEX_SECTIONS.values(), ids=_CONVEX_SECTIONS)
+def test_convex_sections_skip_the_crossing_grid(coeffs, monkeypatch):
+    def grid(*args):
+        raise AssertionError("the O(n^2) crossing grid ran")
+
+    monkeypatch.setattr(contour_mod, "_self_intersects", grid)
+    make_fourier(*coeffs)
+
+
+def test_convex_section_validation_peak_memory():
+    # the certificate's arrays have n entries: make_fourier stays far under
+    # one n x n double array, which the crossing grid builds a dozen of
+    n = Contour.n_samples
+    make_fourier([1.5], [0.2], [-0.3], [0.7])
+    tracemalloc.start()
+    try:
+        make_fourier([1.5], [0.2], [-0.3], [0.7])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n * n / 4
+
+
+def _both_orientations(cos_x, sin_x, cos_y, sin_y):
+    # t -> -t reverses the orientation
+    return [(cos_x, sin_x, cos_y, sin_y),
+            (cos_x, [-v for v in sin_x], cos_y, [-v for v in sin_y])]
+
+
+_KEPT_CASES = [
+    orientation
+    for coeffs in [([r], [0.0], [0.0], [r]) for r in (0.3, 1.0, 7.0)]
+    + [([a * math.cos(th)], [b * math.sin(th)], [-a * math.sin(th)], [b * math.cos(th)])
+       for a, b, th in ((1.5, 0.7, 0.4), (1.2, 0.8, 0.3), (0.9, 1.7, -1.1),
+                        (2.0, 1e-3, 0.25), (1e-4, 3e-5, 2.9), (3e5, 1e5, 0.05))]
+    + [(EGG["cos_x"], EGG["sin_x"], EGG["cos_y"], EGG["sin_y"])]
+    for orientation in _both_orientations(*coeffs)
+]
+
+
+@pytest.mark.parametrize("coeffs", _KEPT_CASES)
+def test_kept_area_and_diameter_match_the_samples_bit_for_bit(coeffs):
+    # what area(C) and C.diameter() evaluate on a contour without kept values
+    C = make_fourier(*coeffs)
+    bare = Contour(C.cos_x, C.sin_x, C.cos_y, C.sin_y)
+    x, y, xd, yd = bare.evaluate(_sample_t())[:4]
+    assert C.sample_area == _signed_area(x, y, xd, yd) == area(bare)
+    assert C.sample_diameter == _diameter(x, y) == bare.diameter()
+    assert area(C) == area(bare) and C.diameter() == bare.diameter()
 
 
 # (coefficients, verdict at unit scale): simple, clockwise, a figure-eight,
