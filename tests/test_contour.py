@@ -219,21 +219,13 @@ def test_self_intersects_matches_four_grid_oracle(coeffs):
     assert new == oracle
 
 
-_NEAR_CONTACT = sorted({*np.linspace(0.999, 1.001, 21).tolist(),
-                        1.0 - 1e-9, 1.0 + 1e-9, 1.0 + 1e-8})
-
-
-def _waist(c):
-    # X = cos t, Y = (c - 1/2) sin t + sin(3 t)/2: the waist at x = 0 spans
-    # y = 1 - c .. c - 1 and closes at c = 1
-    return [1.0, 0.0, 0.0], [0.0] * 3, [0.0] * 3, [c - 0.5, 0.0, 0.5]
-
-
-@pytest.mark.parametrize("c", _NEAR_CONTACT)
+@pytest.mark.parametrize("c", sorted({*np.linspace(0.999, 1.001, 21).tolist(),
+                                      1.0 - 1e-9, 1.0 + 1e-9, 1.0 + 1e-8}))
 def test_self_intersects_near_contact_matches_four_grid_oracle(c):
-    # c = 1 + 1e-9 lies inside the 1e-9 * diameter band and c = 1 + 1e-8
-    # outside it
-    new, oracle = _verdicts(*_waist(c))
+    # X = cos t, Y = (c - 1/2) sin t + sin(3 t)/2: the waist at x = 0 spans
+    # y = 1 - c .. c - 1 and closes at c = 1; c = 1 + 1e-9 lies inside the
+    # 1e-9 * diameter band and c = 1 + 1e-8 outside it
+    new, oracle = _verdicts([1.0, 0.0, 0.0], [0.0] * 3, [0.0] * 3, [c - 0.5, 0.0, 0.5])
     assert new == oracle
     assert new == (c <= 1.0 + 1e-9)
 
@@ -276,14 +268,15 @@ def test_convex_certificate_implies_the_grids_accept(coeffs):
 @settings(max_examples=200, deadline=None)
 def test_convex_certificate_on_thin_ellipses(log_aspect, theta, clockwise):
     b = (-1.0 if clockwise else 1.0) * 10.0 ** -log_aspect
-    ct, st_ = math.cos(theta), math.sin(theta)
-    _certified(([ct], [b * st_], [-st_], [b * ct]))
+    ct, sn = math.cos(theta), math.sin(theta)
+    _certified(([ct], [b * sn], [-sn], [b * ct]))
 
 
-@pytest.mark.parametrize("c", _NEAR_CONTACT)
+@pytest.mark.parametrize("c", sorted({*np.linspace(0.999, 1.001, 21).tolist(),
+                                      1.0 - 1e-9, 1.0 + 1e-9, 1.0 + 1e-8}))
 def test_convex_certificate_near_contact(c):
-    # the waist is not convex: the full grid decides
-    assert not _certified(_waist(c))
+    # the near-contact waist family above is not convex: the full grid decides
+    assert not _certified(([1.0, 0.0, 0.0], [0.0] * 3, [0.0] * 3, [c - 0.5, 0.0, 0.5]))
 
 
 def test_convex_certificate_refuses_a_multiply_wound_polygon():
@@ -336,15 +329,17 @@ def _both_orientations(cos_x, sin_x, cos_y, sin_y):
             (cos_x, [-v for v in sin_x], cos_y, [-v for v in sin_y])]
 
 
-_KEPT_CASES = [
-    orientation
-    for coeffs in [([r], [0.0], [0.0], [r]) for r in (0.3, 1.0, 7.0)]
+_KEPT_SECTIONS = (
+    [([r], [0.0], [0.0], [r]) for r in (0.3, 1.0, 7.0)]
     + [([a * math.cos(th)], [b * math.sin(th)], [-a * math.sin(th)], [b * math.cos(th)])
        for a, b, th in ((1.5, 0.7, 0.4), (1.2, 0.8, 0.3), (0.9, 1.7, -1.1),
-                        (2.0, 1e-3, 0.25), (1e-4, 3e-5, 2.9), (3e5, 1e5, 0.05))]
-    + [(EGG["cos_x"], EGG["sin_x"], EGG["cos_y"], EGG["sin_y"])]
-    for orientation in _both_orientations(*coeffs)
-]
+                        (2.0, 1e-3, 0.25), (1e-4, 3e-5, 2.9), (3e5, 1e5, 0.05),
+                        # reversed, these samples round differently: the
+                        # area and the diameter of (0.5, 0.8, 0.2), the
+                        # diameter of (0.5, 0.5, 0.5)
+                        (0.5, 0.8, 0.2), (0.5, 0.5, 0.5))]
+    + [(EGG["cos_x"], EGG["sin_x"], EGG["cos_y"], EGG["sin_y"])])
+_KEPT_CASES = [case for coeffs in _KEPT_SECTIONS for case in _both_orientations(*coeffs)]
 
 
 @pytest.mark.parametrize("coeffs", _KEPT_CASES)
