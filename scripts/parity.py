@@ -3,10 +3,12 @@
 
     python3 scripts/parity.py BASE NEW
 
-Runs a fixed list of argvs as ``python -m trapmodes.cli`` once with
-``BASE/src`` and once with ``NEW/src`` first on PYTHONPATH, each run in a
-fresh working directory, and reports every argv whose exit code, stdout,
-stderr, CSV bytes or manifest differ. Stderr is compared with the tree and
+Runs a fixed list of cases as ``python -m trapmodes.cli`` once with
+``BASE/src`` and once with ``NEW/src`` first on PYTHONPATH, each case in a
+fresh working directory, and reports every case whose exit codes, stdout,
+stderr, CSV bytes or manifest differ. A case is one argv, or a few argvs run
+one after another in the same directory, so that a later run overwrites the
+outputs of an earlier one. Stderr is compared with the tree and
 working-directory paths masked. Manifests are compared without
 ``wall_time_s``, and ``bem.cond_estimate`` to 1e-12 relative: LAPACK's
 condition estimate moves in its last bits from run to run (2.998046875000005
@@ -19,9 +21,9 @@ lambda < 0 with --g, overflowing decay_rate, overflowing g lambda and k g,
 saturated Rcal and Jcal, help and version paths; and both paths of the
 contour's simplicity check: a non-convex (bean) and a clockwise Fourier
 file, and ellipses of aspect 1e5 (convex certificate) and 1e6 (crossing
-grid, rejected). Standard library only, and
-it does not import trapmodes, so it compares any two trees. Exit status 1
-when a difference is found.
+grid, rejected); and a one-row run over a 50-row sweep's outputs. Standard
+library only, and it does not import trapmodes, so it compares any two
+trees. Exit status 1 when a difference is found.
 """
 
 from __future__ import annotations
@@ -123,6 +125,12 @@ CONTOUR_PATHS = [
     # not certified; the grid refuses it as self-intersecting
     ["dipoles", "--shape", "ellipse", "--a0", "1", "--b0", "1e-6"],
 ]
+# argvs run in one working directory: the point run rewrites the sweep's
+# longer CSV and manifest, which must leave no tail of them behind
+RERUNS = [
+    [["sweep", "--what", "cutoffs", "--sweep", "beta:0.1:0.9:50", "--out", "rerun"],
+     ["cutoffs", "--out", "rerun"]],
+]
 
 
 def argvs() -> list[list[str]]:
@@ -149,8 +157,14 @@ def argvs() -> list[list[str]]:
     return runs
 
 
-def run_once(tree: Path, argv: list[str], workdir: Path) -> dict:
-    """Run argv against tree in workdir; returns what it printed and wrote."""
+def cases() -> list[list[list[str]]]:
+    """Every argv as a case of its own, then the reruns."""
+    return [[argv] for argv in argvs()] + RERUNS
+
+
+def run_once(tree: Path, case: list[list[str]], workdir: Path) -> dict:
+    """Run the argvs of case against tree, in order, in workdir; returns what
+    they printed and what the directory holds after the last one."""
     workdir.mkdir(parents=True)
     for name, text in INPUT_FILES.items():
         (workdir / name).write_text(text)
@@ -159,14 +173,16 @@ def run_once(tree: Path, argv: list[str], workdir: Path) -> dict:
         filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
-    proc = subprocess.run([sys.executable, "-m", "trapmodes.cli", *argv],
-                          cwd=workdir, env=env, capture_output=True, timeout=300)
-    stderr = proc.stderr.decode("utf-8", "replace")
+    procs = [subprocess.run([sys.executable, "-m", "trapmodes.cli", *argv],
+                            cwd=workdir, env=env, capture_output=True, timeout=300)
+             for argv in case]
+    stderr = "".join(proc.stderr.decode("utf-8", "replace") for proc in procs)
     for path, mask in ((workdir, "<cwd>"), (tree / "src", "<tree>/src")):
         stderr = stderr.replace(str(path.resolve()), mask)
     outputs = {p.name: p.read_bytes() for p in sorted(workdir.iterdir())
                if p.is_file() and p.name not in INPUT_FILES}
-    return {"exit": proc.returncode, "stdout": proc.stdout, "stderr": stderr,
+    return {"exit": " ".join(str(proc.returncode) for proc in procs),
+            "stdout": b"".join(proc.stdout for proc in procs), "stderr": stderr,
             "outputs": outputs}
 
 
@@ -183,7 +199,7 @@ def _manifest_diff(a, b, path=""):
 
 
 def differences(base: dict, new: dict) -> list[str]:
-    """What differs between the two runs of one argv."""
+    """What differs between the two runs of one case."""
     found = [f"exit {base['exit']} -> {new['exit']}"] if base["exit"] != new["exit"] else []
     found += [field for field in ("stdout", "stderr") if base[field] != new[field]]
     for name in sorted(set(base["outputs"]) | set(new["outputs"])):
@@ -191,7 +207,11 @@ def differences(base: dict, new: dict) -> list[str]:
         if a is None or b is None:
             found.append(f"{name} (written by one tree only)")
         elif name.endswith(".manifest.json"):
-            a, b = json.loads(a), json.loads(b)
+            try:
+                a, b = json.loads(a), json.loads(b)
+            except ValueError:  # e.g. a rewrite that left an old tail behind
+                found.append(f"{name} (not JSON)")
+                continue
             a.pop("wall_time_s"), b.pop("wall_time_s")
             keys = _manifest_diff(a, b)
             if keys:
@@ -201,15 +221,15 @@ def differences(base: dict, new: dict) -> list[str]:
     return found
 
 
-def compare(base: Path, new: Path, runs: list[list[str]], jobs: int = 2):
-    """(argv, differences) for every argv of runs on which the trees differ."""
+def compare(base: Path, new: Path, runs: list[list[list[str]]], jobs: int = 2):
+    """(case, differences) for every case of runs on which the trees differ."""
     with tempfile.TemporaryDirectory(prefix="parity-") as tmp:
-        tasks = [(tree, argv, Path(tmp) / side / f"{i:03d}")
-                 for i, argv in enumerate(runs)
+        tasks = [(tree, case, Path(tmp) / side / f"{i:03d}")
+                 for i, case in enumerate(runs)
                  for side, tree in (("base", base), ("new", new))]
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(lambda task: run_once(*task), tasks))
-    return [(argv, found) for argv, base_run, new_run
+    return [(case, found) for case, base_run, new_run
             in zip(runs, results[0::2], results[1::2])
             if (found := differences(base_run, new_run))]
 
@@ -219,13 +239,13 @@ def main(argv=None) -> int:
     parser.add_argument("base", type=Path, help="tree of the reference checkout")
     parser.add_argument("new", type=Path, help="tree of the changed checkout")
     args = parser.parse_args(argv)
-    runs = argvs()
+    runs = cases()
     diffs = compare(args.base.resolve(), args.new.resolve(), runs)
-    for run, found in diffs:
-        print(" ".join(run))
+    for case, found in diffs:
+        print(" ; ".join(" ".join(argv) for argv in case))
         for item in found:
             print(f"    {item}")
-    print(f"{len(runs)} argvs, {len(diffs)} differ")
+    print(f"{len(runs)} cases ({sum(map(len, runs))} argvs), {len(diffs)} differ")
     return 1 if diffs else 0
 
 

@@ -24,6 +24,8 @@ import functools
 import io
 import json
 import math
+import os
+import stat
 import sys
 import time
 import warnings
@@ -428,13 +430,26 @@ def _render_csv(columns, rows) -> str:
     return buf.getvalue()
 
 
+def _rewrite(path: str, text: str, newline: str | None) -> None:
+    """Write text over path in place and cut off any old tail.
+
+    Opening without O_TRUNC keeps the inode, so hard links and symlinks see
+    the new text, and a rerun does not wait for the writeback that the
+    previous run's close started (a truncating open does, on ext4). Only a
+    regular file is truncated: a FIFO or a device has no tail to cut.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "w", encoding="utf-8", newline=newline) as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
+
+
 def _write_outputs(run: RunConfig, csv_text: str, manifest: dict) -> None:
     try:
-        with open(f"{run.out}.csv", "w", newline="", encoding="utf-8") as fh:
-            fh.write(csv_text)
-        with open(f"{run.out}.manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _rewrite(f"{run.out}.csv", csv_text, newline="")
+        _rewrite(f"{run.out}.manifest.json",
+                 json.dumps(manifest, indent=2, sort_keys=True) + "\n", newline=None)
     except OSError as exc:
         raise ValidationError(f"out: cannot write {run.out!r}: {exc}") from exc
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -426,6 +427,83 @@ def test_missing_config_and_unwritable_out_exit_2(tmp_path, capsys):
                            capsys)
     assert code == 2
     assert err.startswith("error: out: cannot write")
+    # the CSV is written, then the manifest cannot be opened
+    (tmp_path / "d.manifest.json").mkdir()
+    code, _, err = run_cli(["cutoffs", "--out", str(tmp_path / "d")], capsys)
+    assert code == 2
+    assert err.startswith("error: out: cannot write")
+
+
+def _reference_csv(tmp_path, capsys):
+    code, out, _ = run_cli(["cutoffs", "--out", str(tmp_path / "ref")], capsys)
+    assert code == 0
+    assert out == (tmp_path / "ref.csv").read_text(encoding="utf-8")
+    return out
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+def test_out_symlinked_to_dev_null(tmp_path, capsys):
+    # a device is written but not truncated
+    expected = _reference_csv(tmp_path, capsys)
+    (tmp_path / "x.csv").symlink_to("/dev/null")
+    code, out, err = run_cli(["cutoffs", "--out", str(tmp_path / "x")], capsys)
+    assert (code, err) == (0, "")
+    assert out == expected
+    assert (tmp_path / "x.csv").read_bytes() == b""
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_out_csv_is_a_fifo(tmp_path, capsys):
+    # a FIFO cannot seek or be truncated; the run writes through it
+    expected = _reference_csv(tmp_path, capsys)
+    fifo = tmp_path / "x.csv"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+    reader.start()
+    try:
+        code, out, err = run_cli(["cutoffs", "--out", str(tmp_path / "x")], capsys)
+    finally:
+        if not received:
+            # release a reader still waiting for a writer to open the FIFO
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        reader.join(timeout=60)
+    assert (code, err) == (0, "")
+    assert out == expected
+    assert received == [expected.encode("utf-8")]
+
+
+def test_rerun_rewrites_in_place_and_leaves_no_stale_tail(tmp_path, capsys,
+                                                          monkeypatch):
+    # a 50-row sweep, then a one-row point run over the same stem
+    sweep = ["sweep", "--what", "cutoffs", "--sweep", "beta:0.1:0.9:50",
+             "--out", "run"]
+    point = ["cutoffs", "--out", "run"]
+    fresh, rerun = tmp_path / "fresh", tmp_path / "rerun"
+    fresh.mkdir()
+    rerun.mkdir()
+    monkeypatch.chdir(fresh)
+    assert run_cli(point, capsys)[0] == 0
+    monkeypatch.chdir(rerun)
+    assert run_cli(sweep, capsys)[0] == 0
+    csv_path, manifest_path = rerun / "run.csv", rerun / "run.manifest.json"
+    old_sizes = csv_path.stat().st_size, manifest_path.stat().st_size
+    inodes = csv_path.stat().st_ino, manifest_path.stat().st_ino
+    os.link(csv_path, rerun / "link.csv")
+    assert run_cli(point, capsys)[0] == 0
+    new_csv = csv_path.read_bytes()
+    assert new_csv == (fresh / "run.csv").read_bytes()
+    assert csv_path.stat().st_size < old_sizes[0]
+    assert manifest_path.stat().st_size < old_sizes[1]
+    assert (csv_path.stat().st_ino, manifest_path.stat().st_ino) == inodes
+    assert (rerun / "link.csv").read_bytes() == new_csv
+    manifests = [json.loads((d / "run.manifest.json").read_text(encoding="utf-8"))
+                 for d in (fresh, rerun)]
+    for manifest in manifests:
+        manifest.pop("wall_time_s")
+    assert manifests[0] == manifests[1]
+    text = manifest_path.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 def test_every_field_has_a_flag_and_a_config_key(tmp_path):

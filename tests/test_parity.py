@@ -44,7 +44,7 @@ def test_checkout_matches_itself():
             ["resonance", "--config", "run.cfg", "--shape", "fourier",
              "--fourier-file", "section.txt", "--N", "64"],
             ["embedded", "--side", "L"]]
-    assert parity.compare(ROOT, ROOT, runs) == []
+    assert parity.compare(ROOT, ROOT, [[argv] for argv in runs] + parity.RERUNS) == []
 
 
 def test_script_imports_no_package_module():
@@ -75,3 +75,7 @@ def test_differences_names_each_kind():
                                         ctx={"tau1": 3.0})) == [
         "exit 0 -> 3", "stdout", "stderr", "t.csv",
         "t.manifest.json: spectral_context"]
+    # a manifest with an old run's tail after it is reported, not raised
+    stale = run()
+    stale["outputs"]["t.manifest.json"] += "\n}\n"
+    assert parity.differences(base, stale) == ["t.manifest.json (not JSON)"]
