@@ -18,12 +18,12 @@ The argvs cover every sweepable (table, parameter) pair on a circle, an
 ellipse and a Fourier file at N = 64; each command's point runs plain, with
 --g, --config, epsilon > 0.1, side L and N = 1024; and the error, range,
 lambda < 0 with --g, overflowing decay_rate, overflowing g lambda and k g,
-saturated Rcal and Jcal, help and version paths; and both paths of the
-contour's simplicity check: a non-convex (bean) and a clockwise Fourier
-file, and ellipses of aspect 1e5 (convex certificate) and 1e6 (crossing
-grid, rejected); and a one-row run over a 50-row sweep's outputs. Standard
-library only, and it does not import trapmodes, so it compares any two
-trees. Exit status 1 when a difference is found.
+saturated Rcal and Jcal, oversize sweep grid and N, help and version paths;
+and both paths of the contour's simplicity check: a non-convex (bean) and a
+clockwise Fourier file, and ellipses of aspect 1e5 (convex certificate) and
+1e6 (crossing grid, rejected); and a one-row run over a 50-row sweep's
+outputs. Standard library only, and it does not import trapmodes, so it
+compares any two trees. Exit status 1 when a difference is found.
 """
 
 from __future__ import annotations
@@ -113,6 +113,11 @@ ERRORS = [
     ["resonance", "--k", "10", "--b", "0.2", "--a", "0.1", "--g", "1.7e308", *N],
     # Rcal and Jcal saturate to signed infinities (a tau1 > 709.78)
     ["resonance", "--beta", "0.999", "--a", "0.9", *SECTIONS["ellipse"], *N],
+    # a sweep grid and an N too large to allocate: each array would exceed
+    # the user address space, so none is allocated
+    ["sweep", "--what", "cutoffs", "--sweep", f"k:1:2:{10**16}"],
+    ["sweep", "--what", "cutoffs", "--sweep", f"k:1:2:{10**19}"],
+    ["dipoles", "--N", str(2**50)], ["dipoles", "--N", str(2**62)],
 ]
 # the two paths of the simplicity check: the O(n) convex certificate, and the
 # crossing grid on a section it cannot certify

@@ -18,7 +18,6 @@ from .contour import (
     Contour,
     DipoleStrengths,
     analytic_dipoles,
-    area,
     make_circle,
     make_ellipse,
     make_fourier,
@@ -56,7 +55,6 @@ from .potentialflow import (
     dipoles_bem,
 )
 from .spectra import (
-    Coefficients,
     ModeResult,
     ProblemSetup,
     ResonanceResult,

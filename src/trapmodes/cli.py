@@ -75,8 +75,7 @@ def _row_formula(run: RunConfig, stages: _Stages) -> dict:
     res = fn(ProblemSetup(ctx=ctx, side=run.side, a=run.a, epsilon=run.epsilon,
                           dip=dip))
     row = {**vars(run), **vars(res), "mu": dip.mu, "S": dip.S,
-           "lambda": getattr(res, "lam", None), "D": res.coefficients.D,
-           "D1": res.coefficients.D1}
+           "lambda": getattr(res, "lam", None)}
     # the formulas give lam = omega^2/g and sigma; only one cell needs g
     if run.g is None:
         return row
@@ -314,7 +313,10 @@ def _parse_sweep(run: RunConfig):
             f"sweep: need start < stop, got {start} >= {stop}")
     if count < 2:
         raise ValidationError(f"sweep: count must be >= 2, got {count}")
-    return param, np.linspace(start, stop, count)
+    try:
+        return param, np.linspace(start, stop, count)
+    except (MemoryError, ValueError) as exc:
+        raise ValidationError(f"sweep: count {count} is too large: {exc}") from exc
 
 
 def _fluid(run: RunConfig) -> FluidConfig:

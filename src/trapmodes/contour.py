@@ -8,9 +8,8 @@ Fourier series with zero mean,
 
 so circles and ellipses are J = 1 and derivatives are exact term-by-term
 sums. The contour must be simple (no self-intersection) and is stored
-positively oriented; with that orientation m(t) = (-Y'(t), X'(t)) points
-into the fluid-free interior... here "interior" means into the cylinder,
-i.e. m is the inward normal direction times the speed.
+positively oriented; with that orientation m(t) = (-Y'(t), X'(t)) is the
+inward normal times the speed.
 
 The dipole coefficients (mu, kappa, nu) describe the far field of the
 exterior potential-flow problems around the section and are the only shape
@@ -61,19 +60,30 @@ class DipoleStrengths:
 
 @dataclass(frozen=True)
 class Contour:
-    """Fourier representation of a simple closed curve, positively oriented."""
+    """Fourier representation of a simple closed curve, positively oriented.
+
+    It evaluates its samples (X, Y, X', Y' at n_samples uniform t) once,
+    when built, and keeps them with their diameter and signed area.
+    """
 
     cos_x: np.ndarray
     sin_x: np.ndarray
     cos_y: np.ndarray
     sin_y: np.ndarray
     reversed_input: bool = field(default=False, compare=False)
-    # the diameter and area of the samples, kept by make_fourier so that the
-    # BEM does not evaluate them again; None on a contour built directly
-    sample_diameter: float | None = field(default=None, compare=False, repr=False)
-    sample_area: float | None = field(default=None, compare=False, repr=False)
+    samples: tuple = field(init=False, compare=False, repr=False)
+    diameter: float = field(init=False, compare=False)
+    area: float = field(init=False, compare=False)
     # samples per period for validation and the area quadrature
     n_samples: ClassVar[int] = 256
+
+    def __post_init__(self):
+        samples = self.evaluate(_sample_t())[:4]
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "diameter", _diameter(*samples[:2]))
+        # a section over about 1e154 across overflows its area to inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            object.__setattr__(self, "area", _signed_area(*samples))
 
     @property
     def order(self) -> int:
@@ -98,11 +108,6 @@ class Contour:
         xdd = -cj2 @ self.cos_x - sj2 @ self.sin_x
         ydd = -cj2 @ self.cos_y - sj2 @ self.sin_y
         return x, y, xd, yd, xdd, ydd
-
-    def diameter(self) -> float:
-        if self.sample_diameter is not None:
-            return self.sample_diameter
-        return _diameter(*self.evaluate(_sample_t())[:2])
 
 
 def _sample_t() -> np.ndarray:
@@ -206,8 +211,7 @@ def make_fourier(cos_x, sin_x, cos_y, sin_y) -> Contour:
     clockwise input is reversed in place and flagged). The last three see
     the samples divided by the diameter, so their verdict is the same at
     every scale. Simplicity is settled in O(n) by _convex_clear for a
-    convex section and by the O(n^2) _self_intersects otherwise. The
-    returned contour keeps the diameter and area of its samples.
+    convex section and by the O(n^2) _self_intersects otherwise.
     """
     arrs = []
     for name, c in (("cos_x", cos_x), ("sin_x", sin_x), ("cos_y", cos_y), ("sin_y", sin_y)):
@@ -221,8 +225,7 @@ def make_fourier(cos_x, sin_x, cos_y, sin_y) -> Contour:
         raise ValidationError("all four coefficient arrays must have the same length")
 
     C = Contour(*[a.copy() for a in arrs])
-    samples = C.evaluate(_sample_t())[:4]
-    diam = _diameter(*samples[:2])
+    diam = C.diameter
     if diam <= 0.0:
         raise ValidationError("degenerate contour (zero diameter)")
     # under the smallest normal double the samples are too coarsely quantized
@@ -231,25 +234,18 @@ def make_fourier(cos_x, sin_x, cos_y, sin_y) -> Contour:
         raise ConsistencyError(f"contour diameter {diam} is out of double range")
     # the checks see the samples divided by the diameter, so that their
     # verdict does not depend on the section's scale
-    x, y, xd, yd = (v / diam for v in samples)
+    x, y, xd, yd = (v / diam for v in C.samples)
     if np.any(np.hypot(xd, yd) <= 1e-12):
         raise ValidationError("contour speed vanishes at a sample point")
     if not _convex_clear(x, y, 1e-9) and _self_intersects(x, y, 1e-9):
         raise ValidationError("contour self-intersects")
 
-    reversed_input = _signed_area(x, y, xd, yd) < 0.0
-    if reversed_input:
+    if _signed_area(x, y, xd, yd) < 0.0:
         # t -> -t keeps cos terms and flips sin terms. The reversed samples
-        # are not the input's in reverse order to the last bit, so the kept
-        # diameter and area are those of the reversed contour's own samples.
-        C = Contour(C.cos_x, -C.sin_x, C.cos_y, -C.sin_y)
-        samples = C.evaluate(_sample_t())[:4]
-        diam = _diameter(*samples[:2])
-    # a section over about 1e154 across overflows its area to inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        S = _signed_area(*samples)
-    return Contour(C.cos_x, C.sin_x, C.cos_y, C.sin_y, reversed_input=reversed_input,
-                   sample_diameter=diam, sample_area=S)
+        # are not the input's in reverse order to the last bit, so the
+        # reversed contour evaluates its own.
+        C = Contour(C.cos_x, -C.sin_x, C.cos_y, -C.sin_y, reversed_input=True)
+    return C
 
 
 def make_circle(r: float) -> Contour:
@@ -300,16 +296,6 @@ def read_fourier_file(path) -> Contour:
             f"got shape {data.shape}"
         )
     return make_fourier(data[:, 0], data[:, 1], data[:, 2], data[:, 3])
-
-
-def area(C: Contour) -> float:
-    """Enclosed area by the trapezoid rule (spectrally exact here)."""
-    val = C.sample_area
-    if val is None:
-        val = _signed_area(*C.evaluate(_sample_t())[:4])
-    if val <= 0.0:
-        raise ConsistencyError(f"non-positive area {val} for a validated contour")
-    return val
 
 
 def analytic_dipoles(shape: str, r: float | None = None, a0: float | None = None,

@@ -29,15 +29,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import Contour, DipoleStrengths, area
+from .contour import Contour, DipoleStrengths
 from .errors import ConsistencyError, ValidationError
 
 GAUSS_TOL = 1e-8
-# Section diameters the BEM accepts. The kernel squares node distances
-# (about diameter / N) and the dipole quadratures sum N products of two
-# lengths; with the diameter in this window both stay inside the normal
-# double range for N up to 4096.
+# Section diameters the BEM accepts, and its largest N. The kernel squares
+# node distances (about diameter / N) and the dipole quadratures sum N
+# products of two lengths; with the diameter in this window both stay inside
+# the normal double range for N up to N_MAX.
 DIAMETER_RANGE = (1e-150, 1e150)
+N_MAX = 4096
 # Rows of the kernel built per pass: a block of MT and its two scratch arrays
 # take 768 kB at N = 1024. Every accepted N is a power of two >= 32, so the
 # blocks tile N exactly.
@@ -67,14 +68,15 @@ class NystromSystem:
 def assemble(C: Contour, N: int = 256) -> NystromSystem:
     """Build and factor the Nystrom system on N uniform nodes.
 
-    N must be a power of two with N >= 32 (the convergence study doubles N).
+    N must be a power of two from 32 to N_MAX (the convergence study
+    doubles N).
     Raises ConsistencyError if the section's diameter is outside
     DIAMETER_RANGE ("out of double range"), if the discrete Gauss law
     fails beyond 1e-8 or if LAPACK reports a failure.
     """
-    if N < 32 or (N & (N - 1)) != 0:
-        raise ValidationError(f"N must be a power of two >= 32, got {N}")
-    diam = C.diameter()
+    if not 32 <= N <= N_MAX or (N & (N - 1)) != 0:
+        raise ValidationError(f"N must be a power of two from 32 to {N_MAX}, got {N}")
+    diam = C.diameter
     if not DIAMETER_RANGE[0] <= diam <= DIAMETER_RANGE[1]:
         raise ConsistencyError(
             f"section diameter {diam:.3e} is out of double range for the BEM "
@@ -204,7 +206,7 @@ def dipoles_bem(system: NystromSystem) -> DipoleStrengths:
     kappa = (h / math.pi) * float(np.dot(yd, u_x))
     nu_a = -(h / math.pi) * float(np.dot(xd, u_x))
     nu_b = (h / math.pi) * float(np.dot(yd, u_y))
-    S = area(system.contour)
+    S = system.contour.area
     if abs(nu_a - nu_b) > 1e-8 * max(1.0, S):
         raise ConsistencyError(
             f"nu quadratures disagree: {nu_a} vs {nu_b} (N={system.N})"
@@ -238,4 +240,4 @@ def dipole_mu_flux(system: NystromSystem) -> float:
     """
     psi = _stream_function(system)
     h = 2.0 * np.pi / system.N
-    return (area(system.contour) + h * float(np.dot(system.xd, psi))) / (2.0 * math.pi)
+    return (system.contour.area + h * float(np.dot(system.xd, psi))) / (2.0 * math.pi)

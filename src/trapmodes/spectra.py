@@ -79,21 +79,14 @@ class ProblemSetup:
             )
 
 
-@dataclass(frozen=True)
-class Coefficients:
-    """Positive constants of the leading-order formulas, kept for diagnostics."""
-
-    D: float
-    D1: float | None = None
-
-
+# D and D1 are the positive constants of the formulas, kept for diagnostics
 @dataclass(frozen=True)
 class ModeResult:
     sigma: float
     lam: float
     threshold: float
+    D: float
     order: ClassVar[str] = "leading"
-    coefficients: Coefficients | None = None
 
 
 @dataclass(frozen=True)
@@ -102,9 +95,10 @@ class ResonanceResult:
     im_sigma: float
     rcal: float
     jcal: float
-    near_embedded: bool = False
+    near_embedded: bool
+    D: float
+    D1: float
     order: ClassVar[str] = "leading"
-    coefficients: Coefficients | None = None
 
 
 def q_factor(tau: float, cfg: FluidConfig) -> float:
@@ -221,8 +215,7 @@ def _trapped_result(sigma: float, Lam1: float, D: float) -> ModeResult:
     if not (sigma > 0.0):
         raise ConsistencyError(f"trapped-mode sigma must be positive, got {sigma}")
     lam = Lam1 * (1.0 - sigma * sigma)
-    return ModeResult(sigma=sigma, lam=lam, threshold=Lam1,
-                      coefficients=Coefficients(D=D))
+    return ModeResult(sigma=sigma, lam=lam, threshold=Lam1, D=D)
 
 
 def resonance_upper(setup: ProblemSetup) -> ResonanceResult:
@@ -272,8 +265,7 @@ def resonance_upper(setup: ProblemSetup) -> ResonanceResult:
         )
     rcal, jcal = _unscale(a * tau1, r_hat, j_hat)
     return ResonanceResult(re_sigma=re_sigma, im_sigma=im_sigma, rcal=rcal, jcal=jcal,
-                           near_embedded=near_embedded,
-                           coefficients=Coefficients(D=D, D1=D1))
+                           near_embedded=near_embedded, D=D, D1=D1)
 
 
 def trapped_lower(setup: ProblemSetup) -> ModeResult:
@@ -353,5 +345,5 @@ def resonance_lower(setup: ProblemSetup) -> ResonanceResult:
             f"problem-L resonance must have re, im > 0; got re={re_sigma}, im={im_sigma}"
         )
     return ResonanceResult(re_sigma=re_sigma, im_sigma=im_sigma,
-                           rcal=math.nan, jcal=math.nan,
-                           coefficients=Coefficients(D=D, D1=D1))
+                           rcal=math.nan, jcal=math.nan, near_embedded=False,
+                           D=D, D1=D1)

@@ -195,9 +195,9 @@ def test_criterion_08_positivity_ledger():
         r2 = resonance_upper(su)
         r3 = trapped_lower(sl)
         r4 = resonance_lower(sl)
-        if not (r1.coefficients.D > 0 and r2.coefficients.D > 0
-                and r2.coefficients.D1 > 0 and r3.coefficients.D > 0
-                and r4.coefficients.D > 0 and r4.coefficients.D1 > 0
+        if not (r1.D > 0 and r2.D > 0
+                and r2.D1 > 0 and r3.D > 0
+                and r4.D > 0 and r4.D1 > 0
                 and r4.im_sigma > 0):
             failures += 1
     ok = failures == 0

@@ -192,6 +192,9 @@ def test_validation_exit_codes(tmp_path, capsys):
     (["dipoles", "--r", "0"], "r"),
     (["dipoles", "--shape", "ellipse", "--a0", "0"], "a0"),
     (["dipoles", "--shape", "ellipse", "--b0", "-2"], "b0"),
+    # beyond the BEM's largest N; these arrays would not fit in the address space
+    (["dipoles", "--N", str(2**50)], "N"),
+    (["dipoles", "--N", str(2**62)], "N"),
 ])
 def test_non_finite_and_nonpositive_g_exit_2(args, field, tmp_path, capsys):
     code, stdout, err = run_cli(args + ["--out", str(tmp_path / "x")], capsys)
@@ -409,7 +412,11 @@ def test_config_choice_errors_name_the_field(args, line, field, tmp_path, capsys
     ["--what", "cutoffs", "--sweep", "a:0.1:0.9:3"],
     ["--what", "trapped", "--sweep", "a:x:0.9:3"],
     ["--what", "trapped", "--sweep", "a:nan:0.9:3"],
-], ids=["missing", "three-parts", "not-sweepable", "unparsable", "nan-start"])
+    # grids beyond the user address space: nothing is allocated
+    ["--what", "cutoffs", "--sweep", f"k:1:2:{10**16}"],
+    ["--what", "cutoffs", "--sweep", f"k:1:2:{10**19}"],
+], ids=["missing", "three-parts", "not-sweepable", "unparsable", "nan-start",
+        "grid-1e16", "grid-1e19"])
 def test_sweep_spec_errors(args, tmp_path, capsys):
     code, stdout, err = run_cli(["sweep", *args, "--out", str(tmp_path / "x")],
                                 capsys)

@@ -13,7 +13,6 @@ from trapmodes import (
     DipoleStrengths,
     ValidationError,
     analytic_dipoles,
-    area,
     make_circle,
     make_ellipse,
     make_fourier,
@@ -34,26 +33,26 @@ from goldens import EGG, GOLD
 def test_circle_area_and_diameter():
     for r in (0.3, 1.0, 2.5):
         C = make_circle(r)
-        assert area(C) == pytest.approx(math.pi * r * r, rel=1e-13)
-        assert C.diameter() == pytest.approx(2.0 * math.sqrt(2.0) * r, rel=1e-3)
+        assert C.area == pytest.approx(math.pi * r * r, rel=1e-13)
+        assert C.diameter == pytest.approx(2.0 * math.sqrt(2.0) * r, rel=1e-3)
 
 
 def test_ellipse_area_tilt_invariant():
-    S0 = area(make_ellipse(1.5, 0.7, 0.0))
+    S0 = make_ellipse(1.5, 0.7, 0.0).area
     for th in (0.0, 0.3, 1.2, -0.8):
-        assert area(make_ellipse(1.5, 0.7, th)) == pytest.approx(S0, rel=1e-13)
+        assert make_ellipse(1.5, 0.7, th).area == pytest.approx(S0, rel=1e-13)
     assert S0 == pytest.approx(math.pi * 1.5 * 0.7, rel=1e-13)
 
 
 def test_egg_area_golden(egg):
-    assert area(egg) == pytest.approx(GOLD["area_egg"], rel=1e-13)
+    assert egg.area == pytest.approx(GOLD["area_egg"], rel=1e-13)
 
 
 def test_clockwise_input_is_reversed():
     # same circle traversed clockwise: sin_y coefficient negated
     C = make_fourier([1.0], [0.0], [0.0], [-1.0])
     assert C.reversed_input
-    assert area(C) == pytest.approx(math.pi, rel=1e-13)
+    assert C.area == pytest.approx(math.pi, rel=1e-13)
     # the reversed parameterization coincides with the stock circle
     t = np.array([0.0, 0.25 * math.pi, 2.0])
     for got, want in zip(C.evaluate(t)[:2], make_circle(1.0).evaluate(t)[:2]):
@@ -130,8 +129,8 @@ def test_analytic_ellipse_closed_forms():
 @given(c=st.floats(0.2, 4.0))
 @settings(max_examples=40, deadline=None)
 def test_area_scales_quadratically(c):
-    base = area(make_ellipse(1.2, 0.8, 0.3))
-    scaled = area(make_ellipse(1.2 * c, 0.8 * c, 0.3))
+    base = make_ellipse(1.2, 0.8, 0.3).area
+    scaled = make_ellipse(1.2 * c, 0.8 * c, 0.3).area
     assert scaled == pytest.approx(c * c * base, rel=1e-11)
 
 
@@ -309,6 +308,18 @@ def test_convex_sections_skip_the_crossing_grid(coeffs, monkeypatch):
     make_fourier(*coeffs)
 
 
+@pytest.mark.parametrize("sin_y, tables", [(1.0, 1), (-1.0, 2)],
+                         ids=["counterclockwise", "clockwise"])
+def test_validation_evaluates_each_sample_table_once(sin_y, tables, monkeypatch):
+    # the input's table, and the reversed contour's for a clockwise input
+    calls = []
+    evaluate = Contour.evaluate
+    monkeypatch.setattr(Contour, "evaluate",
+                        lambda self, t: calls.append(len(t)) or evaluate(self, t))
+    make_fourier([1.0], [0.0], [0.0], [sin_y])
+    assert calls == [Contour.n_samples] * tables
+
+
 def test_convex_section_validation_peak_memory():
     # the certificate's arrays have n entries: make_fourier stays far under
     # one n x n double array, which the crossing grid builds a dozen of
@@ -344,13 +355,14 @@ _KEPT_CASES = [case for coeffs in _KEPT_SECTIONS for case in _both_orientations(
 
 @pytest.mark.parametrize("coeffs", _KEPT_CASES)
 def test_kept_area_and_diameter_match_the_samples_bit_for_bit(coeffs):
-    # what area(C) and C.diameter() evaluate on a contour without kept values
-    C = make_fourier(*coeffs)
-    bare = Contour(C.cos_x, C.sin_x, C.cos_y, C.sin_y)
-    x, y, xd, yd = bare.evaluate(_sample_t())[:4]
-    assert C.sample_area == _signed_area(x, y, xd, yd) == area(bare)
-    assert C.sample_diameter == _diameter(x, y) == bare.diameter()
-    assert area(C) == area(bare) and C.diameter() == bare.diameter()
+    # every contour's geometry equals its evaluated samples bit for bit:
+    # built bare, and validated (a clockwise input reversed)
+    bare = Contour(*(np.asarray(c, dtype=float) for c in coeffs))
+    for C in (bare, make_fourier(*coeffs)):
+        samples = C.evaluate(_sample_t())[:4]
+        assert all(np.array_equal(a, b) for a, b in zip(C.samples, samples))
+        assert C.diameter == _diameter(*samples[:2])
+        assert C.area == _signed_area(*samples)
 
 
 # (coefficients, verdict at unit scale): simple, clockwise, a figure-eight,

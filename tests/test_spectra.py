@@ -71,7 +71,7 @@ def test_p0_factor_goldens(cfg_half, ctx_half):
 
 def test_trapped_upper_golden(setup_std):
     res = trapped_upper(setup_std)
-    assert res.coefficients.D == pytest.approx(GOLD["D_trapped_upper"], rel=1e-12)
+    assert res.D == pytest.approx(GOLD["D_trapped_upper"], rel=1e-12)
     assert res.sigma == pytest.approx(GOLD["sigma_trapped_upper"], rel=1e-12)
     assert res.threshold == pytest.approx(GOLD["Lambda1"], rel=1e-14)
     assert res.lam == pytest.approx(
@@ -81,8 +81,8 @@ def test_trapped_upper_golden(setup_std):
 
 def test_resonance_upper_golden(setup_std):
     res = resonance_upper(setup_std)
-    assert res.coefficients.D == pytest.approx(GOLD["D_resonance_upper"], rel=1e-12)
-    assert res.coefficients.D1 == pytest.approx(GOLD["D1_resonance_upper"], rel=1e-12)
+    assert res.D == pytest.approx(GOLD["D_resonance_upper"], rel=1e-12)
+    assert res.D1 == pytest.approx(GOLD["D1_resonance_upper"], rel=1e-12)
     assert res.re_sigma == pytest.approx(GOLD["re_sigma_resonance_upper"], rel=1e-12)
     assert res.im_sigma == pytest.approx(GOLD["im_sigma_resonance_upper"], rel=1e-12)
     assert res.rcal == pytest.approx(GOLD["Rcal_std"], rel=1e-12)
@@ -93,15 +93,15 @@ def test_resonance_upper_golden(setup_std):
 
 def test_trapped_lower_golden(setup_std_lower):
     res = trapped_lower(setup_std_lower)
-    assert res.coefficients.D == pytest.approx(GOLD["D_trapped_lower"], rel=1e-12)
+    assert res.D == pytest.approx(GOLD["D_trapped_lower"], rel=1e-12)
     assert res.sigma == pytest.approx(GOLD["sigma_trapped_lower"], rel=1e-12)
     assert 0.0 < res.lam < res.threshold
 
 
 def test_resonance_lower_golden(setup_std_lower):
     res = resonance_lower(setup_std_lower)
-    assert res.coefficients.D == pytest.approx(GOLD["D_resonance_lower"], rel=1e-12)
-    assert res.coefficients.D1 == pytest.approx(GOLD["D1_resonance_lower"], rel=1e-12)
+    assert res.D == pytest.approx(GOLD["D_resonance_lower"], rel=1e-12)
+    assert res.D1 == pytest.approx(GOLD["D1_resonance_lower"], rel=1e-12)
     assert res.re_sigma == pytest.approx(GOLD["re_sigma_resonance_lower"], rel=1e-12)
     assert res.im_sigma == pytest.approx(GOLD["im_sigma_resonance_lower"], rel=1e-12)
     assert math.isnan(res.rcal) and math.isnan(res.jcal)
@@ -200,7 +200,7 @@ def test_trapped_upper_properties(beta, b, k, frac, eps):
     # machine epsilon; below that lam rounds onto the threshold itself
     if res.sigma**2 > 4e-16:
         assert res.lam < res.threshold
-    assert res.coefficients.D > 0.0
+    assert res.D > 0.0
 
 
 @given(beta=st.floats(0.1, 0.9), b=st.floats(0.3, 2.5), k=st.floats(0.3, 2.5),
@@ -214,4 +214,4 @@ def test_resonance_lower_properties(beta, b, k, a, eps):
     res = resonance_lower(s)
     assert res.re_sigma > 0.0
     assert res.im_sigma > 0.0
-    assert res.coefficients.D > 0.0 and res.coefficients.D1 > 0.0
+    assert res.D > 0.0 and res.D1 > 0.0
