@@ -19,11 +19,13 @@ ellipse and a Fourier file at N = 64; each command's point runs plain, with
 --g, --config, epsilon > 0.1, side L and N = 1024; and the error, range,
 lambda < 0 with --g, overflowing decay_rate, overflowing g lambda and k g,
 saturated Rcal and Jcal, oversize sweep grid and N, help and version paths;
-and both paths of the contour's simplicity check: a non-convex (bean) and a
-clockwise Fourier file, and ellipses of aspect 1e5 (convex certificate) and
-1e6 (crossing grid, rejected); and a one-row run over a 50-row sweep's
-outputs. Standard library only, and it does not import trapmodes, so it
-compares any two trees. Exit status 1 when a difference is found.
+a bad value in a field the table ignores, and sweeps whose late point breaks
+a rule; both paths of the contour's simplicity check: a non-convex (bean)
+and a clockwise Fourier file, and ellipses of aspect 1e5 (convex
+certificate) and 1e6 (crossing grid, rejected); and a one-row run over a
+50-row sweep's outputs. Standard library only, and it does not import
+trapmodes, so it compares any two trees. Exit status 1 when a difference is
+found.
 """
 
 from __future__ import annotations
@@ -118,6 +120,14 @@ ERRORS = [
     ["sweep", "--what", "cutoffs", "--sweep", f"k:1:2:{10**16}"],
     ["sweep", "--what", "cutoffs", "--sweep", f"k:1:2:{10**19}"],
     ["dipoles", "--N", str(2**50)], ["dipoles", "--N", str(2**62)],
+    # a bad value in a field the table ignores
+    ["cutoffs", "--N", "48"], ["cutoffs", "--N", str(2**50)],
+    ["dipoles", "--beta", "2"], ["embedded", "--a", "-1"],
+    # sweeps whose late point breaks a rule; in the second, the first point
+    # fails in a stage (D = 0 at b k = 1000)
+    ["sweep", "--what", "trapped", "--shape", "ellipse", "--a0", "1.3", "--b0", "0.6",
+     "--N", "1024", "--sweep", "a:0.1:1.2:12"],
+    ["sweep", "--what", "trapped", "--b", "1", "--k", "1000", "--sweep", "a:0.9:1.1:3"],
 ]
 # the two paths of the simplicity check: the O(n) convex certificate, and the
 # crossing grid on a section it cannot certify

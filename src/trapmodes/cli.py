@@ -33,13 +33,15 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .contour import DipoleStrengths, make_circle, make_ellipse, read_fourier_file
+from .contour import (DipoleStrengths, check_circle, check_ellipse, make_circle,
+                      make_ellipse, read_fourier_file)
 from .dispersion import FluidConfig, SpectralContext, spectral_context
-from .embedded import a_star, sweep_f
+from .embedded import a_star, check_a_grid, check_embedded_side, sweep_f
 from .errors import ConsistencyError, ValidationError
-from .potentialflow import assemble, dipoles_bem
+from .potentialflow import assemble, check_N, dipoles_bem
 from .spectra import (
     ProblemSetup,
+    check_setup,
     resonance_lower,
     resonance_upper,
     trapped_lower,
@@ -115,7 +117,7 @@ def _row_embedded(run: RunConfig, stages: _Stages) -> dict:
 # One entry per CSV table: (description, columns, the scalars a sweep may
 # range over, the row function of one point). Each command but `sweep`
 # computes the table of its name, and `sweep` computes any table, `f`
-# included, over a grid; `f` has no point rows (see _rows_sweep).
+# included, over a grid; `f` has no point rows (see _run).
 _TABLES = {
     "cutoffs": ("Cut-off values and threshold roots of the two branches.",
                 "beta b k Lambda1 Lambda2 tau1 p1_zero q1 q2", "beta b k",
@@ -314,7 +316,7 @@ def _parse_sweep(run: RunConfig):
     if count < 2:
         raise ValidationError(f"sweep: count must be >= 2, got {count}")
     try:
-        return param, np.linspace(start, stop, count)
+        return param, np.linspace(start, stop, count).tolist()
     except (MemoryError, ValueError) as exc:
         raise ValidationError(f"sweep: count {count} is too large: {exc}") from exc
 
@@ -323,13 +325,42 @@ def _fluid(run: RunConfig) -> FluidConfig:
     return FluidConfig(beta=run.beta, b=run.b, k=run.k)
 
 
+def _points(run: RunConfig):
+    """Stage 0: the run's table, its points (`f` has one) and its sweep grid
+    (None for a point run). Before any stage runs, every point meets each
+    field's own rule and the rules tying two fields its table reads, in the
+    order the README gives."""
+    if run.command != "sweep":
+        table, grid, points = run.command, None, [run]
+    else:
+        param, grid = _parse_sweep(run)
+        table = run.what
+        points = [run] if table == "f" else [
+            dataclasses.replace(run, command=table, **{param: v}) for v in grid]
+    for point in points:
+        if point.shape == "fourier" and point.fourier_file is None and table != "cutoffs":
+            raise ValidationError("fourier_file: required when shape = fourier")
+        if point.shape == "ellipse":  # the chosen section's fields first
+            check_ellipse(point.a0, point.b0)
+        check_circle(point.r)
+        check_ellipse(point.a0, point.b0)
+        check_N(point.N)
+        _fluid(point)  # FluidConfig applies the fluid's rules
+        # embedded solves for a, seeded with b/2
+        check_setup(point.side, point.a, point.epsilon,
+                    point.b if table in ("trapped", "resonance") else None)
+        if table == "embedded":
+            check_embedded_side(point.side)
+    if table == "f":
+        check_a_grid(grid)
+    return table, points, grid
+
+
 def _contour(run: RunConfig):
     if run.shape == "circle":
         return make_circle(run.r)
     if run.shape == "ellipse":
         return make_ellipse(run.a0, run.b0, run.theta0)
-    if run.fourier_file is None:
-        raise ValidationError("fourier_file: required when shape = fourier")
     try:
         return read_fourier_file(run.fourier_file)
     except ValidationError as exc:
@@ -396,23 +427,6 @@ class _Stages:
             "spectral_context", cfg, lambda: _context(cfg, self.manifest))
 
 
-def _rows_sweep(run: RunConfig, stages: _Stages):
-    param, grid = _parse_sweep(run)
-    stages.manifest["inputs"]["sweep_grid"] = [float(v) for v in grid]
-    if run.what == "f":
-        dip = stages.dipoles(run)
-        rows = sweep_f(stages.context(run), grid, dip.delta)
-        return COLUMNS["f"], rows
-    rows = []
-    for v in grid:
-        point = dataclasses.replace(run, command=run.what)
-        setattr(point, param, float(v))
-        # the manifest's stage blocks describe the last point; stage_runs
-        # counts how often each stage ran over the grid
-        rows.append(_TABLES[run.what][3](point, stages))
-    return COLUMNS[run.what], rows
-
-
 def _format_cell(v) -> str:
     if v is None:
         return ""
@@ -474,6 +488,7 @@ def _run(argv) -> str:
     """One run: parse, compute, write the outputs; returns the CSV text."""
     t0 = time.perf_counter()
     run = parse_run(argv)
+    table, points, grid = _points(run)
     manifest = {
         "tool": "trapmodes",
         "version": __version__,
@@ -483,15 +498,19 @@ def _run(argv) -> str:
         "bem": None,
         "dipoles": None,
     }
+    if grid is not None:
+        manifest["inputs"]["sweep_grid"] = grid
     stages = _Stages(manifest)
-    if run.command == "sweep":
-        columns, rows = _rows_sweep(run, stages)
+    if table == "f":
+        dip = stages.dipoles(run)
+        rows = sweep_f(stages.context(run), grid, dip.delta)
     else:
-        columns = COLUMNS[run.command]
-        rows = [_TABLES[run.command][3](run, stages)]
+        # the manifest's stage blocks describe the last point; stage_runs
+        # counts how often each stage ran over the grid
+        rows = [_TABLES[table][3](point, stages) for point in points]
     for row in rows:
         _check_results(row)
-    manifest["columns"] = columns
+    columns = manifest["columns"] = COLUMNS[table]
     manifest["csv"] = f"{run.out}.csv"
     manifest["wall_time_s"] = time.perf_counter() - t0
     csv_text = _render_csv(columns, rows)

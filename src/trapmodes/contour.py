@@ -248,10 +248,21 @@ def make_fourier(cos_x, sin_x, cos_y, sin_y) -> Contour:
     return C
 
 
-def make_circle(r: float) -> Contour:
-    """Circle of radius r centred at the origin."""
+def check_circle(r: float) -> None:
     if not (r > 0.0):
         raise ValidationError(f"r (circle radius) must be positive, got {r}")
+
+
+def check_ellipse(a0: float, b0: float) -> None:
+    if not (a0 > 0.0):
+        raise ValidationError(f"a0 (semi-axis) must be positive, got {a0}")
+    if not (b0 > 0.0):
+        raise ValidationError(f"b0 (semi-axis) must be positive, got {b0}")
+
+
+def make_circle(r: float) -> Contour:
+    """Circle of radius r centred at the origin."""
+    check_circle(r)
     return make_fourier([r], [0.0], [0.0], [r])
 
 
@@ -266,10 +277,7 @@ def make_ellipse(a0: float, b0: float, theta0: float = 0.0) -> Contour:
     nu = +(a0^2 - b0^2) sin th cos th / 2 (checked against the boundary
     method and an exterior conformal-map solution).
     """
-    if not (a0 > 0.0):
-        raise ValidationError(f"a0 (semi-axis) must be positive, got {a0}")
-    if not (b0 > 0.0):
-        raise ValidationError(f"b0 (semi-axis) must be positive, got {b0}")
+    check_ellipse(a0, b0)
     ct, st = math.cos(theta0), math.sin(theta0)
     # an aspect ratio beyond about 5e5 is refused as self-intersecting (see
     # _self_intersects), and one beyond about 5e11 by the speed gate

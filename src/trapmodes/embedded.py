@@ -28,7 +28,8 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 
-from .dispersion import ROOT_RTOL, FluidConfig, SpectralContext, brentq, spectral_context
+from .dispersion import (ROOT_RTOL, FluidConfig, SpectralContext, _check_tau, brentq,
+                         spectral_context)
 from .errors import ConsistencyError, ValidationError
 from .spectra import ProblemSetup, rcal_jcal_scaled, resonance_upper
 
@@ -101,6 +102,12 @@ def solve_w(delta: float, tau0_val: float) -> float:
     return math.atanh(rhs)
 
 
+def check_embedded_side(side: str) -> None:
+    if side != "U":
+        raise ValidationError(
+            f"side must be 'U': embedded modes arise in problem U, got {side!r}")
+
+
 def a_star(setup: ProblemSetup) -> EmbeddedResult:
     """Find the embedded-mode submergence for a symmetric section.
 
@@ -110,9 +117,7 @@ def a_star(setup: ProblemSetup) -> EmbeddedResult:
     (|nu| > 1e-9 mu) cannot support the mode at leading order and return
     exists=False immediately.
     """
-    if setup.side != "U":
-        raise ValidationError(
-            f"side must be 'U': embedded modes arise in problem U, got {setup.side!r}")
+    check_embedded_side(setup.side)
     ctx = setup.ctx
     cfg = ctx.cfg
     k, b = cfg.k, cfg.b
@@ -175,8 +180,7 @@ def f_circle(a: float, tau: float) -> float:
     """
     if not (0.0 < a <= 1.0):
         raise ValidationError(f"a must lie in (0, 1], got {a}")
-    if not (tau > 0.0):
-        raise ValidationError(f"tau must be positive, got {tau}")
+    _check_tau(tau)
     return 3.0 * tau - (1.0 + 2.0 * tau * tau) * math.tanh(a * tau)
 
 
@@ -191,6 +195,13 @@ def small_alpha_asymptote(alpha: float, delta: float, k: float) -> float:
     return alpha * alpha * (1.0 + delta) / (4.0 * k)
 
 
+def check_a_grid(grid: list[float]) -> None:
+    if len(grid) < 2 or any(g2 <= g1 for g1, g2 in zip(grid, grid[1:])):
+        raise ValidationError("a_grid must be strictly increasing with >= 2 points")
+    if grid[0] <= 0.0 or grid[-1] > 1.0:
+        raise ValidationError(f"a_grid must lie in (0, 1], got [{grid[0]}, {grid[-1]}]")
+
+
 def sweep_f(ctx: SpectralContext, a_grid, delta: float):
     """Tabulate the circle function f(a) of tau0(ctx) over a_grid.
 
@@ -201,10 +212,7 @@ def sweep_f(ctx: SpectralContext, a_grid, delta: float):
     alpha, tau0, a, f, has_root, a_star.
     """
     grid = [float(a) for a in a_grid]
-    if len(grid) < 2 or any(g2 <= g1 for g1, g2 in zip(grid, grid[1:])):
-        raise ValidationError("a_grid must be strictly increasing with >= 2 points")
-    if grid[0] <= 0.0 or grid[-1] > 1.0:
-        raise ValidationError(f"a_grid must lie in (0, 1], got [{grid[0]}, {grid[-1]}]")
+    check_a_grid(grid)
     cfg = ctx.cfg
     t0 = tau0(ctx)
     f_vals = [f_circle(a, t0) for a in grid]

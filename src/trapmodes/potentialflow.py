@@ -65,17 +65,20 @@ class NystromSystem:
     cond_estimate: float
 
 
-def assemble(C: Contour, N: int = 256) -> NystromSystem:
-    """Build and factor the Nystrom system on N uniform nodes.
+def check_N(N: int) -> None:
+    """N is a power of two from 32 to N_MAX (the convergence study doubles N)."""
+    if not 32 <= N <= N_MAX or (N & (N - 1)) != 0:
+        raise ValidationError(f"N must be a power of two from 32 to {N_MAX}, got {N}")
 
-    N must be a power of two from 32 to N_MAX (the convergence study
-    doubles N).
+
+def assemble(C: Contour, N: int = 256) -> NystromSystem:
+    """Build and factor the Nystrom system on N uniform nodes (see check_N).
+
     Raises ConsistencyError if the section's diameter is outside
     DIAMETER_RANGE ("out of double range"), if the discrete Gauss law
     fails beyond 1e-8 or if LAPACK reports a failure.
     """
-    if not 32 <= N <= N_MAX or (N & (N - 1)) != 0:
-        raise ValidationError(f"N must be a power of two from 32 to {N_MAX}, got {N}")
+    check_N(N)
     diam = C.diameter
     if not DIAMETER_RANGE[0] <= diam <= DIAMETER_RANGE[1]:
         raise ConsistencyError(

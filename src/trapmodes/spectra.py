@@ -34,11 +34,24 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from .contour import DipoleStrengths
-from .dispersion import FluidConfig, SpectralContext, g_profile_scaled
+from .dispersion import FluidConfig, SpectralContext, _check_tau, g_profile_scaled
 from .errors import ConsistencyError, ValidationError
 
 EPSILON_VALIDITY = 0.1
 NEAR_EMBEDDED_RTOL = 1e-14
+
+
+def check_setup(side: str, a: float, epsilon: float, b: float | None = None) -> None:
+    """The domain rules of a ProblemSetup; a < b on side U only when b is given."""
+    if side not in ("U", "L"):
+        raise ValidationError(f"side must be 'U' or 'L', got {side!r}")
+    if not (a > 0.0):
+        raise ValidationError(f"a (submergence) must be positive, got {a}")
+    if b is not None and side == "U" and not (a < b):
+        raise ValidationError(f"a must be < b for side U (cylinder inside the upper "
+                              f"layer), got a={a}, b={b}")
+    if not (epsilon > 0.0):
+        raise ValidationError(f"epsilon must be positive, got {epsilon}")
 
 
 @dataclass(frozen=True)
@@ -60,17 +73,7 @@ class ProblemSetup:
     dip: DipoleStrengths
 
     def __post_init__(self):
-        if self.side not in ("U", "L"):
-            raise ValidationError(f"side must be 'U' or 'L', got {self.side!r}")
-        if not (self.a > 0.0):
-            raise ValidationError(f"a (submergence) must be positive, got {self.a}")
-        if self.side == "U" and not (self.a < self.ctx.cfg.b):
-            raise ValidationError(
-                f"a must be < b for side U (cylinder inside the upper layer), "
-                f"got a={self.a}, b={self.ctx.cfg.b}"
-            )
-        if not (self.epsilon > 0.0):
-            raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
+        check_setup(self.side, self.a, self.epsilon, self.ctx.cfg.b)
         if self.epsilon > EPSILON_VALIDITY:
             warnings.warn(
                 f"epsilon={self.epsilon} is large for a leading-order asymptotic "
@@ -107,8 +110,7 @@ def q_factor(tau: float, cfg: FluidConfig) -> float:
     Evaluated as ((1+beta) + alpha e^{-2 b tau}) / (beta tau^2), the same
     quantity without the overflowing cosh. Strictly positive.
     """
-    if not (tau > 0.0):
-        raise ValidationError(f"tau must be positive, got {tau}")
+    _check_tau(tau)
     return ((1.0 + cfg.beta) + cfg.alpha * math.exp(-2.0 * cfg.b * tau)) / (
         cfg.beta * tau * tau
     )
@@ -118,8 +120,7 @@ def p0_factor(tau: float, lam: float, cfg: FluidConfig) -> float:
     """P0(tau, lam) = [(1 - beta T)/(1 + beta T)] (lam + tau) (lam - alpha tau T / (1 - beta T)),
     T = tanh(b tau). Sign varies with lam; recorded raw, never folded away.
     """
-    if not (tau > 0.0):
-        raise ValidationError(f"tau must be positive, got {tau}")
+    _check_tau(tau)
     T = math.tanh(cfg.b * tau)
     one_minus = 1.0 - cfg.beta * T  # > 0 since beta < 1
     one_plus = 1.0 + cfg.beta * T

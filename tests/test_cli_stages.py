@@ -103,3 +103,72 @@ def test_fourier_file_reread_per_call(calls, tmp_path, capsys):
     assert calls["assemble"] == 2
     assert mus[0] != mus[1]
     capsys.readouterr()
+
+
+# Stage 0: every point of a run meets the library's own rules before any
+# stage runs. A field's own rule binds every table, also one that never
+# reads the field; a rule tying two fields binds only the tables that read
+# both.
+@pytest.mark.parametrize("argv, field", [
+    (["cutoffs", "--N", "48"], "N"),
+    (["cutoffs", "--N", "1125899906842624"], "N"),
+    (["dipoles", "--beta", "2"], "beta"),
+    (["embedded", "--a", "-1"], "a"),
+], ids=["cutoffs-N", "cutoffs-N-2**50", "dipoles-beta", "embedded-a"])
+def test_ignored_field_is_checked(argv, field, calls, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert calls == {"assemble": 0, "spectral_context": 0}
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err.startswith(f"error: {field} ")
+    assert not out.with_suffix(".csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["cutoffs", "--shape", "fourier"],  # no --fourier-file: cutoffs reads no section
+    ["cutoffs", "--a", "5"],  # a < b binds only the tables that read a
+], ids=["fourier-without-file", "a-above-b"])
+def test_cutoffs_ignores_the_rules_tying_fields_it_does_not_read(argv, calls,
+                                                                 tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 0
+    assert calls == {"assemble": 0, "spectral_context": 1}
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["sweep", "--what", "trapped", "--shape", "ellipse", "--a0", "1.3",
+      "--b0", "0.6", "--N", "1024", "--sweep", "a:0.1:1.2:12"], "a"),
+    (["sweep", "--what", "trapped", "--sweep", "beta:0.5:1.2:8"], "beta"),
+    (["sweep", "--what", "f", "--sweep", "a:0:1:5"], "a_grid"),
+    (["sweep", "--what", "embedded", "--side", "L",
+      "--sweep", "beta:0.1:0.9:5"], "side"),
+    # the grid's first point fails in a stage (D = 0 at b k = 1000); the
+    # rule its second point breaks decides the run
+    (["sweep", "--what", "trapped", "--b", "1", "--k", "1000",
+      "--sweep", "a:0.9:1.1:3"], "a"),
+], ids=["late-a", "late-beta", "f-grid", "embedded-side-L", "exit-3-before-2"])
+def test_sweep_breaking_a_rule_computes_nothing(argv, field, calls, tmp_path,
+                                                capsys):
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert calls == {"assemble": 0, "spectral_context": 0}
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err.startswith(f"error: {field} ")
+    assert not out.with_suffix(".manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv, field", [
+    # the chosen section's fields and file, then the other section fields
+    (["trapped", "--shape", "ellipse", "--r", "-1", "--a0", "-1"], "a0"),
+    (["dipoles", "--shape", "fourier", "--r", "-1"], "fourier_file"),
+    (["dipoles", "--r", "-1", "--b0", "-1"], "r"),
+    # then N, the fluid, the setup and the table's own rules
+    (["cutoffs", "--N", "48", "--beta", "2"], "N"),
+    (["dipoles", "--beta", "2", "--a", "-1"], "beta"),
+    (["embedded", "--side", "L", "--epsilon", "0"], "epsilon"),
+])
+def test_rule_order(argv, field, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith((f"error: {field} ", f"error: {field}:"))
