@@ -22,8 +22,10 @@ saturated Rcal and Jcal, oversize sweep grid and N, help and version paths;
 a bad value in a field the table ignores, and sweeps whose late point breaks
 a rule; both paths of the contour's simplicity check: a non-convex (bean)
 and a clockwise Fourier file, and ellipses of aspect 1e5 (convex
-certificate) and 1e6 (crossing grid, rejected); and a one-row run over a
-50-row sweep's outputs. Standard library only, and it does not import
+certificate) and 1e6 (crossing grid, rejected); both paths of the BEM: an
+odd-harmonic (folded) Fourier file, the same file with an even harmonic of
+1e-300, and a tilted ellipse at N = 1024; and a one-row run over a 50-row
+sweep's outputs. Standard library only, and it does not import
 trapmodes, so it compares any two trees. Exit status 1 when a difference is
 found.
 """
@@ -70,6 +72,10 @@ INPUT_FILES = {
     "bean.txt": "1.0 0.0 0.0 0.6\n0.0 0.0 0.3 0.0\n",
     # section.txt traversed clockwise (t -> -t)
     "clockwise.txt": "1.0 0.0 0.0 -0.8\n0.1 0.0 0.0 -0.05\n0.0 -0.02 0.03 0.0\n",
+    # odd harmonics only, so r(t + pi) = -r(t): the BEM folds it
+    "odd.txt": "1.0 0.0 0.0 0.8\n0.0 0.0 0.0 0.0\n0.05 0.02 0.0 -0.04\n",
+    # odd.txt with one even harmonic of 1e-300: the whole BEM
+    "odd_tiny.txt": "1.0 0.0 0.0 0.8\n1e-300 0.0 0.0 0.0\n0.05 0.02 0.0 -0.04\n",
     "run.cfg": "# a non-default fluid and section\nbeta = 0.3\nb = 2\nk = 0.7\n"
                "a = 0.6\nepsilon = 0.02\nshape = ellipse\na0 = 1.3\nb0 = 0.9\n",
     "bad.cfg": "beta = 0.3\nthis line has no equals sign\n",
@@ -140,6 +146,14 @@ CONTOUR_PATHS = [
     # not certified; the grid refuses it as self-intersecting
     ["dipoles", "--shape", "ellipse", "--a0", "1", "--b0", "1e-6"],
 ]
+# the two BEM paths: a centrally symmetric section is solved as two half-size
+# blocks, and a section with any even harmonic, however small, as a whole
+BEM_PATHS = [
+    ["dipoles", "--shape", "fourier", "--fourier-file", "odd.txt", *N],
+    ["dipoles", "--shape", "fourier", "--fourier-file", "odd_tiny.txt", *N],
+    ["resonance", "--shape", "ellipse", "--a0", "1.3", "--b0", "0.6", "--theta0", "0.4",
+     "--N", "1024"],
+]
 # argvs run in one working directory: the point run rewrites the sweep's
 # longer CSV and manifest, which must leave no tail of them behind
 RERUNS = [
@@ -167,6 +181,7 @@ def argvs() -> list[list[str]]:
         runs.append([command, "--N", "1024"])
     runs += ERRORS
     runs += CONTOUR_PATHS
+    runs += BEM_PATHS
     runs += [["--help"], ["--version"]]
     runs += [[command, "--help"] for command in (*POINT_COMMANDS, "sweep")]
     return runs

@@ -89,6 +89,11 @@ class Contour:
     def order(self) -> int:
         return len(self.cos_x)
 
+    @property
+    def centrally_symmetric(self) -> bool:
+        """r(t + pi) = -r(t): every even harmonic compares equal to zero."""
+        return not any(np.any(c[1::2]) for c in (self.cos_x, self.sin_x, self.cos_y, self.sin_y))
+
     def evaluate(self, t):
         """Point, velocity and acceleration at t: (X, Y, X', Y', X'', Y'').
 
@@ -319,12 +324,14 @@ def analytic_dipoles(shape: str, r: float | None = None, a0: float | None = None
         S     = pi a0 b0
     """
     if shape == "circle":
-        if r is None or not (r > 0.0):
-            raise ValidationError(f"circle needs a positive radius, got {r}")
+        if r is None:
+            raise ValidationError("r (circle radius) is required")
+        check_circle(r)
         return DipoleStrengths(mu=r * r, kappa=r * r, nu=0.0, S=math.pi * r * r)
     if shape == "ellipse":
-        if a0 is None or b0 is None or not (a0 > 0.0 and b0 > 0.0):
-            raise ValidationError(f"ellipse needs positive semi-axes, got a0={a0}, b0={b0}")
+        if a0 is None or b0 is None:
+            raise ValidationError(f"a0 and b0 (semi-axes) are required, got a0={a0}, b0={b0}")
+        check_ellipse(a0, b0)
         c2 = math.cos(theta0) ** 2
         s2 = math.sin(theta0) ** 2
         sc = math.sin(theta0) * math.cos(theta0)

@@ -90,10 +90,14 @@ def tau0(ctx: SpectralContext) -> float:
     return t0
 
 
-def solve_w(delta: float, tau0_val: float) -> float:
-    """w from tanh w = tau0 (1 + delta) / (tau0^2 + delta)."""
+def _check_delta(delta: float) -> None:
     if not (0.0 < delta < 1.0):
         raise ValidationError(f"delta must lie in (0, 1), got {delta}")
+
+
+def solve_w(delta: float, tau0_val: float) -> float:
+    """w from tanh w = tau0 (1 + delta) / (tau0^2 + delta)."""
+    _check_delta(delta)
     if not (tau0_val > 1.0):
         raise ValidationError(f"tau0 must exceed 1, got {tau0_val}")
     rhs = tau0_val * (1.0 + delta) / (tau0_val * tau0_val + delta)
@@ -188,8 +192,7 @@ def small_alpha_asymptote(alpha: float, delta: float, k: float) -> float:
     """Nearly equal densities: a* ~ alpha^2 (1 + delta) / (4 k)."""
     if not (0.0 <= alpha < 0.2):
         raise ValidationError(f"asymptote valid for alpha < 0.2, got {alpha}")
-    if not (0.0 < delta < 1.0):
-        raise ValidationError(f"delta must lie in (0, 1), got {delta}")
+    _check_delta(delta)
     if not (k > 0.0):
         raise ValidationError(f"k must be positive, got {k}")
     return alpha * alpha * (1.0 + delta) / (4.0 * k)

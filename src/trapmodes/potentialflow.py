@@ -16,6 +16,13 @@ Two identities pin the discretization and are enforced at assembly time:
 the Gauss law M 1 = 1 (each row of M sums to one) and consequently
 N0 1 = (I + M)^{-1} 1 = 1/2.
 
+A centrally symmetric section, r(t + pi) = -r(t) (every circle and ellipse;
+see Contour.centrally_symmetric), is folded: its nodes t_j and t_{j + N/2}
+are negatives of each other, so M commutes with the half-period shift bit for
+bit and acts as the N/2 x N/2 block L + R on even vectors [v, v] and L - R on
+odd ones [v, -v] (L, R: the column halves of M's first N/2 rows). Both blocks
+are factored, and cond_estimate is the larger of their estimates.
+
 The resolvent N0 = (I + M)^{-1} gives the dipole coefficients as boundary
 quadratures and the stream function of vertical flow past the section as
 psi = Y - 2 N0 Y on the contour.
@@ -40,8 +47,8 @@ GAUSS_TOL = 1e-8
 DIAMETER_RANGE = (1e-150, 1e150)
 N_MAX = 4096
 # Rows of the kernel built per pass: a block of MT and its two scratch arrays
-# take 768 kB at N = 1024. Every accepted N is a power of two >= 32, so the
-# blocks tile N exactly.
+# take 768 kB at N = 1024. Every accepted N is a power of two >= 32, so
+# min(_BLOCK, rows) tiles the N or N/2 rows built exactly.
 _BLOCK = 32
 
 
@@ -85,21 +92,28 @@ def assemble(C: Contour, N: int = 256) -> NystromSystem:
             f"section diameter {diam:.3e} is out of double range for the BEM "
             f"(accepted: {DIAMETER_RANGE[0]:g} to {DIAMETER_RANGE[1]:g})")
     t = 2.0 * np.pi * np.arange(N) / N
-    x, y, xd, yd, xdd, ydd = C.evaluate(t)
+    folded = C.centrally_symmetric
+    n = N // 2 if folded else N  # the rows of MT that are built
+    nodes = C.evaluate(t[:n])  # a folded section's other N/2 are their negation
+    x, y, xd, yd, xdd, ydd = [np.concatenate([v, -v]) for v in nodes] if folded else nodes
 
     # M is built as its transpose MT[j, i] = M[i, j] in C order, so that
     # A = I + MT.T is already in the Fortran order getrf factors in place.
     # Row j of MT holds s = t_j and column i holds t = t_i; the numerator is
-    # -(r(s) - r(t)) . m(s) = dx Y'(s) - dy X'(s). MT is filled _BLOCK rows
-    # at a time, with dx in MT itself and dy and dist2 in block-sized
-    # scratch, so each block stays in cache and MT is the only N^2 array.
-    MT = np.empty((N, N))
-    dy = np.empty((_BLOCK, N))
-    dist2 = np.empty((_BLOCK, N))
+    # -(r(s) - r(t)) . m(s) = dx Y'(s) - dy X'(s). MT is filled `step` rows
+    # at a time, with dx in MT itself and dy and dist2 in step-sized
+    # scratch, so each step stays in cache and MT is the only N^2 array. A
+    # folded section builds its first N/2 rows in scratch instead and folds
+    # them into ET = L + R and OT = L - R, its only large arrays.
+    blocks = [np.empty((n, n)) for _ in range(2 if folded else 1)]
+    step = min(_BLOCK, n)
+    rows_out = np.empty((step, N)) if folded else None
+    dy = np.empty((step, N))
+    dist2 = np.empty((step, N))
     curvature = (xd * ydd - xdd * yd) / (2.0 * math.pi * (xd * xd + yd * yd))
-    for start in range(0, N, _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        dx = np.subtract.outer(x[rows], x, out=MT[rows])
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        dx = np.subtract.outer(x[rows], x, out=rows_out if folded else blocks[0][rows])
         np.subtract.outer(y[rows], y, out=dy)
         np.multiply(dx, dx, out=dist2)
         dist2 += dy * dy
@@ -111,32 +125,38 @@ def assemble(C: Contour, N: int = 256) -> NystromSystem:
         dx /= dist2
         np.fill_diagonal(dx[:, rows], curvature[rows])
         dx *= 2.0 * np.pi / N
+        if folded:
+            np.add(dx[:, :n], dx[:, n:], out=blocks[0][rows])
+            np.subtract(dx[:, :n], dx[:, n:], out=blocks[1][rows])
 
-    # Every entry of MT lies in exactly one column sum, so a NaN or infinite
-    # entry makes its sum non-finite and fails this guard: A reaches LAPACK
-    # finite without a separate scan.
-    gauss_residual = float(np.max(np.abs(MT.sum(axis=0) - 1.0)))
+    # Row i of M sums to column i of MT, or of ET. Every entry of MT, or of
+    # L and R, lies in exactly one such sum, so a NaN or infinite entry makes
+    # its sum non-finite and fails this guard: A reaches LAPACK finite
+    # without a separate scan (L - R overflows only from entries near 1e308).
+    gauss_residual = float(np.max(np.abs(blocks[0].sum(axis=0) - 1.0)))
     if not gauss_residual <= GAUSS_TOL:  # a NaN residual fails too
         raise ConsistencyError(
             f"discrete Gauss law violated: residual {gauss_residual:.3e} "
             f"(N={N}); contour may be under-resolved"
         )
-    A = MT.T
-    np.fill_diagonal(A, A.diagonal() + 1.0)
-    # the 1-norm of A, its largest column sum of |A|: the row sums of |MT|,
-    # block by block in the dist2 scratch
-    anorm = 0.0
-    for start in range(0, N, _BLOCK):
-        np.abs(MT[start:start + _BLOCK], out=dist2)
-        anorm = max(anorm, float(dist2.sum(axis=1).max()))
     lapack = _lapack()
-    lu, piv, info = lapack.dgetrf(A, overwrite_a=True)
-    _check_info("dgetrf", info)
-    rcond, info = lapack.dgecon(lu, anorm, norm="1")
-    _check_info("dgecon", info)
-    cond_estimate = float(1.0 / rcond) if rcond > 0.0 else math.inf
+    factors, cond_estimate = [], 0.0
+    for BT in blocks:
+        A = BT.T
+        np.fill_diagonal(A, A.diagonal() + 1.0)
+        # the 1-norm of A, its largest column sum of |A|: the row sums of
+        # |BT|, block by block in the dist2 scratch
+        anorm = max(float(np.abs(BT[r:r + step], out=dist2[:, :n]).sum(axis=1).max())
+                    for r in range(0, n, step))
+        lu, piv, info = lapack.dgetrf(A, overwrite_a=True)
+        _check_info("dgetrf", info)
+        rcond, info = lapack.dgecon(lu, anorm, norm="1")
+        _check_info("dgecon", info)
+        cond_estimate = max(cond_estimate, float(1.0 / rcond) if rcond > 0.0 else math.inf)
+        factors.append((lu, piv))
     return NystromSystem(
-        contour=C, N=N, t=t, x=x, y=y, xd=xd, yd=yd, lu=(lu, piv),
+        contour=C, N=N, t=t, x=x, y=y, xd=xd, yd=yd,
+        lu=tuple(factors) if folded else factors[0],
         gauss_residual=gauss_residual, cond_estimate=cond_estimate,
     )
 
@@ -186,7 +206,17 @@ def apply_n0(sys: NystromSystem, f) -> np.ndarray:
     f = np.asarray_chkfinite(f, dtype=float)
     if f.shape != (sys.N,):
         raise ValidationError(f"f must have shape ({sys.N},), got {f.shape}")
-    x, info = _lapack().dgetrs(*sys.lu, f)
+    if not sys.contour.centrally_symmetric:
+        return _getrs(sys.lu, f)
+    # folded: f = [fe + fo, fe - fo] and N0 f = [ue + uo, ue - uo], block by block
+    h = sys.N // 2
+    ue = _getrs(sys.lu[0], (f[:h] + f[h:]) / 2)
+    uo = _getrs(sys.lu[1], (f[:h] - f[h:]) / 2)
+    return np.concatenate([ue + uo, ue - uo])
+
+
+def _getrs(lu: tuple, f: np.ndarray) -> np.ndarray:
+    x, info = _lapack().dgetrs(*lu, f)
     _check_info("dgetrs", info)
     return x
 

@@ -7,13 +7,16 @@ resolved to machine precision, and the dipoles rows are tilted ellipses,
 because the circle's nu prints as round-off of order 1e-17. The two shape
 sweeps at N = 1024 and 512 are the exception: they print such round-off on
 purpose (the untilted ellipse's and the circles' nu), so they pin the bits
-of the Nystrom assembly and LU as well as the digits, and so does the jcal
-of the circle's resonance, which is 2 pi nu times a profile value.
+of the folded Nystrom assembly and of the LU of its two N/2 blocks as well
+as the digits, and so does the jcal of the circle's resonance, which is
+2 pi nu times a profile value.
 
-At N >= 512 that round-off also depends on the BLAS thread count, because
-the LU rounds differently on one thread than on two. The two shape sweeps
-were recorded with OpenBLAS on two threads, so they run in a child process
-with the thread count fixed at two, whatever the caller's environment says.
+That round-off can also depend on the BLAS thread count, because the LU
+rounds differently on one thread than on two: of the two sweeps, the
+ellipse's N/2 = 512 blocks do, the circles' N/2 = 256 blocks did not on the
+machine that recorded them. The two shape sweeps were recorded with
+OpenBLAS on two threads, so they run in a child process with the thread
+count fixed at two, whatever the caller's environment says.
 """
 
 import subprocess
@@ -63,7 +66,7 @@ SNAPSHOTS = [
      ),
     ("resonance --g 9.81 --N 64",
      "beta,b,k,side,a,epsilon,shape,mu,S,re_sigma,im_sigma,rcal,jcal,near_embedded,decay_rate,D,D1\n"
-     "0.5,1,1,U,0.5,0.01,circle,1,3.14159265359,0.00021594219566,7.27205773632e-09,-61.5469473611,7.99762054263e-15,false,4.91846216409e-12,0.755515923468,4.69863028678\n"
+     "0.5,1,1,U,0.5,0.01,circle,1,3.14159265359,0.00021594219566,7.27205773632e-09,-61.5469473611,-1.23040316041e-15,false,4.91846216409e-12,0.755515923468,4.69863028678\n"
      ),
     ("resonance --side L --N 64 --g 9.81",
      "beta,b,k,side,a,epsilon,shape,mu,S,re_sigma,im_sigma,rcal,jcal,near_embedded,decay_rate,D,D1\n"
@@ -126,17 +129,17 @@ SNAPSHOTS = [
      "shape,r,a0,b0,theta0,N,mu,kappa,nu,S,delta\n"
      "ellipse,,1.5,0.7,-1.2,1024,0.885546765162,1.53445323484,-0.297203799443,3.29867228627,0.592854065594\n"
      "ellipse,,1.5,0.7,-0.6,1024,1.36943741197,1.05056258803,-0.410097197826,3.29867228627,0.383369108665\n"
-     "ellipse,,1.5,0.7,0,1024,1.65,0.77,2.83977257605e-17,3.29867228627,0.318181818182\n"
+     "ellipse,,1.5,0.7,0,1024,1.65,0.77,7.10495476312e-17,3.29867228627,0.318181818182\n"
      "ellipse,,1.5,0.7,0.6,1024,1.36943741197,1.05056258803,0.410097197826,3.29867228627,0.383369108665\n"
      "ellipse,,1.5,0.7,1.2,1024,0.885546765162,1.53445323484,0.297203799443,3.29867228627,0.592854065594\n"
      ),
     (R_SWEEP,
      "shape,r,a0,b0,theta0,N,mu,kappa,nu,S,delta\n"
-     "circle,0.5,,,,512,0.25,0.25,1.23784296337e-18,0.785398163397,0.5\n"
-     "circle,1,,,,512,1,1,4.95137185346e-18,3.14159265359,0.5\n"
-     "circle,1.5,,,,512,2.25,2.25,-1.05383659133e-16,7.06858347058,0.5\n"
-     "circle,2,,,,512,4,4,1.98054874139e-17,12.5663706144,0.5\n"
-     "circle,2.5,,,,512,6.25,6.25,-1.27413219596e-15,19.6349540849,0.5\n"
+     "circle,0.5,,,,512,0.25,0.25,-2.03598814137e-19,0.785398163397,0.5\n"
+     "circle,1,,,,512,1,1,-8.14395256548e-19,3.14159265359,0.5\n"
+     "circle,1.5,,,,512,2.25,2.25,1.17558603718e-17,7.06858347058,0.5\n"
+     "circle,2,,,,512,4,4,-3.25758102619e-18,12.5663706144,0.5\n"
+     "circle,2.5,,,,512,6.25,6.25,1.87446109612e-17,19.6349540849,0.5\n"
      ),
 ]
 

@@ -126,6 +126,21 @@ def test_analytic_ellipse_closed_forms():
         analytic_dipoles("triangle")
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"shape": "circle"}, r"r \(circle radius\) is required"),
+    ({"shape": "circle", "r": -1.0}, r"r \(circle radius\) must be positive, got -1.0"),
+    ({"shape": "circle", "r": math.nan}, r"r \(circle radius\) must be positive, got nan"),
+    ({"shape": "ellipse", "a0": 1.0}, r"a0 and b0 \(semi-axes\) are required"),
+    ({"shape": "ellipse", "a0": 0.0, "b0": 1.0}, r"a0 \(semi-axis\) must be positive"),
+    ({"shape": "ellipse", "a0": 1.0, "b0": -2.0}, r"b0 \(semi-axis\) must be positive"),
+])
+def test_analytic_dipoles_apply_the_section_rules(kwargs, message):
+    # the closed forms refuse what make_circle and make_ellipse refuse, with
+    # the same messages; an absent parameter is a ValidationError too
+    with pytest.raises(ValidationError, match=message):
+        analytic_dipoles(**kwargs)
+
+
 @given(c=st.floats(0.2, 4.0))
 @settings(max_examples=40, deadline=None)
 def test_area_scales_quadratically(c):

@@ -125,6 +125,14 @@ def test_small_alpha_asymptote_golden():
         small_alpha_asymptote(0.5, 0.5, 1.0)  # not small
 
 
+@pytest.mark.parametrize("delta", [0.0, 1.0, -0.5, math.nan])
+def test_solve_w_and_the_asymptote_share_the_delta_rule(delta):
+    for call in (lambda: solve_w(delta, 3.0),
+                 lambda: small_alpha_asymptote(0.05, delta, 1.0)):
+        with pytest.raises(ValidationError, match=r"delta must lie in \(0, 1\), got"):
+            call()
+
+
 def test_sweep_f_table():
     grid = np.linspace(0.05, 1.0, 20)
     by_alpha = {}

@@ -21,10 +21,11 @@ from trapmodes import (
     make_circle,
     make_ellipse,
     make_fourier,
+    read_fourier_file,
 )
 from trapmodes.contour import Contour
 
-from goldens import GOLD
+from goldens import EGG, GOLD
 
 
 def test_assemble_validation(unit_circle):
@@ -123,46 +124,142 @@ def test_nu_symmetry_of_egg(egg):
     assert abs(d.nu) < 1e-12 * max(1.0, d.S)
 
 
-def _textbook_lu(C, N):
-    """LU of A = I + (2 pi / N) K, with K built whole and in C order, and the
-    1-norm of A."""
-    A = _textbook_matrix(C, N)
-    return lu_factor(A), float(np.linalg.norm(A, 1))
-
-
-def _textbook_matrix(C, N):
+def _textbook_nodes(C, N):
+    """X, Y and their first two derivatives on the N nodes, as assemble takes
+    them: for a centrally symmetric C the first N/2 are evaluated and the
+    rest are their negation."""
     t = 2.0 * np.pi * np.arange(N) / N
-    x, y, xd, yd, xdd, ydd = C.evaluate(t)
+    if not C.centrally_symmetric:
+        return C.evaluate(t)
+    return [np.concatenate([v, -v]) for v in C.evaluate(t[:N // 2])]
+
+
+def _textbook_kernel(C, N):
+    """M = (2 pi / N) K, with K built whole and in C order."""
+    x, y, xd, yd, xdd, ydd = _textbook_nodes(C, N)
     dx = x[None, :] - x[:, None]
     dy = y[None, :] - y[:, None]
     dist2 = dx * dx + dy * dy
     np.fill_diagonal(dist2, 1.0)
     K = -(1.0 / math.pi) * (dx * (-yd[None, :]) + dy * xd[None, :]) / dist2
     np.fill_diagonal(K, (xd * ydd - xdd * yd) / (2.0 * math.pi * (xd * xd + yd * yd)))
-    return np.eye(N) + (2.0 * np.pi / N) * K
+    return (2.0 * np.pi / N) * K
+
+
+def _textbook_blocks(C, N):
+    """The matrices assemble factors: A = I + M, or for a centrally symmetric
+    C the even and odd blocks I + (L + R) and I + (L - R), where L and R are
+    the column halves of M's first N/2 rows (I is added after L +- R, in the
+    kernel's order)."""
+    M = _textbook_kernel(C, N)
+    if not C.centrally_symmetric:
+        return [np.eye(N) + M]
+    h = N // 2
+    L, R = M[:h, :h], M[:h, h:]
+    return [np.eye(h) + (L + R), np.eye(h) + (L - R)]
+
+
+def _textbook_solve(factors, f):
+    """lu_solve of f on the blocks of _textbook_blocks, folded as apply_n0 folds."""
+    if len(factors) == 1:
+        return lu_solve(factors[0], f)
+    h = len(f) // 2
+    ue = lu_solve(factors[0], (f[:h] + f[h:]) / 2)
+    uo = lu_solve(factors[1], (f[:h] - f[h:]) / 2)
+    return np.concatenate([ue + uo, ue - uo])
+
+
+def _factors(system):
+    """The (lu, piv) pairs of a system: one, or two for a folded one."""
+    return list(system.lu) if system.contour.centrally_symmetric else [system.lu]
+
+
+def _bits(a):
+    return np.asarray(a).view(np.uint64)
 
 
 _J3 = make_fourier([1.0, 0.1, 0.05], [0.0, 0.0, 0.02], [0.0, 0.03, 0.0], [0.9, 0.0, -0.04])
+_EGG = make_fourier(**EGG)
+_CIRCLE = make_circle(1.0)
+_TILTED = make_ellipse(1.5, 0.7, 0.4)
 
 
 @pytest.mark.parametrize("N", [32, 64, 256, 512, 1024])
-@pytest.mark.parametrize("C", [make_circle(1.0), make_ellipse(1.5, 0.7, 0.4), _J3],
-                         ids=["circle", "tilted_ellipse", "fourier_J3"])
+@pytest.mark.parametrize("C", [_CIRCLE, _TILTED, _J3, _EGG],
+                         ids=["circle", "tilted_ellipse", "fourier_J3", "egg"])
 def test_lu_matches_textbook_assembly_bit_for_bit(C, N):
+    # the J = 3 section and the egg take the full path: one LU of I + M. The
+    # circle and the tilted ellipse are centrally symmetric: their factors
+    # are those of the even and odd blocks, each N/2 x N/2
+    assert C.centrally_symmetric == (C is _CIRCLE or C is _TILTED)
     system = assemble(C, N)
-    lu, piv = system.lu
-    (want_lu, want_piv), anorm = _textbook_lu(C, N)
-    assert np.array_equal(lu.view(np.uint64), want_lu.view(np.uint64))
-    assert np.array_equal(piv, want_piv)
+    blocks = _textbook_blocks(C, N)
+    want = [lu_factor(A) for A in blocks]
+    got = _factors(system)
+    assert len(got) == len(want)
+    for (lu, piv), (want_lu, want_piv) in zip(got, want):
+        assert lu.shape == want_lu.shape
+        assert np.array_equal(_bits(lu), _bits(want_lu))
+        assert np.array_equal(piv, want_piv)
     # the direct LAPACK calls against scipy.linalg's wrappers: the solves bit
-    # for bit, the condition estimate to 1e-12 (its 1-norm moves in the last
-    # bits from process to process)
-    for f in (system.x, system.y):
-        want = lu_solve((want_lu, want_piv), f)
-        assert np.array_equal(apply_n0(system, f).view(np.uint64), want.view(np.uint64))
-    rcond, info = get_lapack_funcs("gecon", (want_lu,))(want_lu, anorm, norm="1")
-    assert info == 0
-    assert system.cond_estimate == pytest.approx(1.0 / rcond, rel=1e-12, abs=0.0)
+    # for bit, the condition estimate (the larger block's) to 1e-12 (its
+    # 1-norm moves in the last bits from process to process)
+    for f in (system.x, system.y, np.ones(N), np.cos(system.t)):
+        assert np.array_equal(_bits(apply_n0(system, f)), _bits(_textbook_solve(want, f)))
+    gecon = get_lapack_funcs("gecon", (want[0][0],))
+    conds = []
+    for A, (want_lu, _) in zip(blocks, want):
+        rcond, info = gecon(want_lu, float(np.linalg.norm(A, 1)), norm="1")
+        assert info == 0
+        conds.append(1.0 / rcond)
+    assert system.cond_estimate == pytest.approx(max(conds), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("N", [32, 256, 1024])
+@pytest.mark.parametrize("C", [_CIRCLE, _TILTED], ids=["circle", "tilted_ellipse"])
+def test_folded_nodes_make_the_matrix_shift_invariant(C, N):
+    # with the second half of the nodes the first negated, M commutes with
+    # the half-period shift bit for bit, so the two blocks are its exact
+    # block-diagonalisation
+    M, h = _textbook_kernel(C, N), N // 2
+    assert np.array_equal(_bits(M[h:, h:]), _bits(M[:h, :h]))
+    assert np.array_equal(_bits(M[h:, :h]), _bits(M[:h, h:]))
+
+
+@pytest.mark.parametrize("N", [64, 128, 256, 512, 1024])
+@pytest.mark.parametrize("C", [_CIRCLE, _TILTED, make_ellipse(2.0, 0.5, -0.9),
+                               make_ellipse(1.0, 0.8, 1.3)],
+                         ids=["circle", "tilted_ellipse", "thin_ellipse", "round_ellipse"])
+def test_folded_dipoles_match_the_whole_matrix_solve(C, N):
+    # mu, kappa and nu of the two half-size solves against lu_solve on the
+    # whole textbook I + M
+    system = assemble(C, N)
+    got = dipoles_bem(system)
+    lu = lu_factor(np.eye(N) + _textbook_kernel(C, N))
+    u_x, u_y = lu_solve(lu, system.x), lu_solve(lu, system.y)
+    w = 2.0 / N  # (2 pi / N) / pi
+    mu = -w * float(np.dot(system.xd, u_y))
+    kappa = w * float(np.dot(system.yd, u_x))
+    nu = -w * float(np.dot(system.xd, u_x))
+    for value, want in ((got.mu, mu), (got.kappa, kappa), (got.nu, nu)):
+        assert abs(value - want) <= 1e-14 * mu
+
+
+def test_fold_is_chosen_from_the_coefficients_exactly(tmp_path):
+    # one even harmonic of 1e-300 breaks r(t + pi) = -r(t): the full path
+    tiny = make_fourier([1.0, 1e-300], [0.0, 0.0], [0.0, 0.0], [0.6, 0.0])
+    assert not tiny.centrally_symmetric
+    assert assemble(tiny, 64).lu[0].shape == (64, 64)
+    # an odd-only J = 3 file, and the same traversed clockwise: the fold
+    path = tmp_path / "odd.txt"
+    for text, reversed_input in (
+            ("1.0 0.0 0.0 0.8\n0.0 0.0 0.0 0.0\n0.05 0.02 0.0 -0.04\n", False),
+            ("1.0 0.0 0.0 -0.8\n0.0 0.0 0.0 0.0\n0.05 -0.02 0.0 0.04\n", True)):
+        path.write_text(text)
+        C = read_fourier_file(path)
+        assert C.reversed_input == reversed_input
+        assert C.centrally_symmetric
+        assert [lu.shape for lu, _ in assemble(C, 64).lu] == [(32, 32), (32, 32)]
 
 
 # Runs in a fresh interpreter, since the LAPACK loader runs once per process:
@@ -180,9 +277,9 @@ def finder(name, path=None, target=None):
 importlib.machinery.PathFinder.find_spec = finder
 if case == "scipy_linalg_first":
     import scipy.linalg
-from trapmodes import apply_n0, assemble, make_ellipse
+from trapmodes import apply_n0, assemble, make_fourier
 from trapmodes.potentialflow import _lapack
-system = assemble(make_ellipse(1.5, 0.7, 0.4), 64)
+system = assemble(make_fourier([1.0, 0.2], [0.0, 0.0], [0.0, 0.0], [1.3, 0.1]), 64)
 n0x, n0y = apply_n0(system, system.x), apply_n0(system, system.y)
 loaded = {m: m in sys.modules for m in ("scipy.linalg", "scipy.linalg._flapack")}
 import scipy.linalg
@@ -209,9 +306,10 @@ def test_lapack_loader_in_either_import_order(case, linalg_loaded, searched, tmp
     # the BEM loads scipy's _flapack extension without scipy.linalg, reuses
     # the one scipy.linalg loaded, or falls back to scipy.linalg.lapack when
     # the file is missing; each way its LU, pivots and solves are those of
-    # lu_factor and lu_solve bit for bit, and scipy.linalg still works after
-    C, N = make_ellipse(1.5, 0.7, 0.4), 64
-    A = _textbook_matrix(C, N)
+    # lu_factor and lu_solve bit for bit, and scipy.linalg still works after.
+    # The egg is not centrally symmetric, so its LU is the whole I + M
+    C, N = _EGG, 64
+    (A,) = _textbook_blocks(C, N)
     np.save(tmp_path / "A.npy", A)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -234,19 +332,30 @@ def test_lapack_loader_in_either_import_order(case, linalg_loaded, searched, tmp
         assert np.array_equal(got[key].view(np.uint64), want.view(np.uint64)), key
 
 
-def test_assembly_peak_memory():
-    # the kernel is built in place, a block of rows at a time, and factored
-    # without a copy: MT is the only N^2 array, about 1.1 N^2 doubles at the
-    # peak, where a whole K, M, eye(N) and A take about 7
-    C, N = make_ellipse(1.5, 0.7, 0.4), 1024
+def _assembly_peak(C, N):
     assemble(C, 64)  # loads LAPACK outside the measurement
     tracemalloc.start()
     try:
         assemble(C, N)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * 8 * N * N
+
+
+def test_assembly_peak_memory():
+    # the kernel is built in place, a block of rows at a time, and factored
+    # without a copy: MT is the only N^2 array, about 1.1 N^2 doubles at the
+    # peak, where a whole K, M, eye(N) and A take about 7
+    N = 1024
+    assert _assembly_peak(_J3, N) <= 1.5 * 8 * N * N
+
+
+def test_folded_assembly_peak_memory():
+    # a centrally symmetric section folds each block of rows into its even
+    # and odd block as it is built: the two N/2 blocks, N^2 / 2 doubles, are
+    # the only large arrays, and the whole MT is never allocated
+    N = 1024
+    assert _assembly_peak(make_ellipse(1.5, 0.7, 0.4), N) <= 0.75 * 8 * N * N
 
 
 @pytest.mark.parametrize("cos_x, cos_y, sin_y", [
@@ -265,6 +374,18 @@ def test_self_intersecting_contour_fails_the_gauss_law(cos_x, cos_y, sin_y):
     with np.errstate(invalid="ignore", divide="ignore"):
         with pytest.raises(ConsistencyError, match="discrete Gauss law violated"):
             assemble(C, 64)
+
+
+@pytest.mark.parametrize("N", [64, 256])
+def test_centrally_symmetric_crossing_curve_fails_the_gauss_law(N):
+    # X = cos t, Y = sin 3t / 2 crosses itself at (+-1/2, 0) and has only odd
+    # harmonics, so it is folded: the even block's column sums catch it
+    C = Contour(np.array([1.0, 0.0, 0.0]), np.zeros(3), np.zeros(3),
+                np.array([0.0, 0.0, 0.5]))
+    assert C.centrally_symmetric
+    with np.errstate(invalid="ignore", divide="ignore"):
+        with pytest.raises(ConsistencyError, match="discrete Gauss law violated"):
+            assemble(C, N)
 
 
 @pytest.mark.parametrize("r", [1e-160, 1e-152, 1e152, 1e160])
