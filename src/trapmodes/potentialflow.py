@@ -20,8 +20,8 @@ A centrally symmetric section, r(t + pi) = -r(t) (every circle and ellipse;
 see Contour.centrally_symmetric), is folded: its nodes t_j and t_{j + N/2}
 are negatives of each other, so M commutes with the half-period shift bit for
 bit and acts as the N/2 x N/2 block L + R on even vectors [v, v] and L - R on
-odd ones [v, -v] (L, R: the column halves of M's first N/2 rows). Both blocks
-are factored, and cond_estimate is the larger of their estimates.
+odd ones [v, -v] (L, R: the column halves of M's first N/2 rows). NystromSystem.lu
+holds both blocks' (lu, piv), and cond_estimate is the larger of their estimates.
 
 The resolvent N0 = (I + M)^{-1} gives the dipole coefficients as boundary
 quadratures and the stream function of vertical flow past the section as
