@@ -18,13 +18,15 @@ The argvs cover every sweepable (table, parameter) pair on a circle, an
 ellipse and a Fourier file at N = 64; each command's point runs plain, with
 --g, --config, epsilon > 0.1, side L and N = 1024; and the error, range,
 lambda < 0 with --g, overflowing decay_rate, overflowing g lambda and k g,
-saturated Rcal and Jcal, oversize sweep grid and N, help and version paths;
+saturated Rcal and Jcal, resonance constants out of range (tau1^3 and D1's
+denominator), oversize sweep grid and N, help and version paths;
 a bad value in a field the table ignores, and sweeps whose late point breaks
 a rule; both paths of the contour's simplicity check: a non-convex (bean)
 and a clockwise Fourier file, and ellipses of aspect 1e5 (convex
 certificate) and 1e6 (crossing grid, rejected); both paths of the BEM: an
 odd-harmonic (folded) Fourier file, the same file with an even harmonic of
-1e-300, and a tilted ellipse at N = 1024; and a one-row run over a 50-row
+1e-300, a tilted ellipse at N = 1024 and a folded ellipse at N = 32 (fewer
+rows than one kernel pass); and a one-row run over a 50-row
 sweep's outputs. Standard library only, and it does not import
 trapmodes, so it compares any two trees. Exit status 1 when a difference is
 found.
@@ -109,6 +111,11 @@ ERRORS = [
     ["resonance", "--epsilon", "1e100", *N],
     ["resonance", "--side", "L", "--epsilon", "1e100", *N],
     ["embedded", "--epsilon", "1e100", *N], ["embedded", "--epsilon", "1e200", *N],
+    # resonance_upper's constants out of range: tau1^3 overflows, or D1's
+    # denominator underflows to 0
+    ["embedded", "--b", "1e-150", "--k", "1e150", *N],
+    ["resonance", "--b", "1e-300", "--k", "1", "--a", "1e-301", *N],
+    ["resonance", "--k", "1e-25", "--b", "1e-225", "--a", "5e-226", *N],
     # lambda < 0 (sigma > 1): no real frequency
     ["trapped", "--r", "1000", "--g", "9.81", *N],
     ["trapped", "--side", "L", "--r", "1000", "--g", "9.81", *N],
@@ -153,6 +160,9 @@ BEM_PATHS = [
     ["dipoles", "--shape", "fourier", "--fourier-file", "odd_tiny.txt", *N],
     ["resonance", "--shape", "ellipse", "--a0", "1.3", "--b0", "0.6", "--theta0", "0.4",
      "--N", "1024"],
+    # folded at N = 32: its N/2 = 16 rows are fewer than one pass of _BLOCK
+    ["dipoles", "--shape", "ellipse", "--a0", "1.3", "--b0", "0.9", "--theta0", "0.4",
+     "--N", "32"],
 ]
 # argvs run in one working directory: the point run rewrites the sweep's
 # longer CSV and manifest, which must leave no tail of them behind

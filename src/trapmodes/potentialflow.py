@@ -21,7 +21,8 @@ see Contour.centrally_symmetric), is folded: its nodes t_j and t_{j + N/2}
 are negatives of each other, so M commutes with the half-period shift bit for
 bit and acts as the N/2 x N/2 block L + R on even vectors [v, v] and L - R on
 odd ones [v, -v] (L, R: the column halves of M's first N/2 rows). NystromSystem.lu
-holds both blocks' (lu, piv), and cond_estimate is the larger of their estimates.
+holds one (lu, piv) per block, the whole I + M's or the even and odd blocks',
+and cond_estimate is the largest of their estimates.
 
 The resolvent N0 = (I + M)^{-1} gives the dipole coefficients as boundary
 quadratures and the stream function of vertical flow past the section as
@@ -56,8 +57,9 @@ _BLOCK = 32
 class NystromSystem:
     """Factored discrete operator I + M for one contour at one resolution.
 
-    Keeps the node geometry (points X, Y and velocities X', Y' at the nodes
-    t) that the boundary quadratures read.
+    lu holds one (lu, piv) per block: ((lu, piv),) for the whole I + M, or
+    (even, odd) for a folded section. Keeps the node geometry (points X, Y
+    and velocities X', Y' at the nodes t) that the boundary quadratures read.
     """
 
     contour: Contour
@@ -144,10 +146,7 @@ def assemble(C: Contour, N: int = 256) -> NystromSystem:
     for BT in blocks:
         A = BT.T
         np.fill_diagonal(A, A.diagonal() + 1.0)
-        # the 1-norm of A, its largest column sum of |A|: the row sums of
-        # |BT|, block by block in the dist2 scratch
-        anorm = max(float(np.abs(BT[r:r + step], out=dist2[:, :n]).sum(axis=1).max())
-                    for r in range(0, n, step))
+        anorm = lapack.dlange("1", A)  # read in place, before getrf overwrites A
         lu, piv, info = lapack.dgetrf(A, overwrite_a=True)
         _check_info("dgetrf", info)
         rcond, info = lapack.dgecon(lu, anorm, norm="1")
@@ -156,14 +155,14 @@ def assemble(C: Contour, N: int = 256) -> NystromSystem:
         factors.append((lu, piv))
     return NystromSystem(
         contour=C, N=N, t=t, x=x, y=y, xd=xd, yd=yd,
-        lu=tuple(factors) if folded else factors[0],
+        lu=tuple(factors),
         gauss_residual=gauss_residual, cond_estimate=cond_estimate,
     )
 
 
 @functools.cache
 def _lapack():
-    """scipy's LAPACK extension module, which holds dgetrf, dgetrs and dgecon.
+    """scipy's LAPACK extension module: dgetrf, dgetrs, dgecon and dlange.
 
     Loaded on first use, once per process, from its file in scipy's linalg
     directory, without importing the scipy.linalg package, which takes more
@@ -206,8 +205,8 @@ def apply_n0(sys: NystromSystem, f) -> np.ndarray:
     f = np.asarray_chkfinite(f, dtype=float)
     if f.shape != (sys.N,):
         raise ValidationError(f"f must have shape ({sys.N},), got {f.shape}")
-    if not sys.contour.centrally_symmetric:
-        return _getrs(sys.lu, f)
+    if len(sys.lu) == 1:
+        return _getrs(sys.lu[0], f)
     # folded: f = [fe + fo, fe - fo] and N0 f = [ue + uo, ue - uo], block by block
     h = sys.N // 2
     ue = _getrs(sys.lu[0], (f[:h] + f[h:]) / 2)

@@ -238,7 +238,8 @@ def resonance_upper(setup: ProblemSetup) -> ResonanceResult:
     Lam1, Lam2, tau1 = ctx.Lambda1, ctx.Lambda2, ctx.tau1
     core = 4.0 / (q_factor(k, cfg) * (Lam2 - Lam1) * ctx.q2)
     D = core * math.exp(-a * k)
-    D1 = Lam2 * tau1 / (q_factor(tau1, cfg) * ctx.dlam1_tau1 * ctx.p1_zero * (tau1 - Lam2))
+    denominator = q_factor(tau1, cfg) * ctx.dlam1_tau1 * ctx.p1_zero * (tau1 - Lam2)
+    D1 = Lam2 * tau1 / denominator if denominator else math.inf  # an underflowed product
     if not (D > 0.0 and D1 > 0.0):
         raise ConsistencyError(f"resonance constants must be positive: D={D}, D1={D1}")
     re_sigma = 0.5 * _power(setup.epsilon, 2) * core * k * k * math.exp(-2.0 * a * k) * (
@@ -249,7 +250,7 @@ def resonance_upper(setup: ProblemSetup) -> ResonanceResult:
     obstruction = r_hat * r_hat + j_hat * j_hat
     im_sigma = (
         _power(setup.epsilon, 4)
-        * (cfg.alpha * k / (cfg.beta * tau1**3))
+        * (cfg.alpha * k / (cfg.beta * _power(tau1, 3)))
         * core
         * D1
         * math.exp(-2.0 * a * k - 2.0 * (b - a) * tau1)

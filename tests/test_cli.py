@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -788,6 +789,47 @@ def test_large_sections_print_numbers_or_the_range_outcome(tmp_path, capsys):
             if command == ["embedded"]:
                 assert row["a_star"] == "0.170459694155", (e, row)
     assert ("embedded", 0) in outcomes and ("resonance", 3) in outcomes
+
+
+def test_wide_fluid_grid_returns_an_exit_code(tmp_path, capsys):
+    # b, k = 1e-300 ... 1e300 in steps of 10^50, a = 0.1 b and 0.9 b: every
+    # run exits 0, 2 or 3 and none raises; resonance_upper's tau1^3 overflows
+    # and D1's denominator underflows to 0 on parts of this grid
+    commands = [["trapped"], ["trapped", "--side", "L"], ["resonance"],
+                ["resonance", "--side", "L"], ["embedded"]]
+    exponents = range(-300, 301, 50)
+    raised = []
+    for eb, ek, fa, command in itertools.product(exponents, exponents, (0.1, 0.9),
+                                                 commands):
+        b = f"1e{eb}"
+        argv = [*command, "--b", b, "--k", f"1e{ek}", "--a", repr(fa * float(b)),
+                "--N", "64", "--out", str(tmp_path / "x")]
+        try:
+            code, _, err = run_cli(argv, capsys)
+        except Exception as exc:
+            raised.append((argv[:-2], repr(exc)))
+            continue
+        assert code in (0, 2, 3), (argv, err)
+    assert raised == [], f"{len(raised)} runs raised"
+
+
+@pytest.mark.parametrize("args, code, err", [
+    # a* scales with b: the b = k = 1 value is 0.170459694155
+    (["embedded", "--b", "1e-150", "--k", "1e150"], 0, ""),
+    (["resonance", "--b", "1e-300", "--k", "1", "--a", "1e-301"], 3,
+     "consistency error: im_sigma = nan is out of double range\n"),
+    (["resonance", "--k", "1e-25", "--b", "1e-225", "--a", "5e-226"], 3,
+     "consistency error: im_sigma = nan is out of double range\n"),
+], ids=["embedded_tau1_cubed_overflows", "resonance_D1_denominator_is_0",
+        "resonance_D1_denominator_is_0_small_k"])
+def test_resonance_constants_out_of_range_give_an_outcome(args, code, err, tmp_path,
+                                                          capsys):
+    # tau1^3 overflows (embedded) or D1's denominator underflows to 0
+    # (resonance): the first answers, the others are refused as out of range
+    out = tmp_path / "x"
+    assert run_cli([*args, "--N", "64", "--out", str(out)], capsys)[::2] == (code, err)
+    if code == 0:
+        assert read_rows(out.with_suffix(".csv"))[0]["a_star"] == "1.70459694155e-151"
 
 
 def test_circle_radius_scan_warns_nothing(tmp_path, capsys):

@@ -169,11 +169,6 @@ def _textbook_solve(factors, f):
     return np.concatenate([ue + uo, ue - uo])
 
 
-def _factors(system):
-    """The (lu, piv) pairs of a system: one, or two for a folded one."""
-    return list(system.lu) if system.contour.centrally_symmetric else [system.lu]
-
-
 def _bits(a):
     return np.asarray(a).view(np.uint64)
 
@@ -195,16 +190,16 @@ def test_lu_matches_textbook_assembly_bit_for_bit(C, N):
     system = assemble(C, N)
     blocks = _textbook_blocks(C, N)
     want = [lu_factor(A) for A in blocks]
-    got = _factors(system)
-    assert len(got) == len(want)
-    for (lu, piv), (want_lu, want_piv) in zip(got, want):
+    assert len(system.lu) == len(want)
+    for (lu, piv), (want_lu, want_piv) in zip(system.lu, want):
         assert lu.shape == want_lu.shape
         assert np.array_equal(_bits(lu), _bits(want_lu))
         assert np.array_equal(piv, want_piv)
     # the direct LAPACK calls against scipy.linalg's wrappers: the solves bit
     # for bit, the condition estimate (the larger block's) to 1e-12 (its
     # 1-norm moves in the last bits from process to process)
-    for f in (system.x, system.y, np.ones(N), np.cos(system.t)):
+    for f in (system.x, system.y, np.ones(N), np.cos(system.t),
+              1.0 + np.cos(system.t) + np.sin(2.0 * system.t)):
         assert np.array_equal(_bits(apply_n0(system, f)), _bits(_textbook_solve(want, f)))
     gecon = get_lapack_funcs("gecon", (want[0][0],))
     conds = []
@@ -249,7 +244,7 @@ def test_fold_is_chosen_from_the_coefficients_exactly(tmp_path):
     # one even harmonic of 1e-300 breaks r(t + pi) = -r(t): the full path
     tiny = make_fourier([1.0, 1e-300], [0.0, 0.0], [0.0, 0.0], [0.6, 0.0])
     assert not tiny.centrally_symmetric
-    assert assemble(tiny, 64).lu[0].shape == (64, 64)
+    assert [lu.shape for lu, _ in assemble(tiny, 64).lu] == [(64, 64)]
     # an odd-only J = 3 file, and the same traversed clockwise: the fold
     path = tmp_path / "odd.txt"
     for text, reversed_input in (
@@ -290,7 +285,8 @@ if case != "fallback":
 A = np.load(matrix)
 later_lu, later_piv = scipy.linalg.lu_factor(A)
 later_x = scipy.linalg.lu_solve((later_lu, later_piv), system.x)
-np.savez(out, lu=system.lu[0], piv=system.lu[1], n0x=n0x, n0y=n0y,
+(lu, piv), = system.lu
+np.savez(out, lu=lu, piv=piv, n0x=n0x, n0y=n0y,
          later_lu=later_lu, later_piv=later_piv, later_x=later_x,
          linalg=loaded["scipy.linalg"], flapack=loaded["scipy.linalg._flapack"],
          searched="_flapack" in asked)
