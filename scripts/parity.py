@@ -19,7 +19,8 @@ ellipse and a Fourier file at N = 64; each command's point runs plain, with
 --g, --config, epsilon > 0.1, side L and N = 1024; and the error, range,
 lambda < 0 with --g, overflowing decay_rate, overflowing g lambda and k g,
 saturated Rcal and Jcal, resonance constants out of range (tau1^3 and D1's
-denominator), oversize sweep grid and N, help and version paths;
+denominator), an underflowing D, sigma or Im sigma and the near-embedded
+test of a tiny section, oversize sweep grid and N, help and version paths;
 a bad value in a field the table ignores, and sweeps whose late point breaks
 a rule; both paths of the contour's simplicity check: a non-convex (bean)
 and a clockwise Fourier file, and ellipses of aspect 1e5 (convex
@@ -116,6 +117,13 @@ ERRORS = [
     ["embedded", "--b", "1e-150", "--k", "1e150", *N],
     ["resonance", "--b", "1e-300", "--k", "1", "--a", "1e-301", *N],
     ["resonance", "--k", "1e-25", "--b", "1e-225", "--a", "5e-226", *N],
+    # a D that underflows prints 0 (U), a sigma that underflows is refused
+    # (L), and a result of a small section underflows or is tested unsquared
+    ["trapped", "--b", "800", "--a", "799.5"],
+    ["trapped", "--b", "1", "--k", "1000", "--beta", "0.01", "--a", "0.9", *N],
+    ["trapped", "--side", "L", "--b", "800", "--a", "799.5"],
+    ["resonance", "--b", "800", "--a", "799.5"],
+    ["resonance", "--side", "L", "--r", "1e-80", *N], ["resonance", "--r", "1e-100", *N],
     # lambda < 0 (sigma > 1): no real frequency
     ["trapped", "--r", "1000", "--g", "9.81", *N],
     ["trapped", "--side", "L", "--r", "1000", "--g", "9.81", *N],
@@ -136,11 +144,12 @@ ERRORS = [
     # a bad value in a field the table ignores
     ["cutoffs", "--N", "48"], ["cutoffs", "--N", str(2**50)],
     ["dipoles", "--beta", "2"], ["embedded", "--a", "-1"],
-    # sweeps whose late point breaks a rule; in the second, the first point
-    # fails in a stage (D = 0 at b k = 1000)
+    # sweeps whose late point breaks a rule; in the third, the first point
+    # fails in a stage (sigma underflows to 0 at b k = 1000)
     ["sweep", "--what", "trapped", "--shape", "ellipse", "--a0", "1.3", "--b0", "0.6",
      "--N", "1024", "--sweep", "a:0.1:1.2:12"],
     ["sweep", "--what", "trapped", "--b", "1", "--k", "1000", "--sweep", "a:0.9:1.1:3"],
+    ["sweep", "--what", "trapped", "--b", "1", "--k", "1000", "--sweep", "a:0.1:1.1:3"],
 ]
 # the two paths of the simplicity check: the O(n) convex certificate, and the
 # crossing grid on a section it cannot certify

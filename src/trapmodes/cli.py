@@ -239,6 +239,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--version", action="version",
                      version=f"trapmodes {__version__}")
+    # the flags every subcommand takes, declared once
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", help="key = value file; flags override it")
+    for f in _FIELDS:
+        flag = dict(f.metadata, help=f.metadata["help"].format(default=f.default))
+        shared.add_argument("--" + f.name.replace("_", "-"),
+                            type=_FIELD_TYPES[f.name], default=None, **flag)
     sub = top.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         if name == "sweep":
@@ -248,12 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      f"{', '.join(COLUMNS['f'])}).")
         else:
             descr = f"{_TABLES[name][0]} Columns: {', '.join(COLUMNS[name])}"
-        p = sub.add_parser(name, description=descr)
-        p.add_argument("--config", help="key = value file; flags override it")
-        for f in _FIELDS:
-            flag = dict(f.metadata, help=f.metadata["help"].format(default=f.default))
-            p.add_argument("--" + f.name.replace("_", "-"),
-                           type=_FIELD_TYPES[f.name], default=None, **flag)
+        sub.add_parser(name, description=descr, parents=[shared])
     return top
 
 
@@ -493,7 +495,7 @@ def _run(argv) -> str:
         "tool": "trapmodes",
         "version": __version__,
         "command": run.command,
-        "inputs": dataclasses.asdict(run),
+        "inputs": dict(vars(run)),  # RunConfig holds scalars only
         "spectral_context": None,
         "bem": None,
         "dipoles": None,

@@ -199,7 +199,7 @@ def trapped_upper(setup: ProblemSetup) -> ModeResult:
     dl1 = ctx.dlam1_k
     core = (cfg.alpha / cfg.beta) / (q_factor(k, cfg) * dl1 * (Lam2 - Lam1) * ctx.q1)
     D = core * math.exp(-b * k)
-    if not (D > 0.0):
+    if not (core > 0.0):
         raise ConsistencyError(f"coefficient D must be positive, got {D}")
     g_hat, gp_hat = g_profile_scaled(a, k, Lam1)
     # sigma = 2 eps^2 D e^{-bk} (S g^2 + 2 pi mu g'^2 / k^2); the two e^{-bk}
@@ -240,7 +240,7 @@ def resonance_upper(setup: ProblemSetup) -> ResonanceResult:
     D = core * math.exp(-a * k)
     denominator = q_factor(tau1, cfg) * ctx.dlam1_tau1 * ctx.p1_zero * (tau1 - Lam2)
     D1 = Lam2 * tau1 / denominator if denominator else math.inf  # an underflowed product
-    if not (D > 0.0 and D1 > 0.0):
+    if not (core > 0.0 and D1 > 0.0):
         raise ConsistencyError(f"resonance constants must be positive: D={D}, D1={D1}")
     re_sigma = 0.5 * _power(setup.epsilon, 2) * core * k * k * math.exp(-2.0 * a * k) * (
         setup.dip.S + 2.0 * math.pi * setup.dip.mu
@@ -256,11 +256,9 @@ def resonance_upper(setup: ProblemSetup) -> ResonanceResult:
         * math.exp(-2.0 * a * k - 2.0 * (b - a) * tau1)
         * obstruction
     )
-    try:
-        near_embedded = obstruction <= NEAR_EMBEDDED_RTOL * (k * setup.dip.S * g_hat) ** 2
-    except OverflowError:  # the reference overflows when squared: compare the roots
-        near_embedded = math.hypot(r_hat, j_hat) <= math.sqrt(NEAR_EMBEDDED_RTOL) * abs(
-            k * setup.dip.S * g_hat)
+    # compared as roots: squares of a small section's values underflow to 0
+    near_embedded = math.hypot(r_hat, j_hat) <= math.sqrt(NEAR_EMBEDDED_RTOL) * abs(
+        k * setup.dip.S * g_hat)
     if not (re_sigma > 0.0) or im_sigma < 0.0:
         raise ConsistencyError(
             f"resonance parts out of range: re={re_sigma}, im={im_sigma}"
@@ -285,7 +283,7 @@ def trapped_lower(setup: ProblemSetup) -> ModeResult:
     P0 = p0_factor(k, Lam1, cfg)
     core = -P0 * k / ((Lam2 - Lam1) * ctx.q1 * ctx.dlam1_k)
     D = core * math.exp(-k * a)
-    if not (D > 0.0):
+    if not (core > 0.0):
         raise ConsistencyError(
             f"coefficient D must be positive, got {D} (P0(k,Lambda1)={P0})"
         )
@@ -305,7 +303,9 @@ def resonance_lower(setup: ProblemSetup) -> ResonanceResult:
         D1 = -P0(tau1, Lambda2) tau1 / ((tau1 - k) lambda1'(tau1) p1_zero)
 
     The bracket is bounded below by (k S)^2 > 0, so Im sigma > 0: the lower
-    cylinder's resonance never becomes a trapped mode.
+    cylinder's resonance never becomes a trapped mode. In floating point
+    Im sigma >= 0: like side U's, it underflows to 0 for a small enough
+    section or a deep enough cylinder.
     """
     _require_side(setup, "L", "resonance_lower")
     ctx = setup.ctx
@@ -317,7 +317,7 @@ def resonance_lower(setup: ProblemSetup) -> ResonanceResult:
     D = core * math.exp(-a * k)
     P0_tau1 = p0_factor(tau1, Lam2, cfg)
     D1 = -P0_tau1 * tau1 / ((tau1 - k) * ctx.dlam1_tau1 * ctx.p1_zero)
-    if not (D > 0.0 and D1 > 0.0):
+    if not (core > 0.0 and D1 > 0.0):
         raise ConsistencyError(
             f"resonance constants must be positive: D={D} (P0(k,Lambda2)={P0_top}), "
             f"D1={D1} (P0(tau1,Lambda2)={P0_tau1})"
@@ -337,14 +337,10 @@ def resonance_lower(setup: ProblemSetup) -> ResonanceResult:
         * math.exp(-2.0 * a * tau1 - 2.0 * a * k)
         * bracket
     )
-    # bracket >= (kS + 2 pi tau1 mu)^2 > 0, so im_sigma vanishes only when
-    # the exponential underflows (deeply submerged or alpha -> 0, tau1 huge)
-    exponent = -2.0 * a * tau1 - 2.0 * a * k
-    if not (re_sigma > 0.0) or im_sigma < 0.0 or (
-        im_sigma == 0.0 and exponent > -700.0
-    ):
+    if not (re_sigma > 0.0) or im_sigma < 0.0:
         raise ConsistencyError(
-            f"problem-L resonance must have re, im > 0; got re={re_sigma}, im={im_sigma}"
+            f"problem-L resonance must have re > 0 and im >= 0; got re={re_sigma}, "
+            f"im={im_sigma}"
         )
     return ResonanceResult(re_sigma=re_sigma, im_sigma=im_sigma,
                            rcal=math.nan, jcal=math.nan, near_embedded=False,

@@ -767,11 +767,11 @@ def test_degenerate_ellipse_names_its_fields(axes, tmp_path, capsys):
 
 def test_large_sections_print_numbers_or_the_range_outcome(tmp_path, capsys):
     # each run prints finite results or exits 3 "out of double range"; a* of
-    # a circle depends on its delta alone, not on its size
+    # a circle and near_embedded depend on its delta alone, not on its size
     commands = [["trapped"], ["trapped", "--side", "L"], ["resonance"],
                 ["resonance", "--side", "L"], ["embedded"]]
     outcomes = set()
-    for e in range(0, 146, 5):
+    for e in range(-145, 146, 5):
         for command in commands:
             out = tmp_path / "x"
             code, _, err = run_cli([*command, "--r", f"1e{e}", "--N", "64",
@@ -788,7 +788,29 @@ def test_large_sections_print_numbers_or_the_range_outcome(tmp_path, capsys):
                     assert math.isfinite(float(row[column])), (e, command, row)
             if command == ["embedded"]:
                 assert row["a_star"] == "0.170459694155", (e, row)
+            if command == ["resonance"]:
+                assert row["near_embedded"] == "false", (e, row)
     assert ("embedded", 0) in outcomes and ("resonance", 3) in outcomes
+
+
+@pytest.mark.parametrize("args, code, cells, err", [
+    # D = core e^{-bk} underflows and sigma does not; mpmath at the same
+    # double inputs gives 8.17222646239918e-05 and 9.13142118833992e-87
+    (["trapped", "--b", "800", "--a", "799.5"], 0,
+     {"sigma": "8.1722264624e-05", "D": "0"}, ""),
+    (["trapped", "--b", "1", "--k", "1000", "--beta", "0.01", "--a", "0.9",
+      "--N", "64"], 0, {"sigma": "9.13142118834e-87", "D": "0"}, ""),
+    # sigma itself, about e^-1599, underflows
+    (["trapped", "--side", "L", "--b", "800", "--a", "799.5"], 3, {},
+     "consistency error: trapped-mode sigma must be positive, got 0.0\n"),
+], ids=["D_underflows", "D_underflows_large_k", "sigma_underflows"])
+def test_guards_test_the_sign_factor_and_the_result(args, code, cells, err, tmp_path,
+                                                    capsys):
+    out = tmp_path / "x"
+    assert run_cli([*args, "--out", str(out)], capsys)[::2] == (code, err)
+    if code == 0:
+        row = read_rows(out.with_suffix(".csv"))[0]
+        assert {column: row[column] for column in cells} == cells
 
 
 def test_wide_fluid_grid_returns_an_exit_code(tmp_path, capsys):
