@@ -27,10 +27,10 @@ and a clockwise Fourier file, and ellipses of aspect 1e5 (convex
 certificate) and 1e6 (crossing grid, rejected); both paths of the BEM: an
 odd-harmonic (folded) Fourier file, the same file with an even harmonic of
 1e-300, a tilted ellipse at N = 1024 and a folded ellipse at N = 32 (fewer
-rows than one kernel pass); and a one-row run over a 50-row
-sweep's outputs. Standard library only, and it does not import
-trapmodes, so it compares any two trees. Exit status 1 when a difference is
-found.
+rows than one kernel pass); fluids at b k = 1 with k = 1e-100 and 1e-159;
+and a one-row run over a 50-row sweep's outputs. Standard library only, and
+it does not import trapmodes, so it compares any two trees. Exit status 1
+when a difference is found.
 """
 
 from __future__ import annotations
@@ -173,6 +173,14 @@ BEM_PATHS = [
     ["dipoles", "--shape", "ellipse", "--a0", "1.3", "--b0", "0.9", "--theta0", "0.4",
      "--N", "32"],
 ]
+# fluids at b k = 1 far from k = 1, whose threshold root is solved in units
+# k = 1: at k = 1e-159 the radicands of p1_zero and q1 would be subnormal
+SCALED_FLUIDS = [
+    ["cutoffs", "--k", "1e-100", "--b", "1e100"],
+    ["cutoffs", "--k", "1e-159", "--b", "1e159"],
+    ["trapped", "--k", "1e-100", "--b", "1e100", "--a", "5e99"],
+    ["sweep", "--what", "f", "--k", "1e-100", "--b", "1e100", "--sweep", "a:0.1:0.9:3"],
+]
 # argvs run in one working directory: the point run rewrites the sweep's
 # longer CSV and manifest, which must leave no tail of them behind
 RERUNS = [
@@ -201,6 +209,7 @@ def argvs() -> list[list[str]]:
     runs += ERRORS
     runs += CONTOUR_PATHS
     runs += BEM_PATHS
+    runs += SCALED_FLUIDS
     runs += [["--help"], ["--version"]]
     runs += [[command, "--help"] for command in (*POINT_COMMANDS, "sweep")]
     return runs

@@ -24,6 +24,7 @@ g(y) = tau cosh(tau y) + lam sinh(tau y) used by the spectral estimates.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,59 +204,70 @@ class SpectralContext:
         return self.cfg.k * math.sqrt(2.0)
 
 
-def solve_tau1(cfg: FluidConfig) -> float:
-    """Root of lambda1(tau) = k on (k, inf).
+def _unit_fluid(cfg: FluidConfig) -> FluidConfig:
+    """cfg in units k = 1, the fluid (beta, b k, 1): lambda1 depends on lengths
+    only through b tau, so lambda1(k t, cfg) = k lambda1(t, unit)."""
+    return FluidConfig(beta=cfg.beta, b=cfg.b * cfg.k, k=1.0)
 
-    lambda1(k) = Lambda1 < k and lambda1 grows like alpha tau / (1 + beta), so a
-    bracket always exists; Brent's method with a tight relative tolerance.
+
+def solve_tau1(cfg: FluidConfig) -> float:
+    """Root of lambda1(tau) = k on (k, inf), as k t0 with t0 the root of
+    lambda1(t) = 1 for the unit fluid.
+
+    lambda1(1) = Lambda1/k < 1 and lambda1 grows like alpha t / (1 + beta), so
+    a bracket [1, hi] always exists; Brent's method with a tight relative
+    tolerance.
     """
-    k = cfg.k
-    f = lambda t: lambda1(t, cfg) - k
-    hi = 2.0 * k
+    unit = _unit_fluid(cfg)
+    f = lambda t: lambda1(t, unit) - 1.0
+    hi = 2.0
     while f(hi) <= 0.0:
         hi *= 2.0
-        if hi == math.inf:
-            raise ConsistencyError(
-                f"tau1 overflows: beta = {cfg.beta}, k = {k} is out of "
-                f"double range")
-    tau1 = brentq(f, k, hi, rtol=ROOT_RTOL, xtol=1e-300 * k + 1e-15,
-                  what="tau1 root search")
-    if abs(lambda1(tau1, cfg) - k) > 1e-12 * k:
+    t0 = brentq(f, 1.0, hi, rtol=ROOT_RTOL, xtol=1e-15, what="tau1 root search")
+    residual = abs(f(t0))
+    if residual > 1e-12:
         raise ConsistencyError(
-            f"tau1 root residual {abs(lambda1(tau1, cfg) - k):.3e} exceeds 1e-12*k"
-        )
+            f"tau1 root residual {residual:.3e} exceeds 1e-12 in units k = 1")
+    tau1 = cfg.k * t0
+    if tau1 == math.inf:
+        raise ConsistencyError(
+            f"tau1 overflows: beta = {cfg.beta}, k = {cfg.k} is out of "
+            f"double range")
     return tau1
 
 
 def spectral_context(cfg: FluidConfig) -> SpectralContext:
     """Compute the cut-off data for cfg once; pass the result around."""
-    Lambda1 = lambda1(cfg.k, cfg)
-    Lambda2 = cfg.k
-    if not (Lambda1 < Lambda2):
+    k = cfg.k
+    Lambda1 = lambda1(k, cfg)
+    if not (Lambda1 < k):
         raise ConsistencyError("cut-off ordering Lambda1 < Lambda2 failed")
+    dlam1_k = lambda1_prime(k, cfg)
+    q1_squared = 2.0 * k * Lambda1 / dlam1_k if dlam1_k else 0.0
+    # Lambda1, lambda1'(k) and q1 are positive and the formulas divide by
+    # them; an exact 0 means b k is so small that they underflowed. Checked
+    # first: the unit fluid of solve_tau1 needs b k > 0
+    if Lambda1 == 0.0 or q1_squared == 0.0:
+        raise ConsistencyError(
+            f"Lambda1 = {Lambda1}, lambda1'(k) = {dlam1_k}: "
+            f"k b = {k * cfg.b} is out of double range")
     tau1 = solve_tau1(cfg)
-    p1_zero = math.sqrt(tau1 * tau1 - cfg.k * cfg.k)
-    ctx = SpectralContext(
+    # the radicands of p1_zero and q1 overflow once k or tau1 passes ~1e154,
+    # and are subnormal, short of digits, once k drops below ~1e-154
+    p1_squared = tau1 * tau1 - k * k
+    if not all(sys.float_info.min <= r < math.inf for r in (p1_squared, q1_squared)):
+        raise ConsistencyError(
+            f"p1_zero = {math.sqrt(p1_squared)}, q1 = {math.sqrt(q1_squared)}: "
+            f"k = {k}, tau1 = {tau1} is out of double range")
+    return SpectralContext(
         cfg=cfg,
         Lambda1=Lambda1,
-        Lambda2=Lambda2,
+        Lambda2=k,
         tau1=tau1,
-        p1_zero=p1_zero,
-        dlam1_k=lambda1_prime(cfg.k, cfg),
+        p1_zero=math.sqrt(p1_squared),
+        dlam1_k=dlam1_k,
         dlam1_tau1=lambda1_prime(tau1, cfg),
     )
-    # all three are positive and the formulas divide by them; an exact 0
-    # means b k is so small that they underflowed
-    if ctx.Lambda1 == 0.0 or ctx.dlam1_k == 0.0 or ctx.q1 == 0.0:
-        raise ConsistencyError(
-            f"Lambda1 = {ctx.Lambda1}, lambda1'(k) = {ctx.dlam1_k}: "
-            f"k b = {cfg.k * cfg.b} is out of double range")
-    # tau1^2 and 2 k Lambda1 overflow once k or tau1 passes ~1e154
-    if not (math.isfinite(ctx.p1_zero) and math.isfinite(ctx.q1)):
-        raise ConsistencyError(
-            f"p1_zero = {ctx.p1_zero}, q1 = {ctx.q1}: k = {cfg.k}, "
-            f"tau1 = {tau1} is out of double range")
-    return ctx
 
 
 def g_profile(y, tau: float, lam: float):
@@ -354,15 +366,9 @@ def near_threshold_wavenumbers(sigma: float, which: str, cfg: FluidConfig) -> fl
         return k * sigma * math.sqrt(2.0 - sigma * sigma)
     if which != "first":
         raise ValidationError(f"which must be 'first' or 'second', got {which!r}")
-    Lambda1 = lambda1(k, cfg)
-    target = Lambda1 * (1.0 - sigma * sigma)
-
-    def f(p):
-        tau = math.sqrt(max(k * k - p * p, 0.0))
-        if tau == 0.0:
-            return -target
-        return lambda1(tau, cfg) - target
-
-    hi = k * (1.0 - 1e-13)
-    return brentq(f, 0.0, hi, rtol=ROOT_RTOL, xtol=1e-300 * k + 1e-15,
-                  what="p01 root search")
+    # solved in units k = 1, where p < 1 - 1e-13 keeps tau > 0, and scaled by k
+    unit = _unit_fluid(cfg)
+    target = lambda1(1.0, unit) * (1.0 - sigma * sigma)
+    f = lambda p: lambda1(math.sqrt(1.0 - p * p), unit) - target
+    return k * brentq(f, 0.0, 1.0 - 1e-13, rtol=ROOT_RTOL, xtol=1e-15,
+                      what="p01 root search")

@@ -60,31 +60,12 @@ class EmbeddedResult:
 
 
 def tau0(ctx: SpectralContext) -> float:
-    """Dimensionless threshold root of ctx's fluid:
-    1 = alpha t tanh(b0 t) / (1 + beta tanh(b0 t)).
+    """Dimensionless threshold root tau1/k of ctx's fluid, the root of
+    1 = alpha t tanh(b0 t) / (1 + beta tanh(b0 t)) with b0 = k b.
 
-    Solved on its own and cross-checked against tau1/k from the dispersion
-    module; the two must agree to 1e-12 relative.
+    spectral_context solves it in these units already; this reads it back.
     """
-    cfg = ctx.cfg
-    t0_disp = ctx.tau1 / cfg.k
-    # spectral_context refuses a fluid whose b k underflows, so b0 > 0 and
-    # the doubling below ends
-    b0 = cfg.k * cfg.b
-    alpha, beta = cfg.alpha, cfg.beta
-
-    def f(t):
-        T = math.tanh(b0 * t)
-        return alpha * t * T / (1.0 + beta * T) - 1.0
-
-    hi = 2.0
-    while f(hi) <= 0.0:
-        hi *= 2.0
-    t0 = brentq(f, 1.0, hi, rtol=ROOT_RTOL, xtol=1e-15, what="tau0 root search")
-    if abs(t0 - t0_disp) > 1e-12 * t0:
-        raise ConsistencyError(
-            f"tau0 routes disagree: dimensionless {t0} vs tau1/k {t0_disp}"
-        )
+    t0 = ctx.tau1 / ctx.cfg.k
     if not (t0 > 1.0):
         raise ConsistencyError(f"tau0 must exceed 1, got {t0}")
     return t0
@@ -125,9 +106,7 @@ def a_star(setup: ProblemSetup) -> EmbeddedResult:
     ctx = setup.ctx
     cfg = ctx.cfg
     k, b = cfg.k, cfg.b
-    t0 = ctx.tau1 / k
-    if not (t0 > 1.0):
-        raise ConsistencyError(f"tau0 must exceed 1, got {t0}")
+    t0 = tau0(ctx)
     delta = setup.dip.delta
     w = solve_w(delta, t0)
 

@@ -248,9 +248,11 @@ def resonance_upper(setup: ProblemSetup) -> ResonanceResult:
     r_hat, j_hat, g_hat = rcal_jcal_scaled(a, ctx, setup.dip)
     # e^{-2 b tau1} (Rcal^2 + Jcal^2) = e^{-2 (b-a) tau1} (r_hat^2 + j_hat^2), b > a
     obstruction = r_hat * r_hat + j_hat * j_hat
+    beta_tau1_cubed = cfg.beta * _power(tau1, 3)
     im_sigma = (
         _power(setup.epsilon, 4)
-        * (cfg.alpha * k / (cfg.beta * _power(tau1, 3)))
+        # an underflowed beta tau1^3 is treated like D1's denominator
+        * (cfg.alpha * k / beta_tau1_cubed if beta_tau1_cubed else math.inf)
         * core
         * D1
         * math.exp(-2.0 * a * k - 2.0 * (b - a) * tau1)

@@ -647,6 +647,31 @@ def test_cutoffs_out_of_double_range_exit_3(args, tmp_path, capsys):
     assert "out of double range" in err
 
 
+def test_cutoffs_scale_with_k(tmp_path, capsys):
+    # lengths scaled by s = 10^-e and k by 10^e: Lambda1, Lambda2 (omega^2/g)
+    # and the wavenumbers tau1, p1_zero, q1 and q2 each carry one inverse
+    # length, so each printed cell divided by k is the e = 0 value. A run may
+    # instead be refused as out of double range, where tau1^2 or 2 k Lambda1
+    # would be subnormal (k below about 1e-154)
+    columns = ("Lambda1", "Lambda2", "tau1", "p1_zero", "q1", "q2")
+    answered, unit = [], None
+    for e in [0, *range(-150, 151, 10), *range(-161, -156)]:
+        out = tmp_path / "x"
+        code, _, err = run_cli(["cutoffs", "--k", f"1e{e}", "--b", f"1e{-e}",
+                                "--out", str(out)], capsys)
+        if code == 3:
+            assert err.startswith("consistency error:"), (e, err)
+            assert err.rstrip().endswith("is out of double range"), (e, err)
+            continue
+        assert code == 0, (e, err)
+        row = read_rows(out.with_suffix(".csv"))[0]
+        scaled = [float(row[column]) / 10.0 ** e for column in columns]
+        unit = unit or scaled
+        assert scaled == pytest.approx(unit, rel=1e-12), e
+        answered.append(e)
+    assert set(range(-150, 151, 10)) <= set(answered)
+
+
 def test_dipoles_section_out_of_double_range_exit_3(tmp_path, capsys):
     # the squared node distances would overflow into a NaN matrix; the BEM
     # refuses the section before building it
@@ -835,23 +860,32 @@ def test_wide_fluid_grid_returns_an_exit_code(tmp_path, capsys):
     assert raised == [], f"{len(raised)} runs raised"
 
 
-@pytest.mark.parametrize("args, code, err", [
+@pytest.mark.parametrize("args, code, expected", [
     # a* scales with b: the b = k = 1 value is 0.170459694155
-    (["embedded", "--b", "1e-150", "--k", "1e150"], 0, ""),
+    (["embedded", "--b", "1e-150", "--k", "1e150"], 0, "1.70459694155e-151"),
     (["resonance", "--b", "1e-300", "--k", "1", "--a", "1e-301"], 3,
      "consistency error: im_sigma = nan is out of double range\n"),
     (["resonance", "--k", "1e-25", "--b", "1e-225", "--a", "5e-226"], 3,
      "consistency error: im_sigma = nan is out of double range\n"),
+    (["embedded", "--b", "1e150", "--k", "1e-150"], 0, "1.70459694155e+149"),
+    (["resonance", "--b", "1e150", "--k", "1e-150", "--a", "1e149"], 3,
+     "consistency error: im_sigma = nan is out of double range\n"),
 ], ids=["embedded_tau1_cubed_overflows", "resonance_D1_denominator_is_0",
-        "resonance_D1_denominator_is_0_small_k"])
-def test_resonance_constants_out_of_range_give_an_outcome(args, code, err, tmp_path,
-                                                          capsys):
-    # tau1^3 overflows (embedded) or D1's denominator underflows to 0
-    # (resonance): the first answers, the others are refused as out of range
+        "resonance_D1_denominator_is_0_small_k", "embedded_tau1_cubed_underflows",
+        "resonance_tau1_cubed_underflows"])
+def test_resonance_constants_out_of_range_give_an_outcome(args, code, expected,
+                                                          tmp_path, capsys):
+    # tau1^3 overflows or underflows to 0 (embedded, which reads Re sigma
+    # alone), or D1's denominator or beta tau1^3 underflows to 0 (resonance):
+    # embedded answers with the a* in expected, resonance is refused with
+    # the stderr in expected
     out = tmp_path / "x"
-    assert run_cli([*args, "--N", "64", "--out", str(out)], capsys)[::2] == (code, err)
+    result = run_cli([*args, "--N", "64", "--out", str(out)], capsys)[::2]
     if code == 0:
-        assert read_rows(out.with_suffix(".csv"))[0]["a_star"] == "1.70459694155e-151"
+        assert result == (0, "")
+        assert read_rows(out.with_suffix(".csv"))[0]["a_star"] == expected
+    else:
+        assert result == (code, expected)
 
 
 def test_circle_radius_scan_warns_nothing(tmp_path, capsys):

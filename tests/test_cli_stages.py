@@ -143,10 +143,11 @@ def test_cutoffs_ignores_the_rules_tying_fields_it_does_not_read(argv, calls,
     (["sweep", "--what", "f", "--sweep", "a:0:1:5"], "a_grid"),
     (["sweep", "--what", "embedded", "--side", "L",
       "--sweep", "beta:0.1:0.9:5"], "side"),
-    # the grid's first point fails in a stage (D = 0 at b k = 1000); the
-    # rule its second point breaks decides the run
+    # the grid's first point fails in a stage (sigma underflows to 0 at
+    # b k = 1000, exit 3 when run alone); the rule its last point breaks
+    # decides the run
     (["sweep", "--what", "trapped", "--b", "1", "--k", "1000",
-      "--sweep", "a:0.9:1.1:3"], "a"),
+      "--sweep", "a:0.1:1.1:3"], "a"),
 ], ids=["late-a", "late-beta", "f-grid", "embedded-side-L", "exit-3-before-2"])
 def test_sweep_breaking_a_rule_computes_nothing(argv, field, calls, tmp_path,
                                                 capsys):

@@ -172,24 +172,23 @@ def test_brentq_matches_scipy_at_every_call_site(beta, eb, ek, sigma):
                          epsilon=0.01, dip=analytic_dipoles("circle", r=1.0))
 
     def run():
-        ctx = spectral_context(cfg)
+        spectral_context(cfg)
         near_threshold_wavenumbers(sigma, "first", cfg)
-        tau0(ctx)
         a_star(setup)
 
     with pytest.MonkeyPatch.context() as mp:
         calls = _recorded_solves(mp, run)
     whats = {c[-1] for c in calls}
-    assert {"tau1 root search", "p01 root search", "tau0 root search"} <= whats
+    assert {"tau1 root search", "p01 root search"} <= whats
     if a_star(setup).exists:
         assert "a* root search" in whats
     _assert_matches_scipy(calls)
 
 
 def test_brentq_zero_denominator_bisects_like_c():
-    # at b = k = 1e-200 the tau1 solve meets a zero interpolation denominator;
+    # at b k = 1e-322 the tau1 solve meets a zero interpolation denominator;
     # C gets inf or nan there and bisects, Python would raise ZeroDivisionError
-    cfg = FluidConfig(beta=0.5, b=1e-200, k=1e-200)
+    cfg = FluidConfig(beta=0.5, b=1e-322, k=1.0)
     with pytest.MonkeyPatch.context() as mp:
         calls = _recorded_solves(mp, lambda: solve_tau1(cfg))
     assert [c[-1] for c in calls] == ["tau1 root search"]
@@ -293,6 +292,14 @@ def test_near_threshold_asymptote(cfg_half, ctx_half):
     p01 = near_threshold_wavenumbers(1e-3, "first", cfg_half)
     assert p01 / (q1 * 1e-3) == pytest.approx(GOLD["p01_over_q1sigma_small"], rel=1e-10)
     assert abs(p01 / (q1 * 1e-3) - 1.0) < 1e-5
+
+
+@pytest.mark.parametrize("k", [1e-10, 1e-14, 1e-20, 1e-100])
+def test_p01_scales_with_k(k):
+    # p01/k depends on beta, b k and sigma alone: the same at every k
+    unit = near_threshold_wavenumbers(0.1, "first", FluidConfig(beta=0.5, b=1.0, k=1.0))
+    p01 = near_threshold_wavenumbers(0.1, "first", FluidConfig(beta=0.5, b=1.0 / k, k=k))
+    assert p01 / k == pytest.approx(unit, rel=1e-12)
 
 
 def test_near_threshold_validation(cfg_half):
