@@ -303,7 +303,7 @@ def g_profile_scaled(a: float, tau: float, lam: float):
     _check_tau(tau)
     e = math.exp(-2.0 * a * tau)
     plus = 0.5 * (1.0 + e)
-    minus = 0.5 * (1.0 - e)
+    minus = -0.5 * math.expm1(-2.0 * a * tau)  # no cancellation at small a tau
     g_hat = tau * plus - lam * minus
     gp_hat = -tau * tau * minus + lam * tau * plus
     return g_hat, gp_hat

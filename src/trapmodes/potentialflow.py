@@ -20,9 +20,9 @@ A centrally symmetric section, r(t + pi) = -r(t) (every circle and ellipse;
 see Contour.centrally_symmetric), is folded: its nodes t_j and t_{j + N/2}
 are negatives of each other, so M commutes with the half-period shift bit for
 bit and acts as the N/2 x N/2 block L + R on even vectors [v, v] and L - R on
-odd ones [v, -v] (L, R: the column halves of M's first N/2 rows). NystromSystem.lu
-holds one (lu, piv) per block, the whole I + M's or the even and odd blocks',
-and cond_estimate is the largest of their estimates.
+odd ones [v, -v] (L, R: the column halves of M's first N/2 rows). X and Y are
+odd, so only the odd block is built and factored, cond_estimate is its estimate
+and apply_n0 takes odd f; the Gauss law reads the column sums of L and R.
 
 The resolvent N0 = (I + M)^{-1} gives the dipole coefficients as boundary
 quadratures and the stream function of vertical flow past the section as
@@ -57,9 +57,9 @@ _BLOCK = 32
 class NystromSystem:
     """Factored discrete operator I + M for one contour at one resolution.
 
-    lu holds one (lu, piv) per block: ((lu, piv),) for the whole I + M, or
-    (even, odd) for a folded section. Keeps the node geometry (points X, Y
-    and velocities X', Y' at the nodes t) that the boundary quadratures read.
+    lu is the (lu, piv) of I + M, or of order N/2 of a folded section's odd
+    block I + L - R. Keeps the node geometry (points X, Y and velocities
+    X', Y' at the nodes t) that the boundary quadratures read.
     """
 
     contour: Contour
@@ -105,17 +105,18 @@ def assemble(C: Contour, N: int = 256) -> NystromSystem:
     # -(r(s) - r(t)) . m(s) = dx Y'(s) - dy X'(s). MT is filled `step` rows
     # at a time, with dx in MT itself and dy and dist2 in step-sized
     # scratch, so each step stays in cache and MT is the only N^2 array. A
-    # folded section builds its first N/2 rows in scratch instead and folds
-    # them into ET = L + R and OT = L - R, its only large arrays.
-    blocks = [np.empty((n, n)) for _ in range(2 if folded else 1)]
+    # folded section builds its first N/2 rows in scratch instead, sums
+    # their columns and folds them into OT = L - R, its only large array.
+    BT = np.empty((n, n))  # MT, or a folded section's OT
     step = min(_BLOCK, n)
     rows_out = np.empty((step, N)) if folded else None
+    colsum = np.zeros(N)
     dy = np.empty((step, N))
     dist2 = np.empty((step, N))
     curvature = (xd * ydd - xdd * yd) / (2.0 * math.pi * (xd * xd + yd * yd))
     for start in range(0, n, step):
         rows = slice(start, start + step)
-        dx = np.subtract.outer(x[rows], x, out=rows_out if folded else blocks[0][rows])
+        dx = np.subtract.outer(x[rows], x, out=rows_out if folded else BT[rows])
         np.subtract.outer(y[rows], y, out=dy)
         np.multiply(dx, dx, out=dist2)
         dist2 += dy * dy
@@ -128,35 +129,32 @@ def assemble(C: Contour, N: int = 256) -> NystromSystem:
         np.fill_diagonal(dx[:, rows], curvature[rows])
         dx *= 2.0 * np.pi / N
         if folded:
-            np.add(dx[:, :n], dx[:, n:], out=blocks[0][rows])
-            np.subtract(dx[:, :n], dx[:, n:], out=blocks[1][rows])
+            colsum += dx.sum(axis=0)
+            np.subtract(dx[:, :n], dx[:, n:], out=BT[rows])
 
-    # Row i of M sums to column i of MT, or of ET. Every entry of MT, or of
-    # L and R, lies in exactly one such sum, so a NaN or infinite entry makes
-    # its sum non-finite and fails this guard: A reaches LAPACK finite
-    # without a separate scan (L - R overflows only from entries near 1e308).
-    gauss_residual = float(np.max(np.abs(blocks[0].sum(axis=0) - 1.0)))
+    # Row i of M sums to column i of MT, or folded to columns i and i + N/2
+    # of its first N/2 rows. Each entry of MT, or of L and R, is in one such
+    # sum, so a NaN or infinite entry fails this guard and A reaches LAPACK
+    # finite without a separate scan (L - R overflows only near 1e308).
+    rowsum = colsum[:n] + colsum[n:] if folded else BT.sum(axis=0)
+    gauss_residual = float(np.max(np.abs(rowsum - 1.0)))
     if not gauss_residual <= GAUSS_TOL:  # a NaN residual fails too
         raise ConsistencyError(
             f"discrete Gauss law violated: residual {gauss_residual:.3e} "
             f"(N={N}); contour may be under-resolved"
         )
     lapack = _lapack()
-    factors, cond_estimate = [], 0.0
-    for BT in blocks:
-        A = BT.T
-        np.fill_diagonal(A, A.diagonal() + 1.0)
-        anorm = lapack.dlange("1", A)  # read in place, before getrf overwrites A
-        lu, piv, info = lapack.dgetrf(A, overwrite_a=True)
-        _check_info("dgetrf", info)
-        rcond, info = lapack.dgecon(lu, anorm, norm="1")
-        _check_info("dgecon", info)
-        cond_estimate = max(cond_estimate, float(1.0 / rcond) if rcond > 0.0 else math.inf)
-        factors.append((lu, piv))
+    A = BT.T
+    np.fill_diagonal(A, A.diagonal() + 1.0)
+    anorm = lapack.dlange("1", A)  # read in place, before getrf overwrites A
+    lu, piv, info = lapack.dgetrf(A, overwrite_a=True)
+    _check_info("dgetrf", info)
+    rcond, info = lapack.dgecon(lu, anorm, norm="1")
+    _check_info("dgecon", info)
     return NystromSystem(
         contour=C, N=N, t=t, x=x, y=y, xd=xd, yd=yd,
-        lu=tuple(factors),
-        gauss_residual=gauss_residual, cond_estimate=cond_estimate,
+        lu=(lu, piv), gauss_residual=gauss_residual,
+        cond_estimate=float(1.0 / rcond) if rcond > 0.0 else math.inf,
     )
 
 
@@ -200,18 +198,19 @@ def _check_info(routine: str, info: int) -> None:
 def apply_n0(sys: NystromSystem, f) -> np.ndarray:
     """N0 f = (I + M)^{-1} f on the nodes.
 
-    Raises ValueError if f holds a NaN or an infinity.
+    Folded, f must be odd, f[j + N/2] = -f[j], as X and Y are. Raises
+    ValueError if f holds a NaN or an infinity.
     """
     f = np.asarray_chkfinite(f, dtype=float)
     if f.shape != (sys.N,):
         raise ValidationError(f"f must have shape ({sys.N},), got {f.shape}")
-    if len(sys.lu) == 1:
-        return _getrs(sys.lu[0], f)
-    # folded: f = [fe + fo, fe - fo] and N0 f = [ue + uo, ue - uo], block by block
-    h = sys.N // 2
-    ue = _getrs(sys.lu[0], (f[:h] + f[h:]) / 2)
-    uo = _getrs(sys.lu[1], (f[:h] - f[h:]) / 2)
-    return np.concatenate([ue + uo, ue - uo])
+    if len(sys.lu[1]) == sys.N:  # the pivots: the factor's order
+        return _getrs(sys.lu, f)
+    h = sys.N // 2  # folded: f = [fo, -fo] and N0 f = [uo, -uo]
+    if np.any(f[:h] + f[h:]):
+        raise ValidationError("f must be odd, f[j + N/2] = -f[j], on a folded section")
+    uo = _getrs(sys.lu, f[:h])
+    return np.concatenate([uo, -uo])
 
 
 def _getrs(lu: tuple, f: np.ndarray) -> np.ndarray:

@@ -90,6 +90,19 @@ def test_embedded_example(tmp_path, capsys):
     assert float(row["a_star"]) == pytest.approx(0.1704596941547139, abs=1e-9)
 
 
+def test_embedded_at_tiny_alpha_and_submergence(tmp_path, capsys):
+    # alpha = 1e-9 and a tau = 5e-7: 1 - e^{-2 a tau} cancelled to a 7e-4
+    # relative residual of Rcal(a*), which exited 3. The reference a* is
+    # mpmath's at 50 digits, from the double beta
+    code, _, err = run_cli(["embedded", "--beta", "0.999999999", "--b", "0.001",
+                            "--k", "0.001", "--a", "0.0005", "--N", "64",
+                            "--out", str(tmp_path / "e")], capsys)
+    assert code == 0, err
+    row = read_rows(tmp_path / "e.csv")[0]
+    assert row["exists"] == "true"
+    assert float(row["a_star"]) == pytest.approx(3.74999979163552e-16, rel=1e-11)
+
+
 def test_manifest_contents_and_reproducibility(tmp_path, capsys):
     out = tmp_path / "m"
     args = ["resonance", "--side", "L", "--a", "0.7", "--epsilon", "0.02",

@@ -46,11 +46,15 @@ def test_condition_number_modest(unit_circle, tilted_ellipse, egg):
         assert 1.0 <= cond < 100.0
 
 
-def test_apply_n0_constant(unit_circle):
-    # (I + M)^{-1} 1 = 1/2 by the Gauss law
-    sys = assemble(unit_circle, 64)
+def test_apply_n0_constant(unit_circle, egg):
+    # (I + M)^{-1} 1 = 1/2 by the Gauss law, on the egg's whole I + M
+    sys = assemble(egg, 64)
     out = apply_n0(sys, np.ones(64))
     assert np.allclose(out, 0.5, atol=1e-13)
+    # the folded circle factors only its odd block, so it refuses the
+    # constant, which is even
+    with pytest.raises(ValidationError, match="f must be odd"):
+        apply_n0(assemble(unit_circle, 64), np.ones(64))
     with pytest.raises(ValidationError):
         apply_n0(sys, np.ones(65))
     for bad in (math.nan, math.inf):
@@ -146,27 +150,25 @@ def _textbook_kernel(C, N):
     return (2.0 * np.pi / N) * K
 
 
-def _textbook_blocks(C, N):
-    """The matrices assemble factors: A = I + M, or for a centrally symmetric
-    C the even and odd blocks I + (L + R) and I + (L - R), where L and R are
-    the column halves of M's first N/2 rows (I is added after L +- R, in the
-    kernel's order)."""
+def _textbook_block(C, N):
+    """The matrix assemble factors: A = I + M, or for a centrally symmetric
+    C the odd block I + (L - R), where L and R are the column halves of M's
+    first N/2 rows (I is added after L - R, in the kernel's order)."""
     M = _textbook_kernel(C, N)
     if not C.centrally_symmetric:
-        return [np.eye(N) + M]
+        return np.eye(N) + M
     h = N // 2
-    L, R = M[:h, :h], M[:h, h:]
-    return [np.eye(h) + (L + R), np.eye(h) + (L - R)]
+    return np.eye(h) + (M[:h, :h] - M[:h, h:])
 
 
-def _textbook_solve(factors, f):
-    """lu_solve of f on the blocks of _textbook_blocks, folded as apply_n0 folds."""
-    if len(factors) == 1:
-        return lu_solve(factors[0], f)
+def _textbook_solve(factor, f):
+    """lu_solve of f on the factor of _textbook_block; folded, f is odd,
+    f = [fo, -fo], and the solve is [uo, -uo]."""
+    if len(factor[1]) == len(f):
+        return lu_solve(factor, f)
     h = len(f) // 2
-    ue = lu_solve(factors[0], (f[:h] + f[h:]) / 2)
-    uo = lu_solve(factors[1], (f[:h] - f[h:]) / 2)
-    return np.concatenate([ue + uo, ue - uo])
+    uo = lu_solve(factor, (f[:h] - f[h:]) / 2)
+    return np.concatenate([uo, -uo])
 
 
 def _bits(a):
@@ -184,30 +186,39 @@ _TILTED = make_ellipse(1.5, 0.7, 0.4)
                          ids=["circle", "tilted_ellipse", "fourier_J3", "egg"])
 def test_lu_matches_textbook_assembly_bit_for_bit(C, N):
     # the J = 3 section and the egg take the full path: one LU of I + M. The
-    # circle and the tilted ellipse are centrally symmetric: their factors
-    # are those of the even and odd blocks, each N/2 x N/2
-    assert C.centrally_symmetric == (C is _CIRCLE or C is _TILTED)
+    # circle and the tilted ellipse are centrally symmetric: their factor is
+    # that of the odd block, N/2 x N/2
+    folded = C is _CIRCLE or C is _TILTED
+    assert C.centrally_symmetric == folded
     system = assemble(C, N)
-    blocks = _textbook_blocks(C, N)
-    want = [lu_factor(A) for A in blocks]
-    assert len(system.lu) == len(want)
-    for (lu, piv), (want_lu, want_piv) in zip(system.lu, want):
-        assert lu.shape == want_lu.shape
-        assert np.array_equal(_bits(lu), _bits(want_lu))
-        assert np.array_equal(piv, want_piv)
+    A = _textbook_block(C, N)
+    want = lu_factor(A)
+    lu, piv = system.lu
+    assert lu.shape == want[0].shape == ((N // 2, N // 2) if folded else (N, N))
+    assert np.array_equal(_bits(lu), _bits(want[0]))
+    assert np.array_equal(piv, want[1])
     # the direct LAPACK calls against scipy.linalg's wrappers: the solves bit
-    # for bit, the condition estimate (the larger block's) to 1e-12 (its
-    # 1-norm moves in the last bits from process to process)
-    for f in (system.x, system.y, np.ones(N), np.cos(system.t),
-              1.0 + np.cos(system.t) + np.sin(2.0 * system.t)):
+    # for bit, the condition estimate to 1e-12 (its 1-norm moves in the last
+    # bits from process to process). cos t is odd only as [c, -c]: cos of
+    # the float t_j + pi is not -cos t_j bit for bit
+    h = N // 2
+    c = np.cos(system.t[:h])
+    cos_t = np.concatenate([c, -c]) if folded else np.cos(system.t)
+    even = (np.ones(N), 1.0 + np.cos(system.t) + np.sin(2.0 * system.t))
+    for f in (system.x, system.y, cos_t) + (() if folded else even):
         assert np.array_equal(_bits(apply_n0(system, f)), _bits(_textbook_solve(want, f)))
-    gecon = get_lapack_funcs("gecon", (want[0][0],))
-    conds = []
-    for A, (want_lu, _) in zip(blocks, want):
-        rcond, info = gecon(want_lu, float(np.linalg.norm(A, 1)), norm="1")
-        assert info == 0
-        conds.append(1.0 / rcond)
-    assert system.cond_estimate == pytest.approx(max(conds), rel=1e-12, abs=0.0)
+    for f in even if folded else ():
+        with pytest.raises(ValidationError, match="f must be odd"):
+            apply_n0(system, f)
+    gecon = get_lapack_funcs("gecon", (want[0],))
+    rcond, info = gecon(want[0], float(np.linalg.norm(A, 1)), norm="1")
+    assert info == 0
+    assert system.cond_estimate == pytest.approx(1.0 / rcond, rel=1e-12, abs=0.0)
+    # the Gauss residual, from the column sums of the built rows, against
+    # the textbook M's row sums
+    M = _textbook_kernel(C, N)
+    want_residual = float(np.max(np.abs(M.sum(axis=1) - 1.0)))
+    assert abs(system.gauss_residual - want_residual) <= 1e-15
 
 
 @pytest.mark.parametrize("N", [32, 256, 1024])
@@ -244,7 +255,7 @@ def test_fold_is_chosen_from_the_coefficients_exactly(tmp_path):
     # one even harmonic of 1e-300 breaks r(t + pi) = -r(t): the full path
     tiny = make_fourier([1.0, 1e-300], [0.0, 0.0], [0.0, 0.0], [0.6, 0.0])
     assert not tiny.centrally_symmetric
-    assert [lu.shape for lu, _ in assemble(tiny, 64).lu] == [(64, 64)]
+    assert assemble(tiny, 64).lu[0].shape == (64, 64)
     # an odd-only J = 3 file, and the same traversed clockwise: the fold
     path = tmp_path / "odd.txt"
     for text, reversed_input in (
@@ -254,7 +265,7 @@ def test_fold_is_chosen_from_the_coefficients_exactly(tmp_path):
         C = read_fourier_file(path)
         assert C.reversed_input == reversed_input
         assert C.centrally_symmetric
-        assert [lu.shape for lu, _ in assemble(C, 64).lu] == [(32, 32), (32, 32)]
+        assert assemble(C, 64).lu[0].shape == (32, 32)
 
 
 # Runs in a fresh interpreter, since the LAPACK loader runs once per process:
@@ -285,7 +296,7 @@ if case != "fallback":
 A = np.load(matrix)
 later_lu, later_piv = scipy.linalg.lu_factor(A)
 later_x = scipy.linalg.lu_solve((later_lu, later_piv), system.x)
-(lu, piv), = system.lu
+lu, piv = system.lu
 np.savez(out, lu=lu, piv=piv, n0x=n0x, n0y=n0y,
          later_lu=later_lu, later_piv=later_piv, later_x=later_x,
          linalg=loaded["scipy.linalg"], flapack=loaded["scipy.linalg._flapack"],
@@ -305,7 +316,7 @@ def test_lapack_loader_in_either_import_order(case, linalg_loaded, searched, tmp
     # lu_factor and lu_solve bit for bit, and scipy.linalg still works after.
     # The egg is not centrally symmetric, so its LU is the whole I + M
     C, N = _EGG, 64
-    (A,) = _textbook_blocks(C, N)
+    A = _textbook_block(C, N)
     np.save(tmp_path / "A.npy", A)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -347,11 +358,12 @@ def test_assembly_peak_memory():
 
 
 def test_folded_assembly_peak_memory():
-    # a centrally symmetric section folds each block of rows into its even
-    # and odd block as it is built: the two N/2 blocks, N^2 / 2 doubles, are
-    # the only large arrays, and the whole MT is never allocated
+    # a centrally symmetric section folds each block of rows into its odd
+    # block as it is built: that N/2 block, N^2 / 4 doubles, is the only
+    # large array (about 0.39 N^2 doubles at the peak), and the whole MT is
+    # never allocated
     N = 1024
-    assert _assembly_peak(make_ellipse(1.5, 0.7, 0.4), N) <= 0.75 * 8 * N * N
+    assert _assembly_peak(make_ellipse(1.5, 0.7, 0.4), N) <= 0.5 * 8 * N * N
 
 
 @pytest.mark.parametrize("cos_x, cos_y, sin_y", [
@@ -375,7 +387,7 @@ def test_self_intersecting_contour_fails_the_gauss_law(cos_x, cos_y, sin_y):
 @pytest.mark.parametrize("N", [64, 256])
 def test_centrally_symmetric_crossing_curve_fails_the_gauss_law(N):
     # X = cos t, Y = sin 3t / 2 crosses itself at (+-1/2, 0) and has only odd
-    # harmonics, so it is folded: the even block's column sums catch it
+    # harmonics, so it is folded: the column sums of L and R catch it
     C = Contour(np.array([1.0, 0.0, 0.0]), np.zeros(3), np.zeros(3),
                 np.array([0.0, 0.0, 0.5]))
     assert C.centrally_symmetric
