@@ -1,20 +1,25 @@
 #!/usr/bin/env python3
-"""Compare the CLI output of two source trees of trapmodes.
+"""Compare the CLI of two source trees of trapmodes.
 
     python3 scripts/parity.py BASE NEW
 
-Runs a fixed list of cases as ``python -m trapmodes.cli`` once with
-``BASE/src`` and once with ``NEW/src`` first on PYTHONPATH, each case in a
-fresh working directory, and reports every case whose exit codes, stdout,
-stderr, CSV bytes or manifest differ. A case is one argv, or a few argvs run
-one after another in the same directory, so that a later run overwrites the
-outputs of an earlier one. Stderr is compared with the tree and
+Each tree runs every argv below in one child process (``parity.py --child
+TREE``, argvs as JSON on stdin), started with ``TREE/src`` first on
+PYTHONPATH and one BLAS thread; the child checks that trapmodes came from
+there and calls ``trapmodes.cli.main`` in-process. The script prints two
+reports, and exits 1 when either finds a difference.
+
+Cases, compared exactly. Each case runs in a fresh working directory that
+holds the input files; a case is one argv, or a few argvs run one after
+another in the same directory, so that a later run overwrites the outputs
+of an earlier one. Reported is every case whose exit codes, stdout, stderr,
+CSV bytes or manifest differ. Stderr is compared with the tree and
 working-directory paths masked. Manifests are compared without
 ``wall_time_s``, and ``bem.cond_estimate`` to 1e-12 relative: LAPACK's
 condition estimate moves in its last bits from run to run (2.998046875000005
 and 2.9980468750000053 for two ``dipoles --N 1024`` runs of one tree).
 
-The argvs cover every sweepable (table, parameter) pair on a circle, an
+The cases cover every sweepable (table, parameter) pair on a circle, an
 ellipse and a Fourier file at N = 64; each command's point runs plain, with
 --g, --config, epsilon > 0.1, side L and N = 1024; and the error, range,
 lambda < 0 with --g, overflowing decay_rate, overflowing g lambda and k g,
@@ -28,18 +33,42 @@ certificate) and 1e6 (crossing grid, rejected); both paths of the BEM: an
 odd-harmonic (folded) Fourier file, the same file with an even harmonic of
 1e-300, a tilted ellipse at N = 1024 and a folded ellipse at N = 32 (fewer
 rows than one kernel pass); fluids at b k = 1 with k = 1e-100 and 1e-159;
-and a one-row run over a 50-row sweep's outputs. Standard library only, and
-it does not import trapmodes, so it compares any two trees. Exit status 1
-when a difference is found.
+and a one-row run over a 50-row sweep's outputs.
+
+Scans, compared by outcome. An outcome is the exit code and a message
+class: the diagnostic line with every nonzero number masked as ``#`` and
+every zero written ``0``, so that an underflow stays visible; on a
+resonance row that exits 0, the printed ``near_embedded``. A run that
+raises is exit ``raise`` with the exception's class. Reported is every argv
+whose outcome moved, grouped by (old outcome, new outcome) and by scan, and
+a count per scan. The scans, at N = 64:
+
+- ``direction1``: b, k = 10^-3 ... 10^3 in steps of 10^0.5; beta = 0.01,
+  0.1, 0.5, 0.9, 0.999, 1-1e-9 and 1-1e-12; a = 0.1 b, 0.5 b and 0.9 b
+  (17,745 runs);
+- ``wide``: b, k = 10^-300 ... 10^300 in steps of 10^50; a = 0.1 b and
+  0.9 b (1,690 runs);
+- ``scale``: r, both ellipse axes (a0 = s, b0 = s/2) and epsilon =
+  10^-300 ... 10^300 in steps of 10^10 (915 runs);
+
+each with ``trapped`` and ``resonance`` on sides U and L, and ``embedded``.
+
+Standard library only. Only the children import trapmodes, each from its
+own tree, so it compares any two trees.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
+import csv
+import io
+import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -220,28 +249,130 @@ def cases() -> list[list[list[str]]]:
     return [[argv] for argv in argvs()] + RERUNS
 
 
-def run_once(tree: Path, case: list[list[str]], workdir: Path) -> dict:
-    """Run the argvs of case against tree, in order, in workdir; returns what
-    they printed and what the directory holds after the last one."""
-    workdir.mkdir(parents=True)
-    for name, text in INPUT_FILES.items():
-        (workdir / name).write_text(text)
+COMMANDS = (["trapped"], ["trapped", "--side", "L"], ["resonance"],
+            ["resonance", "--side", "L"], ["embedded"])
+BETAS = ("0.01", "0.1", "0.5", "0.9", "0.999", repr(1 - 1e-9), repr(1 - 1e-12))
+
+
+def _fluid_grid(values, fractions, betas):
+    """The argvs over b and k in values, a = f b, beta and every command."""
+    return [[*command, *beta, "--b", b, "--k", k, "--a", repr(fa * float(b)), *N]
+            for b, k, beta, fa, command in itertools.product(
+                values, values, betas, fractions, COMMANDS)]
+
+
+def grids() -> dict[str, list[list[str]]]:
+    """The three scans, by name, each a list of argvs in a fixed order."""
+    sizes = [f"1e{e}" for e in range(-300, 301, 10)]
+    sections = {
+        "r": lambda s: ["--r", s],
+        "ellipse": lambda s: ["--shape", "ellipse", "--a0", s,
+                              "--b0", repr(0.5 * float(s))],
+        "epsilon": lambda s: ["--epsilon", s],
+    }
+    return {
+        "direction1": _fluid_grid([repr(10.0 ** (e / 2)) for e in range(-6, 7)],
+                                  (0.1, 0.5, 0.9), [["--beta", beta] for beta in BETAS]),
+        "wide": _fluid_grid([f"1e{e}" for e in range(-300, 301, 50)], (0.1, 0.9), [[]]),
+        "scale": [[*command, *section(s), *N] for section in sections.values()
+                  for s in sizes for command in COMMANDS],
+    }
+
+
+def child(tree: str) -> int:
+    """Run the (working directory, argv) pairs read from stdin, in order,
+    against the trapmodes of tree/src, and write each one's [exit code,
+    stdout, stderr] to stdout as JSON."""
+    from trapmodes import cli
+
+    src = (Path(tree) / "src").resolve()
+    if Path(cli.__file__).resolve().parents[1] != src:
+        sys.exit(f"imported {cli.__file__}, not the package under {src}")
+    results = []
+    for cwd, argv in json.load(sys.stdin):
+        os.chdir(cwd)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.main(argv)
+        except Exception as exc:  # a traceback is an outcome of its own
+            code = "raise"
+            stderr.write(f"{type(exc).__name__}: {exc}\n")
+        results.append([code, stdout.getvalue(), stderr.getvalue()])
+    json.dump(results, sys.stdout)
+    return 0
+
+
+def child_env(tree: Path) -> dict[str, str]:
+    """This process's environment with tree/src first on PYTHONPATH and one
+    BLAS thread."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
-    procs = [subprocess.run([sys.executable, "-m", "trapmodes.cli", *argv],
-                            cwd=workdir, env=env, capture_output=True, timeout=300)
-             for argv in case]
-    stderr = "".join(proc.stderr.decode("utf-8", "replace") for proc in procs)
-    for path, mask in ((workdir, "<cwd>"), (tree / "src", "<tree>/src")):
-        stderr = stderr.replace(str(path.resolve()), mask)
-    outputs = {p.name: p.read_bytes() for p in sorted(workdir.iterdir())
+    return env
+
+
+def workdir(path: Path) -> Path:
+    """path, made and holding the input files."""
+    path.mkdir(parents=True)
+    for name, text in INPUT_FILES.items():
+        (path / name).write_text(text)
+    return path
+
+
+def case_result(tree: Path, path: Path, runs: list[list]) -> dict:
+    """What the runs of one case, each [exit code, stdout, stderr], printed,
+    with the tree and working-directory paths masked in stderr, and what
+    their working directory path holds after the last one."""
+    stderr = "".join(err for _, _, err in runs)
+    for real, mask in ((path, "<cwd>"), (tree / "src", "<tree>/src")):
+        stderr = stderr.replace(str(real.resolve()), mask)
+    outputs = {p.name: p.read_bytes() for p in sorted(path.iterdir())
                if p.is_file() and p.name not in INPUT_FILES}
-    return {"exit": " ".join(str(proc.returncode) for proc in procs),
-            "stdout": b"".join(proc.stdout for proc in procs), "stderr": stderr,
+    return {"exit": " ".join(str(code) for code, _, _ in runs),
+            "stdout": "".join(out for _, out, _ in runs), "stderr": stderr,
             "outputs": outputs}
+
+
+_NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?!\w)")
+
+
+def message_class(line: str) -> str:
+    """line with every nonzero number masked as '#' and every zero as '0'."""
+    return _NUMBER.sub(lambda m: "0" if float(m[0]) == 0.0 else "#", line)
+
+
+def outcome(code, stdout: str, stderr: str) -> tuple:
+    """(exit code, message class) of one scan run: of its last diagnostic
+    line, or of the near_embedded that a resonance row exiting 0 prints."""
+    lines = [line for line in stderr.splitlines() if not line.startswith("warning: ")]
+    message = lines[-1] if lines else ""
+    rows = list(csv.DictReader(io.StringIO(stdout)))
+    if code == 0 and rows and "near_embedded" in rows[0]:
+        message = f"near_embedded={rows[0]['near_embedded']}"
+    return code, message_class(message)
+
+
+def run_tree(tree: Path, runs: list[list[list[str]]], scan_runs: list[list[str]],
+             tmp: Path) -> tuple[list[dict], list[tuple]]:
+    """The case_result of each case of runs and the outcome of each argv of
+    scan_runs, all run by one child against tree in working directories
+    under tmp."""
+    dirs = [workdir(tmp / f"{i:03d}") for i in range(len(runs))]
+    jobs = [(str(path), argv) for path, case in zip(dirs, runs) for argv in case]
+    scan_dir = workdir(tmp / "scan")
+    jobs += [(str(scan_dir), [*argv, "--out", "x"]) for argv in scan_runs]
+    proc = subprocess.run([sys.executable, __file__, "--child", str(tree)],
+                          input=json.dumps(jobs), env=child_env(tree),
+                          capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        raise RuntimeError(f"the child of {tree} failed:\n{proc.stderr}")
+    results = iter(json.loads(proc.stdout))
+    case_results = [case_result(tree, path, [next(results) for _ in case])
+                    for path, case in zip(dirs, runs)]
+    return case_results, [outcome(*result) for result in results]
 
 
 def _manifest_diff(a, b, path=""):
@@ -279,17 +410,29 @@ def differences(base: dict, new: dict) -> list[str]:
     return found
 
 
-def compare(base: Path, new: Path, runs: list[list[list[str]]], jobs: int = 2):
-    """(case, differences) for every case of runs on which the trees differ."""
-    with tempfile.TemporaryDirectory(prefix="parity-") as tmp:
-        tasks = [(tree, case, Path(tmp) / side / f"{i:03d}")
-                 for i, case in enumerate(runs)
-                 for side, tree in (("base", base), ("new", new))]
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda task: run_once(*task), tasks))
-    return [(case, found) for case, base_run, new_run
-            in zip(runs, results[0::2], results[1::2])
-            if (found := differences(base_run, new_run))]
+def compare(base: Path, new: Path, runs: list[list[list[str]]],
+            scans: dict[str, list[list[str]]]):
+    """The (case, differences) of every case of runs on which the trees
+    differ, and the (scan, argv, base outcome, new outcome) of every argv of
+    scans whose outcome moved; the two trees run at the same time."""
+    scan_runs = [argv for argvs in scans.values() for argv in argvs]
+    with tempfile.TemporaryDirectory(prefix="parity-") as tmp, \
+            concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+        (base_cases, base_scan), (new_cases, new_scan) = pool.map(
+            lambda side, tree: run_tree(tree, runs, scan_runs, Path(tmp) / side),
+            ("base", "new"), (base, new))
+    diffs = [(case, found) for case, base_run, new_run
+             in zip(runs, base_cases, new_cases)
+             if (found := differences(base_run, new_run))]
+    names = [name for name, argvs in scans.items() for _ in argvs]
+    moves = [(name, argv, old, now) for name, argv, old, now
+             in zip(names, scan_runs, base_scan, new_scan) if old != now]
+    return diffs, moves
+
+
+def _show(outcome: tuple) -> str:
+    code, message = outcome
+    return f"exit {code}" + (f" [{message}]" if message else "")
 
 
 def main(argv=None) -> int:
@@ -297,15 +440,27 @@ def main(argv=None) -> int:
     parser.add_argument("base", type=Path, help="tree of the reference checkout")
     parser.add_argument("new", type=Path, help="tree of the changed checkout")
     args = parser.parse_args(argv)
-    runs = cases()
-    diffs = compare(args.base.resolve(), args.new.resolve(), runs)
+    runs, scans = cases(), grids()
+    diffs, moves = compare(args.base.resolve(), args.new.resolve(), runs, scans)
     for case, found in diffs:
         print(" ; ".join(" ".join(argv) for argv in case))
         for item in found:
             print(f"    {item}")
     print(f"{len(runs)} cases ({sum(map(len, runs))} argvs), {len(diffs)} differ")
-    return 1 if diffs else 0
+    groups: dict[tuple, list] = {}
+    for name, run, old, now in moves:
+        groups.setdefault((old, now, name), []).append(run)
+    for (old, now, name), group in sorted(groups.items(), key=str):
+        print(f"{_show(old)} -> {_show(now)}: {name}, {len(group)} runs")
+        for run in group:
+            print(f"    {' '.join(run)}")
+    for name, argvs in scans.items():
+        moved = sum(1 for scan, *_ in moves if scan == name)
+        print(f"{name}: {len(argvs)} runs, {moved} moved")
+    return 1 if diffs or moves else 0
 
 
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--child"]:
+        sys.exit(child(sys.argv[2]))
     sys.exit(main())

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from trapmodes import (
@@ -11,6 +14,16 @@ from trapmodes import (
 )
 
 from goldens import EGG
+
+
+@pytest.fixture(scope="session")
+def parity():
+    """scripts/parity.py, loaded as a module: scripts/ is not a package."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "parity.py"
+    spec = importlib.util.spec_from_file_location("parity", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import json
 import math
 import os
@@ -851,23 +850,17 @@ def test_guards_test_the_sign_factor_and_the_result(args, code, cells, err, tmp_
         assert {column: row[column] for column in cells} == cells
 
 
-def test_wide_fluid_grid_returns_an_exit_code(tmp_path, capsys):
-    # b, k = 1e-300 ... 1e300 in steps of 10^50, a = 0.1 b and 0.9 b: every
-    # run exits 0, 2 or 3 and none raises; resonance_upper's tau1^3 overflows
-    # and D1's denominator underflows to 0 on parts of this grid
-    commands = [["trapped"], ["trapped", "--side", "L"], ["resonance"],
-                ["resonance", "--side", "L"], ["embedded"]]
-    exponents = range(-300, 301, 50)
+def test_wide_fluid_grid_returns_an_exit_code(tmp_path, capsys, parity):
+    # scripts/parity.py's wide scan, b, k = 1e-300 ... 1e300 in steps of
+    # 10^50, a = 0.1 b and 0.9 b: every run exits 0, 2 or 3 and none raises;
+    # resonance_upper's tau1^3 overflows and D1's denominator underflows to 0
+    # on parts of this grid
     raised = []
-    for eb, ek, fa, command in itertools.product(exponents, exponents, (0.1, 0.9),
-                                                 commands):
-        b = f"1e{eb}"
-        argv = [*command, "--b", b, "--k", f"1e{ek}", "--a", repr(fa * float(b)),
-                "--N", "64", "--out", str(tmp_path / "x")]
+    for argv in parity.grids()["wide"]:
         try:
-            code, _, err = run_cli(argv, capsys)
+            code, _, err = run_cli([*argv, "--out", str(tmp_path / "x")], capsys)
         except Exception as exc:
-            raised.append((argv[:-2], repr(exc)))
+            raised.append((argv, repr(exc)))
             continue
         assert code in (0, 2, 3), (argv, err)
     assert raised == [], f"{len(raised)} runs raised"

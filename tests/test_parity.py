@@ -1,10 +1,9 @@
-"""scripts/parity.py, the output-parity harness, on this checkout.
+"""scripts/parity.py, the two-tree comparison harness, on this checkout.
 
 The script does not import the package, so its tables of sweepable
 parameters and section fields are checked here against the CLI's own.
 """
 
-import importlib.util
 import json
 import subprocess
 import sys
@@ -15,15 +14,7 @@ from trapmodes import cli
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _load_parity():
-    spec = importlib.util.spec_from_file_location("parity", ROOT / "scripts" / "parity.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_argv_list_follows_the_cli_tables():
-    parity = _load_parity()
+def test_argv_list_follows_the_cli_tables(parity):
     assert {what: tuple(params.split()) for what, params in parity.SWEEPABLE.items()} \
         == cli._SWEEPABLE
     assert {shape: set(params) for shape, params in parity.SHAPE_PARAMS.items()} \
@@ -36,15 +27,62 @@ def test_argv_list_follows_the_cli_tables():
                       for param in params}
 
 
-def test_checkout_matches_itself():
-    parity = _load_parity()
+def test_grids_have_their_documented_sizes(parity):
+    sizes = {name: len(runs) for name, runs in parity.grids().items()}
+    assert sizes == {"direction1": 17745, "wide": 1690, "scale": 915}
+
+
+def test_message_class_keeps_zeros_and_names(parity):
+    assert parity.message_class(
+        "consistency error: resonance constants must be positive: D=0.0 "
+        "(P0(k,Lambda2)=-0.296), D1=4.77e-300, im=nan") == (
+        "consistency error: resonance constants must be positive: D=0 "
+        "(P0(k,Lambda2)=#), D1=#, im=nan")
+
+
+SCAN = [["trapped", "--b", "800", "--a", "799.5", "--N", "64"],
+        ["trapped", "--side", "L", "--b", "800", "--a", "799.5", "--N", "64"],
+        ["resonance", "--r", "1e-100", "--N", "64"],
+        ["embedded", "--side", "L"]]
+
+
+def test_scan_outcomes_name_code_and_message(parity, tmp_path):
+    assert parity.run_tree(ROOT, [], SCAN, tmp_path)[1] == [
+        (0, ""),
+        (3, "consistency error: trapped-mode sigma must be positive, got 0"),
+        (0, "near_embedded=false"),
+        (2, "error: side must be 'U': embedded modes arise in problem U, got 'L'")]
+
+
+def test_checkout_matches_itself(parity):
     runs = [["cutoffs"], ["trapped", "--epsilon", "0.2", "--N", "64"],
             ["dipoles", "--N", "1024"],
             ["sweep", "--what", "f", "--sweep", "a:0.1:0.9:4", "--N", "64"],
             ["resonance", "--config", "run.cfg", "--shape", "fourier",
              "--fourier-file", "section.txt", "--N", "64"],
             ["embedded", "--side", "L"]]
-    assert parity.compare(ROOT, ROOT, [[argv] for argv in runs] + parity.RERUNS) == []
+    assert parity.compare(ROOT, ROOT, [[argv] for argv in runs] + parity.RERUNS,
+                          {"tiny": SCAN}) == ([], [])
+
+
+def test_child_runs_as_a_fresh_process_does(parity, tmp_path):
+    # what per-process runs of the CLI gave: exit codes, stdout, masked
+    # stderr and output files, manifests compared as a case is
+    runs = [[["--help"]], [["cutoffs", "--beta", "1.5"]], [["cutoffs", "--k", "1e200"]],
+            [["sweep", "--what", "f", "--sweep", "a:0.1:0.9:4", "--N", "64"]],
+            *parity.RERUNS]
+    in_child = parity.run_tree(ROOT, runs, [], tmp_path / "child")[0]
+    for i, (case, child_run) in enumerate(zip(runs, in_child)):
+        path = parity.workdir(tmp_path / "fresh" / f"{i:03d}")
+        procs = [subprocess.run([sys.executable, "-m", "trapmodes.cli", *argv], cwd=path,
+                                env=parity.child_env(ROOT), capture_output=True,
+                                timeout=300)
+                 for argv in case]
+        fresh = parity.case_result(ROOT, path, [
+            [proc.returncode, proc.stdout.decode(), proc.stderr.decode()]
+            for proc in procs])
+        assert parity.differences(fresh, child_run) == [], case
+    assert [run["exit"] for run in in_child] == ["0", "2", "3", "0", "0 0"]
 
 
 def test_script_imports_no_package_module():
@@ -57,9 +95,7 @@ def test_script_imports_no_package_module():
     assert proc.stdout.strip() == "False"
 
 
-def test_differences_names_each_kind():
-    parity = _load_parity()
-
+def test_differences_names_each_kind(parity):
     def run(exit=0, stderr="", csv=b"a\n1\n", cond=2.998046875000005, ctx=None):
         manifest = {"wall_time_s": 0.1, "spectral_context": ctx,
                     "bem": {"cond_estimate": cond}}
