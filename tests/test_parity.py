@@ -62,7 +62,11 @@ def test_checkout_matches_itself(parity):
              "--fourier-file", "section.txt", "--N", "64"],
             ["embedded", "--side", "L"]]
     assert parity.compare(ROOT, ROOT, [[argv] for argv in runs] + parity.RERUNS,
-                          {"tiny": SCAN}) == ([], [])
+                          {}) == ([], [])
+
+
+def test_scans_match_themselves(parity):
+    assert parity.compare(ROOT, ROOT, [], {"tiny": SCAN}) == ([], [])
 
 
 def test_child_runs_as_a_fresh_process_does(parity, tmp_path):
