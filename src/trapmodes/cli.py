@@ -9,7 +9,8 @@ so e.g. ``trapmodes embedded --beta 0.5`` alone locates the special
 submergence a* of the unit circle.
 
 Exit codes: 0 success, 2 bad input (one-line diagnostic naming the offending
-field on stderr), 3 internal consistency failure.
+field on stderr), 3 internal consistency failure or a quantity out of double
+range.
 
 Options may also come from a ``--config`` file with flat ``key = value``
 lines and ``#`` comments; command-line flags override the file.
@@ -49,9 +50,10 @@ from .spectra import (
 )
 
 # The row function of each table (see _TABLES) starts its row from the run's
-# own fields and adds the computed cells; _render_csv picks the table's
-# columns. The shape parameters a section family ignores
-# (_UNUSED_SHAPE_FIELDS) are blanked.
+# own fields and adds the computed cells, and refuses a result cell out of
+# double range (_check_results); _render_csv picks the table's columns. The
+# shape parameters a section family ignores (_UNUSED_SHAPE_FIELDS) are
+# blanked.
 
 
 def _row_cutoffs(run: RunConfig, stages: _Stages) -> dict:
@@ -76,19 +78,17 @@ def _row_formula(run: RunConfig, stages: _Stages) -> dict:
         fn = resonance_upper if run.side == "U" else resonance_lower
     res = fn(ProblemSetup(ctx=ctx, side=run.side, a=run.a, epsilon=run.epsilon,
                           dip=dip))
-    row = {**vars(run), **vars(res), "mu": dip.mu, "S": dip.S,
-           "lambda": getattr(res, "lam", None)}
+    row = _check_results({**vars(run), **vars(res), "mu": dip.mu, "S": dip.S,
+                          "lambda": getattr(res, "lam", None)})
     # the formulas give lam = omega^2/g and sigma; only one cell needs g
     if run.g is None:
         return row
     if run.command == "resonance":
-        column, results = "decay_rate", (res.re_sigma, res.im_sigma)
+        column = "decay_rate"
         value = _root_of_product(run.k, run.g) * res.re_sigma * res.im_sigma
     else:
-        column, results = "omega", (res.sigma, res.lam)
+        column = "omega"
         value = _root_of_product(run.g, res.lam) if res.lam >= 0.0 else None
-    if not all(map(math.isfinite, results)):
-        return row  # _check_results refuses the run: no cell, no warning
     if value is None:
         warnings.warn("lambda < 0 (sigma > 1): omega is left blank")
     elif math.isfinite(value):
@@ -111,7 +111,7 @@ def _row_embedded(run: RunConfig, stages: _Stages) -> dict:
     # the submergence field is solved for, not prescribed; seed with b/2
     res = a_star(ProblemSetup(ctx=ctx, side=run.side, a=0.5 * run.b,
                               epsilon=run.epsilon, dip=dip))
-    return {**vars(run), **vars(res)}
+    return _check_results({**vars(run), **vars(res)})
 
 
 # One entry per CSV table: (description, columns, the scalars a sweep may
@@ -472,18 +472,23 @@ def _write_outputs(run: RunConfig, csv_text: str, manifest: dict) -> None:
         raise ValidationError(f"out: cannot write {run.out!r}: {exc}") from exc
 
 
-# The result cells of a formula row; an overflow makes one inf or nan. (rcal
-# and jcal saturate to a signed infinity on purpose, and an overflowing omega
-# or decay_rate is left blank by _row_formula; neither is listed.)
-_RESULT_COLUMNS = ("sigma", "lambda", "re_sigma", "im_sigma")
+# The result cells of the formula and embedded rows, each with the open lower
+# bound of its range: sigma and Re sigma are positive, so an underflow to 0
+# leaves the range, while lambda and Im sigma need only be finite (an Im
+# sigma that underflows to 0 prints). An overflow makes a cell inf or nan.
+# (rcal and jcal saturate to a signed infinity on purpose, and an overflowing
+# omega or decay_rate is left blank by _row_formula; neither is listed.)
+_RESULT_RANGES = {"sigma": 0.0, "lambda": -math.inf, "re_sigma": 0.0,
+                  "im_sigma": -math.inf}
 
 
-def _check_results(row: dict) -> None:
-    """Refuse a result cell that would print as inf or nan."""
-    for column in _RESULT_COLUMNS:
+def _check_results(row: dict) -> dict:
+    """The row, unless a result cell it prints is out of double range."""
+    for column, low in _RESULT_RANGES.items():
         value = row.get(column)
-        if isinstance(value, float) and not math.isfinite(value):
+        if isinstance(value, float) and not low < value < math.inf:
             raise ConsistencyError(f"{column} = {value} is out of double range")
+    return row
 
 
 def _run(argv) -> str:
@@ -510,8 +515,6 @@ def _run(argv) -> str:
         # the manifest's stage blocks describe the last point; stage_runs
         # counts how often each stage ran over the grid
         rows = [_TABLES[table][3](point, stages) for point in points]
-    for row in rows:
-        _check_results(row)
     columns = manifest["columns"] = COLUMNS[table]
     manifest["csv"] = f"{run.out}.csv"
     manifest["wall_time_s"] = time.perf_counter() - t0

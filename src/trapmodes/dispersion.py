@@ -36,11 +36,11 @@ ROOT_RTOL = 1e-13
 BRENT_MAXITER = 100
 
 
-def brentq(f, a, b, *, xtol, rtol, what):
+def brentq(f, a, b, *, xtol, what):
     """Root of f on [a, b] by Brent's method; f(a) and f(b) must differ in sign.
 
     A line-for-line port of scipy's brentq.c (the same update order, the same
-    tolerance delta = (xtol + rtol |x|)/2, the same interpolate, extrapolate
+    tolerance delta = (xtol + ROOT_RTOL |x|)/2, the same interpolate, extrapolate
     and bisect tests, at most 100 iterations), so it returns the same float
     bit for bit. A zero denominator gives inf or nan in C, which fails the
     short-step test and bisects; Python raises instead, so the step is set
@@ -73,7 +73,7 @@ def brentq(f, a, b, *, xtol, rtol, what):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
 
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + ROOT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
@@ -182,7 +182,8 @@ class SpectralContext:
     dlam1_k  : lambda1'(k)
     dlam1_tau1 : lambda1'(tau1)
     q1, q2   : near-threshold slopes p ~ q sigma of the radiating wave at
-               Lambda1 and Lambda2 (see near_threshold_wavenumbers)
+               Lambda1 and Lambda2 (see near_threshold_wavenumbers);
+               q1 = sqrt(2 k Lambda1 / lambda1'(k))
     """
 
     cfg: FluidConfig
@@ -192,11 +193,7 @@ class SpectralContext:
     p1_zero: float
     dlam1_k: float
     dlam1_tau1: float
-
-    @property
-    def q1(self) -> float:
-        """q1 = sqrt(2 k Lambda1 / lambda1'(k))."""
-        return math.sqrt(2.0 * self.cfg.k * self.Lambda1 / self.dlam1_k)
+    q1: float
 
     @property
     def q2(self) -> float:
@@ -223,7 +220,7 @@ def solve_tau1(cfg: FluidConfig) -> float:
     hi = 2.0
     while f(hi) <= 0.0:
         hi *= 2.0
-    t0 = brentq(f, 1.0, hi, rtol=ROOT_RTOL, xtol=1e-15, what="tau1 root search")
+    t0 = brentq(f, 1.0, hi, xtol=1e-15, what="tau1 root search")
     residual = abs(f(t0))
     if residual > 1e-12:
         raise ConsistencyError(
@@ -255,18 +252,20 @@ def spectral_context(cfg: FluidConfig) -> SpectralContext:
     # the radicands of p1_zero and q1 overflow once k or tau1 passes ~1e154,
     # and are subnormal, short of digits, once k drops below ~1e-154
     p1_squared = tau1 * tau1 - k * k
+    p1_zero, q1 = math.sqrt(p1_squared), math.sqrt(q1_squared)
     if not all(sys.float_info.min <= r < math.inf for r in (p1_squared, q1_squared)):
         raise ConsistencyError(
-            f"p1_zero = {math.sqrt(p1_squared)}, q1 = {math.sqrt(q1_squared)}: "
+            f"p1_zero = {p1_zero}, q1 = {q1}: "
             f"k = {k}, tau1 = {tau1} is out of double range")
     return SpectralContext(
         cfg=cfg,
         Lambda1=Lambda1,
         Lambda2=k,
         tau1=tau1,
-        p1_zero=math.sqrt(p1_squared),
+        p1_zero=p1_zero,
         dlam1_k=dlam1_k,
         dlam1_tau1=lambda1_prime(tau1, cfg),
+        q1=q1,
     )
 
 
@@ -370,5 +369,4 @@ def near_threshold_wavenumbers(sigma: float, which: str, cfg: FluidConfig) -> fl
     unit = _unit_fluid(cfg)
     target = lambda1(1.0, unit) * (1.0 - sigma * sigma)
     f = lambda p: lambda1(math.sqrt(1.0 - p * p), unit) - target
-    return k * brentq(f, 0.0, 1.0 - 1e-13, rtol=ROOT_RTOL, xtol=1e-15,
-                      what="p01 root search")
+    return k * brentq(f, 0.0, 1.0 - 1e-13, xtol=1e-15, what="p01 root search")

@@ -28,8 +28,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 
-from .dispersion import (ROOT_RTOL, FluidConfig, SpectralContext, _check_tau, brentq,
-                         spectral_context)
+from .dispersion import FluidConfig, SpectralContext, _check_tau, brentq, spectral_context
 from .errors import ConsistencyError, ValidationError
 from .spectra import ProblemSetup, rcal_jcal_scaled, resonance_upper
 
@@ -134,7 +133,7 @@ def a_star(setup: ProblemSetup) -> EmbeddedResult:
             diagnostics=f"a* = {a1:.6g} >= b = {b:.6g} (mode does not fit in the layer)",
         )
 
-    a2 = brentq(rc, 0.0, b, rtol=ROOT_RTOL, xtol=1e-15 * b, what="a* root search")
+    a2 = brentq(rc, 0.0, b, xtol=1e-15 * b, what="a* root search")
     if abs(a1 - a2) > ROUTE_AGREEMENT * b:
         raise ConsistencyError(
             f"a* routes disagree: closed form {a1} vs root search {a2}"

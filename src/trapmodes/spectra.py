@@ -22,8 +22,16 @@ frequency or a decay rate, is applied by the caller.
 
 Exponentials are the numerical hazard here: the constants pair growing
 profiles cosh(a tau1) with decaying factors e^{-2 b tau1}, and tau1 ~ 2k/alpha
-blows up for nearly equal densities. All such products are evaluated with the
-exponents combined analytically (see g_profile_scaled), never as inf * 0.
+blows up for nearly equal densities. Those products are evaluated with the
+exponents combined analytically (see g_profile_scaled).
+
+Each formula refuses only a sign factor (D, D1) that is not positive and
+otherwise returns the IEEE value of its result: 0 on underflow, inf on
+overflow, and nan where an overflowed factor meets an underflowed one, as in
+resonance_upper's Im sigma once tau1^3 overflows and trapped_lower's sigma at
+k = 1e150 (-P0 k overflows, e^{-2ak} underflows). The CLI refuses these as
+out of double range; carrying exponents (ROADMAP direction 1, step 3) would
+answer them.
 """
 
 from __future__ import annotations
@@ -213,10 +221,7 @@ def trapped_upper(setup: ProblemSetup) -> ModeResult:
 
 def _trapped_result(sigma: float, Lam1: float, D: float) -> ModeResult:
     """The trapped mode of a sigma: lam = Lambda1 (1 - sigma^2)."""
-    if not (sigma > 0.0):
-        raise ConsistencyError(f"trapped-mode sigma must be positive, got {sigma}")
-    lam = Lam1 * (1.0 - sigma * sigma)
-    return ModeResult(sigma=sigma, lam=lam, threshold=Lam1, D=D)
+    return ModeResult(sigma=sigma, lam=Lam1 * (1.0 - sigma * sigma), threshold=Lam1, D=D)
 
 
 def resonance_upper(setup: ProblemSetup) -> ResonanceResult:
@@ -261,10 +266,6 @@ def resonance_upper(setup: ProblemSetup) -> ResonanceResult:
     # compared as roots: squares of a small section's values underflow to 0
     near_embedded = math.hypot(r_hat, j_hat) <= math.sqrt(NEAR_EMBEDDED_RTOL) * abs(
         k * setup.dip.S * g_hat)
-    if not (re_sigma > 0.0) or im_sigma < 0.0:
-        raise ConsistencyError(
-            f"resonance parts out of range: re={re_sigma}, im={im_sigma}"
-        )
     rcal, jcal = _unscale(a * tau1, r_hat, j_hat)
     return ResonanceResult(re_sigma=re_sigma, im_sigma=im_sigma, rcal=rcal, jcal=jcal,
                            near_embedded=near_embedded, D=D, D1=D1)
@@ -339,11 +340,6 @@ def resonance_lower(setup: ProblemSetup) -> ResonanceResult:
         * math.exp(-2.0 * a * tau1 - 2.0 * a * k)
         * bracket
     )
-    if not (re_sigma > 0.0) or im_sigma < 0.0:
-        raise ConsistencyError(
-            f"problem-L resonance must have re > 0 and im >= 0; got re={re_sigma}, "
-            f"im={im_sigma}"
-        )
     return ResonanceResult(re_sigma=re_sigma, im_sigma=im_sigma,
                            rcal=math.nan, jcal=math.nan, near_embedded=False,
                            D=D, D1=D1)

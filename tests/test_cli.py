@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -839,7 +840,7 @@ def test_large_sections_print_numbers_or_the_range_outcome(tmp_path, capsys):
       "--N", "64"], 0, {"sigma": "9.13142118834e-87", "D": "0"}, ""),
     # sigma itself, about e^-1599, underflows
     (["trapped", "--side", "L", "--b", "800", "--a", "799.5"], 3, {},
-     "consistency error: trapped-mode sigma must be positive, got 0.0\n"),
+     "consistency error: sigma = 0.0 is out of double range\n"),
 ], ids=["D_underflows", "D_underflows_large_k", "sigma_underflows"])
 def test_guards_test_the_sign_factor_and_the_result(args, code, cells, err, tmp_path,
                                                     capsys):
@@ -854,7 +855,8 @@ def test_wide_fluid_grid_returns_an_exit_code(tmp_path, capsys, parity):
     # scripts/parity.py's wide scan, b, k = 1e-300 ... 1e300 in steps of
     # 10^50, a = 0.1 b and 0.9 b: every run exits 0, 2 or 3 and none raises;
     # resonance_upper's tau1^3 overflows and D1's denominator underflows to 0
-    # on parts of this grid
+    # on parts of this grid. An exit 3 is a quantity out of double range or
+    # one of side L's two sign-factor guards, the ones that name P0
     raised = []
     for argv in parity.grids()["wide"]:
         try:
@@ -863,6 +865,11 @@ def test_wide_fluid_grid_returns_an_exit_code(tmp_path, capsys, parity):
             raised.append((argv, repr(exc)))
             continue
         assert code in (0, 2, 3), (argv, err)
+        if code == 3:
+            assert re.fullmatch(
+                r"consistency error: (.* is out of double range|(coefficient D|"
+                r"resonance constants) must be positive.* \(P0\(.*)",
+                err.splitlines()[-1]), (argv, err)
     assert raised == [], f"{len(raised)} runs raised"
 
 

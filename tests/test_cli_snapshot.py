@@ -7,9 +7,9 @@ resolved to machine precision, and the dipoles rows are tilted ellipses,
 because the circle's nu prints as round-off of order 1e-17. The two shape
 sweeps at N = 1024 and 512 are the exception: they print such round-off on
 purpose (the untilted ellipse's and the circles' nu), so they pin the bits
-of the folded Nystrom assembly and of the LU of its two N/2 blocks as well
-as the digits, and so does the jcal of the circle's resonance, which is
-2 pi nu times a profile value.
+of the folded Nystrom assembly and of the LU of its odd N/2 block, the only
+block built and factored, as well as the digits, and so does the jcal of
+the circle's resonance, which is 2 pi nu times a profile value.
 
 That round-off can also depend on the BLAS thread count, because the LU
 rounds differently on one thread than on two: of the two sweeps, the

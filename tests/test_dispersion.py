@@ -25,7 +25,7 @@ from trapmodes import (
     spectral_context,
     tau0,
 )
-from trapmodes.dispersion import solve_tau1
+from trapmodes.dispersion import ROOT_RTOL, solve_tau1
 
 from goldens import GOLD
 
@@ -141,12 +141,12 @@ def test_tau1_beyond_double_range_is_refused():
 
 
 def _recorded_solves(monkeypatch_ctx, run):
-    """The (f, a, b, xtol, rtol, what) of every brentq call that run() makes."""
+    """The (f, a, b, xtol, what) of every brentq call that run() makes."""
     calls, brentq = [], dispersion.brentq
 
-    def record(f, a, b, *, xtol, rtol, what):
-        calls.append((f, a, b, xtol, rtol, what))
-        return brentq(f, a, b, xtol=xtol, rtol=rtol, what=what)
+    def record(f, a, b, *, xtol, what):
+        calls.append((f, a, b, xtol, what))
+        return brentq(f, a, b, xtol=xtol, what=what)
 
     monkeypatch_ctx.setattr(dispersion, "brentq", record)
     monkeypatch_ctx.setattr(embedded, "brentq", record)
@@ -155,9 +155,9 @@ def _recorded_solves(monkeypatch_ctx, run):
 
 
 def _assert_matches_scipy(calls):
-    for f, a, b, xtol, rtol, what in calls:
-        ours = dispersion.brentq(f, a, b, xtol=xtol, rtol=rtol, what=what)
-        theirs = scipy.optimize.brentq(f, a, b, xtol=xtol, rtol=rtol)
+    for f, a, b, xtol, what in calls:
+        ours = dispersion.brentq(f, a, b, xtol=xtol, what=what)
+        theirs = scipy.optimize.brentq(f, a, b, xtol=xtol, rtol=ROOT_RTOL)
         assert type(ours) is float
         assert ours == theirs, what  # bit for bit, not approximately
 
@@ -197,24 +197,24 @@ def test_brentq_zero_denominator_bisects_like_c():
 
 def test_brentq_failures_raise_consistency_error():
     brentq = dispersion.brentq
-    tol = dict(xtol=1e-15, rtol=1e-13)
+    tol = dict(xtol=1e-15, rtol=ROOT_RTOL)  # scipy's; ours reads ROOT_RTOL
     # the second one's f(a) f(b) underflows to 0: the test is on the signs
     for positive in (lambda x: x * x + 1.0, lambda x: 1e-200 * (x + 2.0)):
         with pytest.raises(ConsistencyError, match="^demo: .*same sign"):
-            brentq(positive, -1.0, 1.0, what="demo", **tol)
+            brentq(positive, -1.0, 1.0, xtol=1e-15, what="demo")
         with pytest.raises(ValueError):  # scipy's outcome on the same input
             scipy.optimize.brentq(positive, -1.0, 1.0, **tol)
 
     nan_above = lambda x: math.nan if x > 0.5 else x - 0.7
     with pytest.raises(ConsistencyError, match="^demo: f.* is NaN"):
-        brentq(nan_above, 0.0, 1.0, what="demo", **tol)
+        brentq(nan_above, 0.0, 1.0, xtol=1e-15, what="demo")
     with pytest.raises(ValueError):
         scipy.optimize.brentq(nan_above, 0.0, 1.0, **tol)
 
     # a jump over 600 decades: 100 steps cannot shrink the bracket enough
     step = lambda x: -1.0 if x < 0.3 else 1.0
     with pytest.raises(ConsistencyError, match="^demo: no convergence in 100"):
-        brentq(step, -1e300, 1e300, what="demo", **tol)
+        brentq(step, -1e300, 1e300, xtol=1e-15, what="demo")
     with pytest.raises(RuntimeError):
         scipy.optimize.brentq(step, -1e300, 1e300, **tol)
 

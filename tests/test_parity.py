@@ -49,7 +49,7 @@ SCAN = [["trapped", "--b", "800", "--a", "799.5", "--N", "64"],
 def test_scan_outcomes_name_code_and_message(parity, tmp_path):
     assert parity.run_tree(ROOT, [], SCAN, tmp_path)[1] == [
         (0, ""),
-        (3, "consistency error: trapped-mode sigma must be positive, got 0"),
+        (3, "consistency error: sigma = 0 is out of double range"),
         (0, "near_embedded=false"),
         (2, "error: side must be 'U': embedded modes arise in problem U, got 'L'")]
 

@@ -185,6 +185,16 @@ def test_scaling_in_epsilon(setup_std, setup_std_lower):
         assert big / small == power  # exact in floating point
 
 
+def test_underflowed_sigma_is_returned_not_refused(dip_circle):
+    # sigma is about e^-1599: the formula returns the IEEE 0 and its lambda,
+    # and the CLI refuses it as out of double range
+    ctx = spectral_context(FluidConfig(beta=0.5, b=800.0, k=1.0))
+    res = trapped_lower(ProblemSetup(ctx=ctx, side="L", a=799.5, epsilon=0.01,
+                                     dip=dip_circle))
+    assert res.sigma == 0.0
+    assert res.lam == ctx.Lambda1
+
+
 @given(beta=st.floats(0.1, 0.9), b=st.floats(0.3, 2.5), k=st.floats(0.3, 2.5),
        frac=st.floats(0.05, 0.95), eps=st.floats(1e-4, 0.05))
 @settings(max_examples=60, deadline=None)
