@@ -32,8 +32,9 @@ and a clockwise Fourier file, and ellipses of aspect 1e5 (convex
 certificate) and 1e6 (crossing grid, rejected); both paths of the BEM: an
 odd-harmonic (folded) Fourier file, the same file with an even harmonic of
 1e-300, a tilted ellipse at N = 1024 and a folded ellipse at N = 32 (fewer
-rows than one kernel pass); fluids at b k = 1 with k = 1e-100 and 1e-159;
-and a one-row run over a 50-row sweep's outputs.
+rows than one kernel pass); fluids at b k = 1 with k = 1e-100 and 1e-159,
+and at b = 1e300 with k = 1e10 and 1e50, where b k overflows; and a one-row
+run over a 50-row sweep's outputs.
 
 Scans, compared by outcome. An outcome is the exit code and a message
 class: the diagnostic line with every nonzero number masked as ``#`` and
@@ -203,12 +204,16 @@ BEM_PATHS = [
      "--N", "32"],
 ]
 # fluids at b k = 1 far from k = 1, whose threshold root is solved in units
-# k = 1: at k = 1e-159 the radicands of p1_zero and q1 would be subnormal
+# k = 1: at k = 1e-159 the radicands of p1_zero and q1 would be subnormal;
+# and fluids whose b k overflows, where lambda1'(k) and lambda1'(tau1) keep
+# their tanh terms alone and sech^2(b tau) is 0
 SCALED_FLUIDS = [
     ["cutoffs", "--k", "1e-100", "--b", "1e100"],
     ["cutoffs", "--k", "1e-159", "--b", "1e159"],
     ["trapped", "--k", "1e-100", "--b", "1e100", "--a", "5e99"],
     ["sweep", "--what", "f", "--k", "1e-100", "--b", "1e100", "--sweep", "a:0.1:0.9:3"],
+    ["cutoffs", "--b", "1e300", "--k", "1e10"],
+    ["embedded", "--b", "1e300", "--k", "1e50"],
 ]
 # argvs run in one working directory: the point run rewrites the sweep's
 # longer CSV and manifest, which must leave no tail of them behind

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._scipy import extension
 from .errors import ConsistencyError, ValidationError
 
 # Relative abscissa tolerance for every 1-D root solve in the package.
@@ -39,71 +40,34 @@ BRENT_MAXITER = 100
 def brentq(f, a, b, *, xtol, what):
     """Root of f on [a, b] by Brent's method; f(a) and f(b) must differ in sign.
 
-    A line-for-line port of scipy's brentq.c (the same update order, the same
-    tolerance delta = (xtol + ROOT_RTOL |x|)/2, the same interpolate, extrapolate
-    and bisect tests, at most 100 iterations), so it returns the same float
-    bit for bit. A zero denominator gives inf or nan in C, which fails the
-    short-step test and bisects; Python raises instead, so the step is set
-    to nan, which takes the same branch. No sign change, a NaN value of f and
-    no convergence raise ConsistencyError naming `what`.
+    scipy's compiled brentq.c, the routine behind scipy's optimize.brentq,
+    called directly with rtol = ROOT_RTOL and at most BRENT_MAXITER
+    iterations, so the root is scipy's bit for bit. No sign change, a NaN
+    value of f and no convergence raise ConsistencyError naming `what`.
     """
+    seen = []
 
     def value(x):
         fx = float(f(x))
         if math.isnan(fx):
             raise ConsistencyError(f"{what}: f({x!r}) is NaN")
+        seen.append(fx)
         return fx
 
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
+    try:
+        root, _, _, flag = extension("optimize", "_zeros")._brentq(
+            value, a, b, xtol, ROOT_RTOL, BRENT_MAXITER, (), True, False)
+    except ValueError:
+        # the C code stops at f(a) and f(b) of one sign; past them, f raised
+        if len(seen) < 2 or (seen[0] < 0.0) != (seen[1] < 0.0):
+            raise
         raise ConsistencyError(
-            f"{what}: f({xpre!r}) = {fpre!r} and f({xcur!r}) = {fcur!r} "
-            f"have the same sign")
-    for _ in range(BRENT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + ROOT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = (-fcur * (fblk * dblk - fpre * dpre)
-                            / (dblk * dpre * (fblk - fpre)))
-            except ZeroDivisionError:
-                stry = math.nan
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis  # bisect
-        else:
-            spre = scur = sbis  # bisect
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise ConsistencyError(
-        f"{what}: no convergence in {BRENT_MAXITER} iterations, last x = {xcur!r}")
+            f"{what}: f({float(a)!r}) = {seen[0]!r} and f({float(b)!r}) = "
+            f"{seen[1]!r} have the same sign") from None
+    if flag != 0:
+        raise ConsistencyError(
+            f"{what}: no convergence in {BRENT_MAXITER} iterations, last x = {root!r}")
+    return root
 
 
 @dataclass(frozen=True)
@@ -166,7 +130,8 @@ def lambda1_prime(tau: float, cfg: FluidConfig) -> float:
     bt = cfg.b * tau
     T = np.tanh(bt)
     s2 = _sech(bt) ** 2
-    return float(cfg.alpha * (T * (1.0 + cfg.beta * T) + bt * s2)
+    # b tau sech^2 is 0 once sech^2 underflows, also where b tau is inf
+    return float(cfg.alpha * (T * (1.0 + cfg.beta * T) + (bt * s2 if s2 else 0.0))
                  / (1.0 + cfg.beta * T) ** 2)
 
 

@@ -86,6 +86,15 @@ def solve_w(delta: float, tau0_val: float) -> float:
     return math.atanh(rhs)
 
 
+def _closed_form(ctx: SpectralContext, delta: float):
+    """The closed-form chain of ctx's fluid: tau0, w, a* = w / (k tau0) and
+    whether the mode fits in the layer, a* < b."""
+    t0 = tau0(ctx)
+    w = solve_w(delta, t0)
+    a1 = w / (ctx.cfg.k * t0)
+    return t0, w, a1, a1 < ctx.cfg.b
+
+
 def check_embedded_side(side: str) -> None:
     if side != "U":
         raise ValidationError(
@@ -105,18 +114,14 @@ def a_star(setup: ProblemSetup) -> EmbeddedResult:
     ctx = setup.ctx
     cfg = ctx.cfg
     k, b = cfg.k, cfg.b
-    t0 = tau0(ctx)
     delta = setup.dip.delta
-    w = solve_w(delta, t0)
+    t0, w, a1, exists_closed = _closed_form(ctx, delta)
 
     if abs(setup.dip.nu) > SYMMETRY_RTOL * setup.dip.mu:
         return EmbeddedResult(
             exists=False, a_star=None, w=w, tau0=t0, delta=delta, sigma=None,
             diagnostics="asymmetric contour (Jcal != 0)",
         )
-
-    a1 = w / (k * t0)
-    exists_closed = a1 < b
 
     # independent route: sign change of the rescaled Rcal on (0, b]
     rc = lambda a: rcal_jcal_scaled(a, ctx, setup.dip)[0]
@@ -195,11 +200,10 @@ def sweep_f(ctx: SpectralContext, a_grid, delta: float):
     grid = [float(a) for a in a_grid]
     check_a_grid(grid)
     cfg = ctx.cfg
-    t0 = tau0(ctx)
+    t0, _, a1, exists = _closed_form(ctx, delta)
     f_vals = [f_circle(a, t0) for a in grid]
     has_root = any(f1 * f2 < 0.0 for f1, f2 in zip(f_vals, f_vals[1:]))
-    a1 = solve_w(delta, t0) / (cfg.k * t0)
-    a_root = a1 if a1 < cfg.b else None
+    a_root = a1 if exists else None
     return [{"alpha": cfg.alpha, "tau0": t0, "a": a, "f": f,
              "has_root": has_root, "a_star": a_root}
             for a, f in zip(grid, f_vals)]
@@ -218,8 +222,8 @@ def alpha_threshold(lo: float = 0.5, hi: float = 0.97, tol: float = 1e-4) -> flo
         raise ValidationError(f"tol must be positive, got {tol}")
 
     def exists_at(alpha):
-        t0 = tau0(spectral_context(FluidConfig(beta=1.0 - alpha, b=1.0, k=1.0)))
-        return solve_w(0.5, t0) / t0 < 1.0
+        return _closed_form(
+            spectral_context(FluidConfig(beta=1.0 - alpha, b=1.0, k=1.0)), 0.5)[3]
 
     if not exists_at(lo):
         raise ValidationError(f"no embedded mode at lo={lo}; bracket does not straddle")

@@ -26,17 +26,19 @@ and apply_n0 takes odd f; the Gauss law reads the column sums of L and R.
 
 The resolvent N0 = (I + M)^{-1} gives the dipole coefficients as boundary
 quadratures and the stream function of vertical flow past the section as
-psi = Y - 2 N0 Y on the contour.
+psi = Y - 2 N0 Y on the contour. The LU, its solves and the condition
+estimate are LAPACK's dgetrf, dgetrs, dgecon and dlange from scipy's _flapack
+extension, which _scipy.extension loads without the scipy.linalg package.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._scipy import extension
 from .contour import Contour, DipoleStrengths
 from .errors import ConsistencyError, ValidationError
 
@@ -143,7 +145,7 @@ def assemble(C: Contour, N: int = 256) -> NystromSystem:
             f"discrete Gauss law violated: residual {gauss_residual:.3e} "
             f"(N={N}); contour may be under-resolved"
         )
-    lapack = _lapack()
+    lapack = extension("linalg", "_flapack")
     A = BT.T
     np.fill_diagonal(A, A.diagonal() + 1.0)
     anorm = lapack.dlange("1", A)  # read in place, before getrf overwrites A
@@ -156,37 +158,6 @@ def assemble(C: Contour, N: int = 256) -> NystromSystem:
         lu=(lu, piv), gauss_residual=gauss_residual,
         cond_estimate=float(1.0 / rcond) if rcond > 0.0 else math.inf,
     )
-
-
-@functools.cache
-def _lapack():
-    """scipy's LAPACK extension module: dgetrf, dgetrs, dgecon and dlange.
-
-    Loaded on first use, once per process, from its file in scipy's linalg
-    directory, without importing the scipy.linalg package, which takes more
-    than ten times as long. Bare scipy is imported first: it sets up the
-    paths of the libraries the extension links. A scipy without that file
-    serves scipy.linalg.lapack instead.
-    """
-    import sys
-    from importlib.machinery import PathFinder
-    from importlib.util import module_from_spec, spec_from_file_location
-
-    import scipy
-
-    name = "scipy.linalg._flapack"
-    if name in sys.modules:  # loaded by scipy.linalg already
-        return sys.modules[name]
-    found = PathFinder.find_spec(
-        "_flapack", [f"{root}/linalg" for root in scipy.__path__])
-    if found is None:
-        from scipy.linalg import lapack
-        return lapack
-    spec = spec_from_file_location(name, found.origin)
-    module = module_from_spec(spec)
-    sys.modules[name] = module  # a later scipy.linalg import reuses it
-    spec.loader.exec_module(module)
-    return module
 
 
 def _check_info(routine: str, info: int) -> None:
@@ -214,7 +185,7 @@ def apply_n0(sys: NystromSystem, f) -> np.ndarray:
 
 
 def _getrs(lu: tuple, f: np.ndarray) -> np.ndarray:
-    x, info = _lapack().dgetrs(*lu, f)
+    x, info = extension("linalg", "_flapack").dgetrs(*lu, f)
     _check_info("dgetrs", info)
     return x
 

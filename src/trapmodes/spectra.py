@@ -146,6 +146,15 @@ def _power(x: float, n: int) -> float:
         return math.inf
 
 
+def _lower_sigma(setup: ProblemSetup, core: float) -> float:
+    """(eps^2/2) core e^{-2ak} k (S + 2 pi mu): side L's sigma and Re sigma,
+    each with its own core = D e^{ak}."""
+    k, a = setup.ctx.cfg.k, setup.a
+    return 0.5 * _power(setup.epsilon, 2) * core * math.exp(-2.0 * a * k) * k * (
+        setup.dip.S + 2.0 * math.pi * setup.dip.mu
+    )
+
+
 def _require_side(setup: ProblemSetup, side: str, what: str):
     if setup.side != side:
         raise ValidationError(f"{what} is defined for problem {side}, got side {setup.side!r}")
@@ -290,10 +299,7 @@ def trapped_lower(setup: ProblemSetup) -> ModeResult:
         raise ConsistencyError(
             f"coefficient D must be positive, got {D} (P0(k,Lambda1)={P0})"
         )
-    sigma = 0.5 * _power(setup.epsilon, 2) * core * math.exp(-2.0 * a * k) * k * (
-        setup.dip.S + 2.0 * math.pi * setup.dip.mu
-    )
-    return _trapped_result(sigma, Lam1, D)
+    return _trapped_result(_lower_sigma(setup, core), Lam1, D)
 
 
 def resonance_lower(setup: ProblemSetup) -> ResonanceResult:
@@ -326,9 +332,7 @@ def resonance_lower(setup: ProblemSetup) -> ResonanceResult:
             f"D1={D1} (P0(tau1,Lambda2)={P0_tau1})"
         )
     S, mu, nu = setup.dip.S, setup.dip.mu, setup.dip.nu
-    re_sigma = 0.5 * _power(setup.epsilon, 2) * core * math.exp(-2.0 * a * k) * k * (
-        S + 2.0 * math.pi * mu
-    )
+    re_sigma = _lower_sigma(setup, core)
     bracket = _power(k * S + 2.0 * math.pi * tau1 * mu, 2) + _power(
         2.0 * math.pi * nu, 2) * (tau1 * tau1 - k * k)
     im_sigma = (

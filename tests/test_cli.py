@@ -628,13 +628,15 @@ def _scipy_modules_after(code):
 
 def test_cold_start_loads_no_scipy(tmp_path):
     # import trapmodes.cli loads no scipy module; cutoffs builds no BEM and so
-    # never loads scipy.linalg; dipoles loads scipy's LAPACK extension alone,
-    # not the scipy.linalg package nor its array-API layer
+    # never loads scipy.linalg, and solves tau1 with scipy's Brent extension
+    # alone, not the scipy.optimize package; dipoles loads scipy's LAPACK
+    # extension alone, not the scipy.linalg package nor its array-API layer
     assert _scipy_modules_after("import trapmodes.cli") == []
     run = "from trapmodes.cli import main\nassert main({!r}) == 0"
     out = ["--out", str(tmp_path / "p")]
     cutoffs = _scipy_modules_after(run.format(["cutoffs", *out]))
     assert "scipy.linalg" not in cutoffs and "scipy.optimize" not in cutoffs
+    assert "scipy.optimize._zeros" in cutoffs
     dipoles = _scipy_modules_after(run.format(["dipoles", "--N", "32", *out]))
     assert "scipy.linalg._flapack" in dipoles
     assert "scipy.linalg" not in dipoles
@@ -658,6 +660,16 @@ def test_cutoffs_out_of_double_range_exit_3(args, tmp_path, capsys):
     assert stdout == ""
     assert err.startswith("consistency error:")
     assert "out of double range" in err
+
+
+def test_cutoffs_where_b_k_overflows(tmp_path, capsys):
+    # b k = 1e310: sech^2(b k) is 0 and lambda1'(k) keeps its T terms alone,
+    # so q1 = sqrt(2 k Lambda1 / lambda1'(k)) = k sqrt(2) = q2, with no warning
+    code, stdout, err = run_cli(["cutoffs", "--b", "1e300", "--k", "1e10",
+                                 "--out", str(tmp_path / "x")], capsys)
+    assert (code, err) == (0, "")
+    row = dict(zip(*(line.split(",") for line in stdout.splitlines())))
+    assert row["q1"] == row["q2"] == "14142135623.7"
 
 
 def test_cutoffs_scale_with_k(tmp_path, capsys):
@@ -856,7 +868,8 @@ def test_wide_fluid_grid_returns_an_exit_code(tmp_path, capsys, parity):
     # 10^50, a = 0.1 b and 0.9 b: every run exits 0, 2 or 3 and none raises;
     # resonance_upper's tau1^3 overflows and D1's denominator underflows to 0
     # on parts of this grid. An exit 3 is a quantity out of double range or
-    # one of side L's two sign-factor guards, the ones that name P0
+    # one of side L's two sign-factor guards, the ones that name P0. No run
+    # warns: lambda1'(k) stays finite where b k overflows
     raised = []
     for argv in parity.grids()["wide"]:
         try:
@@ -865,6 +878,8 @@ def test_wide_fluid_grid_returns_an_exit_code(tmp_path, capsys, parity):
             raised.append((argv, repr(exc)))
             continue
         assert code in (0, 2, 3), (argv, err)
+        assert not any(line.startswith("warning:") for line in err.splitlines()), \
+            (argv, err)
         if code == 3:
             assert re.fullmatch(
                 r"consistency error: (.* is out of double range|(coefficient D|"

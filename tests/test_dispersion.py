@@ -187,7 +187,8 @@ def test_brentq_matches_scipy_at_every_call_site(beta, eb, ek, sigma):
 
 def test_brentq_zero_denominator_bisects_like_c():
     # at b k = 1e-322 the tau1 solve meets a zero interpolation denominator;
-    # C gets inf or nan there and bisects, Python would raise ZeroDivisionError
+    # brentq.c gets inf or nan there and bisects, and the package's brentq
+    # runs that same C code
     cfg = FluidConfig(beta=0.5, b=1e-322, k=1.0)
     with pytest.MonkeyPatch.context() as mp:
         calls = _recorded_solves(mp, lambda: solve_tau1(cfg))
@@ -217,6 +218,24 @@ def test_brentq_failures_raise_consistency_error():
         brentq(step, -1e300, 1e300, xtol=1e-15, what="demo")
     with pytest.raises(RuntimeError):
         scipy.optimize.brentq(step, -1e300, 1e300, **tol)
+
+
+def test_brentq_passes_on_errors_of_f():
+    # a ValueError that f raises itself, at f(b) or after f(a) and f(b) of
+    # opposite signs, is not the C code's sign error and reaches the caller
+    def at_b(x):
+        if x == 1.0:
+            raise ValidationError("f's own")
+        return x - 0.3
+
+    def inside(x):
+        if 0.0 < x < 1.0:
+            raise ValidationError("f's own")
+        return x - 0.3
+
+    for f in (at_b, inside):
+        with pytest.raises(ValidationError, match="^f's own$"):
+            dispersion.brentq(f, 0.0, 1.0, xtol=1e-15, what="demo")
 
 
 def test_profile_derivative_consistency():

@@ -7,10 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
 from trapmodes import (
     ConsistencyError,
+    FluidConfig,
     ValidationError,
     analytic_dipoles,
     apply_n0,
@@ -24,6 +26,7 @@ from trapmodes import (
     read_fourier_file,
 )
 from trapmodes.contour import Contour
+from trapmodes.dispersion import ROOT_RTOL, lambda1
 
 from goldens import EGG, GOLD
 
@@ -268,67 +271,87 @@ def test_fold_is_chosen_from_the_coefficients_exactly(tmp_path):
         assert assemble(C, 64).lu[0].shape == (32, 32)
 
 
-# Runs in a fresh interpreter, since the LAPACK loader runs once per process:
-# argv is the case, the textbook matrix A (.npy) and the output (.npz).
+# Runs in a fresh interpreter, since the extension loader runs once per
+# process: argv is the subpackage, the extension, the case, the textbook
+# matrix A (.npy) and the output (.npz).
 _LOADER_SCRIPT = """
-import importlib.machinery, sys
+import importlib, importlib.machinery, sys
 import numpy as np
-case, matrix, out = sys.argv[1:]
+subpackage, name, case, matrix, out = sys.argv[1:]
+package, canonical = f"scipy.{subpackage}", f"scipy.{subpackage}.{name}"
 find_spec, asked = importlib.machinery.PathFinder.find_spec, set()
-def finder(name, path=None, target=None):
-    asked.add(name)
-    if case == "fallback" and name == "_flapack":  # a scipy without the file
+def finder(fullname, path=None, target=None):
+    asked.add(fullname)
+    if case == "fallback" and fullname == name:  # a scipy without the file
         return None
-    return find_spec(name, path, target)
+    return find_spec(fullname, path, target)
 importlib.machinery.PathFinder.find_spec = finder
-if case == "scipy_linalg_first":
-    import scipy.linalg
-from trapmodes import apply_n0, assemble, make_fourier
-from trapmodes.potentialflow import _lapack
-system = assemble(make_fourier([1.0, 0.2], [0.0, 0.0], [0.0, 0.0], [1.3, 0.1]), 64)
-n0x, n0y = apply_n0(system, system.x), apply_n0(system, system.y)
-loaded = {m: m in sys.modules for m in ("scipy.linalg", "scipy.linalg._flapack")}
-import scipy.linalg
-assert (_lapack() is scipy.linalg.lapack) == (case == "fallback")
-if case != "fallback":
-    assert _lapack() is sys.modules["scipy.linalg._flapack"]
-    assert scipy.linalg.lapack._flapack is _lapack()
-A = np.load(matrix)
-later_lu, later_piv = scipy.linalg.lu_factor(A)
-later_x = scipy.linalg.lu_solve((later_lu, later_piv), system.x)
-lu, piv = system.lu
-np.savez(out, lu=lu, piv=piv, n0x=n0x, n0y=n0y,
-         later_lu=later_lu, later_piv=later_piv, later_x=later_x,
-         linalg=loaded["scipy.linalg"], flapack=loaded["scipy.linalg._flapack"],
-         searched="_flapack" in asked)
+if case == "package_first":
+    importlib.import_module(package)
+from trapmodes import FluidConfig, apply_n0, assemble, make_fourier
+from trapmodes._scipy import extension
+from trapmodes.dispersion import ROOT_RTOL, brentq, lambda1
+fluid = FluidConfig(beta=0.5, b=1.0, k=1.0)
+f = lambda t: lambda1(t, fluid) - 1.0
+got = {}
+if name == "_flapack":
+    system = assemble(make_fourier([1.0, 0.2], [0.0, 0.0], [0.0, 0.0], [1.3, 0.1]), 64)
+    got.update(lu=system.lu[0], piv=system.lu[1], n0x=apply_n0(system, system.x),
+               n0y=apply_n0(system, system.y))
+else:
+    got.update(root=brentq(f, 1.0, 4.0, xtol=1e-15, what="tau1"))
+loaded = {m: m in sys.modules for m in (package, canonical)}
+later = importlib.import_module(package)
+assert extension(subpackage, name) is sys.modules[canonical]
+if name == "_flapack":
+    assert later.lapack._flapack is extension(subpackage, name)
+    later_lu, later_piv = later.lu_factor(np.load(matrix))
+    got.update(later_lu=later_lu, later_piv=later_piv,
+               later_x=later.lu_solve((later_lu, later_piv), system.x))
+else:
+    assert later._zeros_py._zeros is extension(subpackage, name)
+    got.update(later_root=later.brentq(f, 1.0, 4.0, xtol=1e-15, rtol=ROOT_RTOL))
+np.savez(out, package=loaded[package], extension=loaded[canonical],
+         searched=name in asked, **got)
 """
 
 
-@pytest.mark.parametrize("case, linalg_loaded, searched", [
-    ("assemble_first", False, True),
-    ("scipy_linalg_first", True, False),
+@pytest.mark.parametrize("subpackage, name", [("linalg", "_flapack"),
+                                              ("optimize", "_zeros")])
+@pytest.mark.parametrize("case, package_loaded, searched", [
+    ("loader_first", False, True),
+    ("package_first", True, False),
     ("fallback", True, True),
 ])
-def test_lapack_loader_in_either_import_order(case, linalg_loaded, searched, tmp_path):
-    # the BEM loads scipy's _flapack extension without scipy.linalg, reuses
-    # the one scipy.linalg loaded, or falls back to scipy.linalg.lapack when
-    # the file is missing; each way its LU, pivots and solves are those of
-    # lu_factor and lu_solve bit for bit, and scipy.linalg still works after.
-    # The egg is not centrally symmetric, so its LU is the whole I + M
+def test_extension_loader_in_either_import_order(case, package_loaded, searched,
+                                                 subpackage, name, tmp_path):
+    # the package loads scipy's _flapack (the BEM) and _zeros (the root
+    # solves) without their subpackages, reuses the one a subpackage loaded,
+    # or imports it the regular way when the file is missing; each way the
+    # LU, pivots and solves are those of lu_factor and lu_solve, and the root
+    # is scipy.optimize.brentq's, bit for bit, and the subpackage still works
+    # after. The egg is not centrally symmetric, so its LU is the whole I + M
     C, N = _EGG, 64
     A = _textbook_block(C, N)
     np.save(tmp_path / "A.npy", A)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", _LOADER_SCRIPT, case,
-                           str(tmp_path / "A.npy"), str(tmp_path / "out.npz")],
+    proc = subprocess.run([sys.executable, "-c", _LOADER_SCRIPT, subpackage, name,
+                           case, str(tmp_path / "A.npy"), str(tmp_path / "out.npz")],
                           capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     got = np.load(tmp_path / "out.npz")
-    assert bool(got["linalg"]) == linalg_loaded
+    assert bool(got["package"]) == package_loaded
     assert bool(got["searched"]) == searched
-    assert bool(got["flapack"])
+    assert bool(got["extension"])
+    if name == "_zeros":
+        fluid = FluidConfig(beta=0.5, b=1.0, k=1.0)
+        want = scipy.optimize.brentq(lambda t: lambda1(t, fluid) - 1.0, 1.0, 4.0,
+                                     xtol=1e-15, rtol=ROOT_RTOL)
+        for key in ("root", "later_root"):
+            assert got[key].view(np.uint64) == np.float64(want).view(np.uint64), key
+        return
     want_lu, want_piv = lu_factor(A)
     system = assemble(C, N)
     for lu, piv in ((got["lu"], got["piv"]), (got["later_lu"], got["later_piv"])):
