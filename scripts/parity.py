@@ -29,10 +29,13 @@ test of a tiny section, oversize sweep grid and N, help and version paths;
 a bad value in a field the table ignores, and sweeps whose late point breaks
 a rule; both paths of the contour's simplicity check: a non-convex (bean)
 and a clockwise Fourier file, and ellipses of aspect 1e5 (convex
-certificate) and 1e6 (crossing grid, rejected); both paths of the BEM: an
-odd-harmonic (folded) Fourier file, the same file with an even harmonic of
-1e-300, a tilted ellipse at N = 1024 and a folded ellipse at N = 32 (fewer
-rows than one kernel pass); fluids at b k = 1 with k = 1e-100 and 1e-159,
+certificate) and 1e6 (crossing grid, rejected); the three paths of the
+BEM: an odd-harmonic (folded) Fourier file, the same file with an even
+harmonic of 1e-300 (whole), an odd-harmonic file with sin_x = cos_y = 0
+(split) and the same with a sin_x of 1e-300 (folded), a tilted ellipse at
+N = 1024, an ellipse and a circle at N = 32 (split, fewer rows than one
+kernel pass) and an ellipse at theta0 = -0 (nu prints 0); fluids at b k =
+1 with k = 1e-100 and 1e-159,
 and at b = 1e300 with k = 1e10 and 1e50, where b k overflows; and a one-row
 run over a 50-row sweep's outputs.
 
@@ -109,6 +112,11 @@ INPUT_FILES = {
     "odd.txt": "1.0 0.0 0.0 0.8\n0.0 0.0 0.0 0.0\n0.05 0.02 0.0 -0.04\n",
     # odd.txt with one even harmonic of 1e-300: the whole BEM
     "odd_tiny.txt": "1.0 0.0 0.0 0.8\n1e-300 0.0 0.0 0.0\n0.05 0.02 0.0 -0.04\n",
+    # odd harmonics, X a cosine and Y a sine series (sin_x = cos_y = 0), so
+    # also r(-t) = (X(t), -Y(t)): the BEM splits it
+    "odd_mirror.txt": "1.0 0.0 0.0 0.8\n0.0 0.0 0.0 0.0\n0.05 0.0 0.0 -0.04\n",
+    # odd_mirror.txt with a sin_x of 1e-300: folded, not split
+    "odd_mirror_tiny.txt": "1.0 1e-300 0.0 0.8\n0.0 0.0 0.0 0.0\n0.05 0.0 0.0 -0.04\n",
     "run.cfg": "# a non-default fluid and section\nbeta = 0.3\nb = 2\nk = 0.7\n"
                "a = 0.6\nepsilon = 0.02\nshape = ellipse\na0 = 1.3\nb0 = 0.9\n",
     "bad.cfg": "beta = 0.3\nthis line has no equals sign\n",
@@ -192,14 +200,22 @@ CONTOUR_PATHS = [
     # not certified; the grid refuses it as self-intersecting
     ["dipoles", "--shape", "ellipse", "--a0", "1", "--b0", "1e-6"],
 ]
-# the two BEM paths: a centrally symmetric section is solved as two half-size
-# blocks, and a section with any even harmonic, however small, as a whole
+# the three BEM paths: a centrally symmetric section is solved on its odd
+# half-size block, one also symmetric under t -> -t (a circle, an ellipse in
+# its own frame) on two quarter-size blocks, and a section with any even
+# harmonic, however small, as a whole
 BEM_PATHS = [
     ["dipoles", "--shape", "fourier", "--fourier-file", "odd.txt", *N],
     ["dipoles", "--shape", "fourier", "--fourier-file", "odd_tiny.txt", *N],
+    ["dipoles", "--shape", "fourier", "--fourier-file", "odd_mirror.txt", *N],
+    ["dipoles", "--shape", "fourier", "--fourier-file", "odd_mirror_tiny.txt", *N],
+    # split at N = 32: its N/4 + 1 = 9 rows are fewer than one pass of _BLOCK
+    ["dipoles", "--N", "32"],
+    # an untilted ellipse prints nu = 0, at theta0 = -0 too
+    ["dipoles", "--shape", "ellipse", "--a0", "1.3", "--b0", "0.6", "--theta0", "-0"],
     ["resonance", "--shape", "ellipse", "--a0", "1.3", "--b0", "0.6", "--theta0", "0.4",
      "--N", "1024"],
-    # folded at N = 32: its N/2 = 16 rows are fewer than one pass of _BLOCK
+    # an ellipse is split in its own frame at any tilt, here at N = 32
     ["dipoles", "--shape", "ellipse", "--a0", "1.3", "--b0", "0.9", "--theta0", "0.4",
      "--N", "32"],
 ]

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .contour import (DipoleStrengths, check_circle, check_ellipse, make_circle,
-                      make_ellipse, read_fourier_file)
+                      make_ellipse, read_fourier_file, tilt_dipoles)
 from .dispersion import FluidConfig, SpectralContext, spectral_context
 from .embedded import a_star, check_a_grid, check_embedded_side, sweep_f
 from .errors import ConsistencyError, ValidationError
@@ -359,10 +359,11 @@ def _points(run: RunConfig):
 
 
 def _contour(run: RunConfig):
+    """The run's section; an ellipse untilted, in its own frame (see _dipoles)."""
     if run.shape == "circle":
         return make_circle(run.r)
     if run.shape == "ellipse":
-        return make_ellipse(run.a0, run.b0, run.theta0)
+        return make_ellipse(run.a0, run.b0)
     try:
         return read_fourier_file(run.fourier_file)
     except ValidationError as exc:
@@ -370,10 +371,16 @@ def _contour(run: RunConfig):
 
 
 def _dipoles(run: RunConfig, manifest: dict) -> DipoleStrengths:
-    """Stage 1: contour, Nystrom system and dipoles, recorded into the manifest."""
+    """Stage 1: contour, Nystrom system and dipoles, recorded into the manifest.
+
+    An ellipse is solved untilted, where it is symmetric about both axes and
+    assemble splits its system, and its dipoles are then tilted by theta0.
+    """
     C = _contour(run)
     system = assemble(C, run.N)
     dip = dipoles_bem(system)
+    if run.shape == "ellipse":
+        dip = tilt_dipoles(dip, run.theta0)
     manifest["bem"] = {"N": run.N, "gauss_residual": system.gauss_residual,
                        "cond_estimate": system.cond_estimate}
     manifest["dipoles"] = {c: getattr(dip, c) for c in _COMPUTED["dipoles"]}

@@ -94,6 +94,11 @@ class Contour:
         """r(t + pi) = -r(t): every even harmonic compares equal to zero."""
         return not any(np.any(c[1::2]) for c in (self.cos_x, self.sin_x, self.cos_y, self.sin_y))
 
+    @property
+    def mirror_symmetric(self) -> bool:
+        """r(-t) = (X(t), -Y(t)): every sin_x and cos_y compares equal to zero."""
+        return not (np.any(self.sin_x) or np.any(self.cos_y))
+
     def evaluate(self, t):
         """Point, velocity and acceleration at t: (X, Y, X', Y', X'', Y'').
 
@@ -309,6 +314,26 @@ def read_fourier_file(path) -> Contour:
             f"got shape {data.shape}"
         )
     return make_fourier(data[:, 0], data[:, 1], data[:, 2], data[:, 3])
+
+
+def tilt_dipoles(dip: DipoleStrengths, theta0: float) -> DipoleStrengths:
+    """The dipoles of a section with nu = 0 (symmetric about both axes, as an
+    untilted ellipse is) once it is tilted by theta0, clockwise as in
+    make_ellipse and analytic_dipoles:
+
+        mu    = mu0 cos^2 th + kappa0 sin^2 th
+        kappa = mu0 sin^2 th + kappa0 cos^2 th
+        nu    = (mu0 - kappa0) sin th cos th
+
+    theta0 == 0 (-0.0 too) returns dip itself, so its nu stays +0.0.
+    """
+    if theta0 == 0.0:
+        return dip
+    c, s = math.cos(theta0), math.sin(theta0)
+    c2, s2 = c * c, s * s
+    return DipoleStrengths(mu=dip.mu * c2 + dip.kappa * s2,
+                           kappa=dip.mu * s2 + dip.kappa * c2,
+                           nu=(dip.mu - dip.kappa) * s * c, S=dip.S)
 
 
 def analytic_dipoles(shape: str, r: float | None = None, a0: float | None = None,

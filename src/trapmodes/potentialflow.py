@@ -24,6 +24,20 @@ odd ones [v, -v] (L, R: the column halves of M's first N/2 rows). X and Y are
 odd, so only the odd block is built and factored, cond_estimate is its estimate
 and apply_n0 takes odd f; the Gauss law reads the column sums of L and R.
 
+A folded section that is also mirror symmetric, r(-t) = (X(t), -Y(t)) (a
+circle, an untilted ellipse; see Contour.mirror_symmetric), is split once
+more. Only the nodes t_0 ... t_{N/4} are evaluated, the components the two
+reflections make zero at t = 0 and pi/2 are set to 0, and the other nodes are
+sign flips of these, so M[si, sj] = M[i, j] bit for bit for the shift and
+both reflections s: t -> -t and t -> pi - t. The odd block then maps vectors
+even under t -> -t, as X is, to such vectors, and odd ones, as Y is, to odd
+ones. On each kind it is an N/4 x N/4 block, built from the N/4 + 1 kernel
+rows of s = t_0 ... t_{N/4} and factored on its own; cond_estimate is the
+larger of their estimates, and apply_n0 solves the two parts of an odd f
+separately. The Gauss law reads M's row sums through the symmetry: the
+orbits of the nodes 0 and N/4 have two members, the others four. The nu
+quadratures have odd integrands under t -> -t, so nu is exactly 0.
+
 The resolvent N0 = (I + M)^{-1} gives the dipole coefficients as boundary
 quadratures and the stream function of vertical flow past the section as
 psi = Y - 2 N0 Y on the contour. The LU, its solves and the condition
@@ -51,17 +65,24 @@ DIAMETER_RANGE = (1e-150, 1e150)
 N_MAX = 4096
 # Rows of the kernel built per pass: a block of MT and its two scratch arrays
 # take 768 kB at N = 1024. Every accepted N is a power of two >= 32, so
-# min(_BLOCK, rows) tiles the N or N/2 rows built exactly.
+# min(_BLOCK, rows) tiles the N or N/2 rows built exactly; the N/4 + 1 rows
+# of a split section end in a ragged pass.
 _BLOCK = 32
+# the sign of X, Y, X', Y', X'', Y'' under t -> pi - t on a section
+# symmetric about both axes: X(pi - t) = -X(t) and Y(pi - t) = Y(t)
+_PI_MINUS_T = (-1.0, 1.0, 1.0, -1.0, -1.0, 1.0)
 
 
 @dataclass
 class NystromSystem:
     """Factored discrete operator I + M for one contour at one resolution.
 
-    lu is the (lu, piv) of I + M, or of order N/2 of a folded section's odd
-    block I + L - R. Keeps the node geometry (points X, Y and velocities
-    X', Y' at the nodes t) that the boundary quadratures read.
+    factors holds the (lu, piv) of each block factored: one for I + M, or of
+    order N/2 for a folded section's odd block I + L - R; two of order N/4,
+    the blocks even and odd under t -> -t, for a split section.
+    cond_estimate is the largest of the blocks' 1-norm condition estimates.
+    Keeps the node geometry (points X, Y and velocities X', Y' at the nodes
+    t) that the boundary quadratures read.
     """
 
     contour: Contour
@@ -71,15 +92,45 @@ class NystromSystem:
     y: np.ndarray
     xd: np.ndarray
     yd: np.ndarray
-    lu: tuple
+    factors: tuple
     gauss_residual: float
     cond_estimate: float
+
+    @property
+    def split(self) -> bool:
+        return len(self.factors) == 2
 
 
 def check_N(N: int) -> None:
     """N is a power of two from 32 to N_MAX (the convergence study doubles N)."""
     if not 32 <= N <= N_MAX or (N & (N - 1)) != 0:
         raise ValidationError(f"N must be a power of two from 32 to {N_MAX}, got {N}")
+
+
+def _nodes(C: Contour, t: np.ndarray) -> list:
+    """X, Y, X', Y', X'', Y'' at the nodes t, as assemble takes them.
+
+    A folded section evaluates the first N/2 nodes and negates them for the
+    rest. A split one evaluates t_0 ... t_{N/4}, sets to 0 the components
+    the reflections make zero there (Y, X', Y'' at 0; X, Y', X'' at pi/2,
+    where cos(pi/2) would leave round-off), and takes t_{N/2 - j} as the
+    sign flips of t_j.
+    """
+    if not C.centrally_symmetric:
+        return list(C.evaluate(t))
+    h = len(t) // 2
+    if C.mirror_symmetric:
+        q = h // 2
+        x, y, xd, yd, xdd, ydd = C.evaluate(t[:q + 1])
+        for v in (y, xd, ydd):
+            v[0] = 0.0
+        for v in (x, yd, xdd):
+            v[q] = 0.0
+        half = [np.concatenate([v, sign * v[q - 1:0:-1]])
+                for v, sign in zip((x, y, xd, yd, xdd, ydd), _PI_MINUS_T)]
+    else:
+        half = C.evaluate(t[:h])
+    return [np.concatenate([v, -v]) for v in half]
 
 
 def assemble(C: Contour, N: int = 256) -> NystromSystem:
@@ -96,10 +147,11 @@ def assemble(C: Contour, N: int = 256) -> NystromSystem:
             f"section diameter {diam:.3e} is out of double range for the BEM "
             f"(accepted: {DIAMETER_RANGE[0]:g} to {DIAMETER_RANGE[1]:g})")
     t = 2.0 * np.pi * np.arange(N) / N
+    x, y, xd, yd, xdd, ydd = _nodes(C, t)
     folded = C.centrally_symmetric
-    n = N // 2 if folded else N  # the rows of MT that are built
-    nodes = C.evaluate(t[:n])  # a folded section's other N/2 are their negation
-    x, y, xd, yd, xdd, ydd = [np.concatenate([v, -v]) for v in nodes] if folded else nodes
+    split = folded and C.mirror_symmetric
+    h, q = N // 2, N // 4
+    n = q + 1 if split else h if folded else N  # the rows of MT that are built
 
     # M is built as its transpose MT[j, i] = M[i, j] in C order, so that
     # A = I + MT.T is already in the Fortran order getrf factors in place.
@@ -108,17 +160,37 @@ def assemble(C: Contour, N: int = 256) -> NystromSystem:
     # at a time, with dx in MT itself and dy and dist2 in step-sized
     # scratch, so each step stays in cache and MT is the only N^2 array. A
     # folded section builds its first N/2 rows in scratch instead, sums
-    # their columns and folds them into OT = L - R, its only large array.
-    BT = np.empty((n, n))  # MT, or a folded section's OT
+    # their columns and folds them into OT = L - R, its only large array; a
+    # split one builds N/4 + 1 rows and folds them on into its two blocks.
     step = min(_BLOCK, n)
+    if split:
+        # The odd block B maps a v even under t -> -t (v[N/2 - i] = -v[i],
+        # so v[N/4] = 0; set by v[0 ... N/4 - 1]) to one, and an odd v
+        # (v[N/2 - i] = v[i], so v[0] = 0; set by v[1 ... N/4]) to one. The
+        # even block's column j is B[:, j] - B[:, N/2 - j] and the odd
+        # block's B[:, j] + B[:, N/2 - j]; by M's symmetry, their transposes'
+        # rows are OT[j, i] - OT[j, N/2 - i] and OT[j, i] + OT[j, N/2 - i],
+        # with OT[j, N/2] = -OT[j, 0]. ET holds rows j = 0 ... N/4 - 1 of
+        # the even block and FT rows 1 ... N/4 of the odd one, each with a
+        # spare row. The orbits of nodes 0 and N/4 have two members, the
+        # others four, so rows 0 of ET and N/4 of FT come out doubled, and
+        # the Gauss sums count those two kernel rows at half weight.
+        ET, FT = np.empty((n, q)), np.empty((n, q))
+        odd = np.empty((step, h + 1))
+        weight = np.ones(n)
+        weight[[0, q]] = 0.5
+    else:
+        BT = np.empty((n, n))  # MT, or OT
     rows_out = np.empty((step, N)) if folded else None
     colsum = np.zeros(N)
-    dy = np.empty((step, N))
-    dist2 = np.empty((step, N))
+    dy_rows = np.empty((step, N))
+    dist2_rows = np.empty((step, N))
     curvature = (xd * ydd - xdd * yd) / (2.0 * math.pi * (xd * xd + yd * yd))
     for start in range(0, n, step):
-        rows = slice(start, start + step)
-        dx = np.subtract.outer(x[rows], x, out=rows_out if folded else BT[rows])
+        m = min(step, n - start)  # a split section's last pass is ragged
+        rows = slice(start, start + m)
+        dy, dist2 = dy_rows[:m], dist2_rows[:m]
+        dx = np.subtract.outer(x[rows], x, out=rows_out[:m] if folded else BT[rows])
         np.subtract.outer(y[rows], y, out=dy)
         np.multiply(dx, dx, out=dist2)
         dist2 += dy * dy
@@ -130,21 +202,49 @@ def assemble(C: Contour, N: int = 256) -> NystromSystem:
         dx /= dist2
         np.fill_diagonal(dx[:, rows], curvature[rows])
         dx *= 2.0 * np.pi / N
-        if folded:
+        if split:
+            colsum += weight[rows] @ dx
+            np.subtract(dx[:, :h], dx[:, h:], out=odd[:m, :h])
+            odd[:m, h] = -odd[:m, 0]
+            np.subtract(odd[:m, :q], odd[:m, h:q:-1], out=ET[rows])
+            np.add(odd[:m, 1:q + 1], odd[:m, h - 1:q - 1:-1], out=FT[rows])
+        elif folded:
             colsum += dx.sum(axis=0)
-            np.subtract(dx[:, :n], dx[:, n:], out=BT[rows])
+            np.subtract(dx[:, :h], dx[:, h:], out=BT[rows])
 
     # Row i of M sums to column i of MT, or folded to columns i and i + N/2
-    # of its first N/2 rows. Each entry of MT, or of L and R, is in one such
-    # sum, so a NaN or infinite entry fails this guard and A reaches LAPACK
-    # finite without a separate scan (L - R overflows only near 1e308).
-    rowsum = colsum[:n] + colsum[n:] if folded else BT.sum(axis=0)
+    # of its first N/2 rows; split, to the weighted column sums at i and at
+    # its images under the shift and the two reflections. Each entry of MT,
+    # or of L and R, is in one such sum, so a NaN or infinite entry fails
+    # this guard and A reaches LAPACK finite without a separate scan (L - R
+    # overflows only near 1e308).
+    if split:
+        i = np.arange(N)
+        rowsum = colsum + colsum[(i + h) % N] + colsum[-i % N] + colsum[(h - i) % N]
+    else:
+        rowsum = colsum[:h] + colsum[h:] if folded else BT.sum(axis=0)
     gauss_residual = float(np.max(np.abs(rowsum - 1.0)))
     if not gauss_residual <= GAUSS_TOL:  # a NaN residual fails too
         raise ConsistencyError(
             f"discrete Gauss law violated: residual {gauss_residual:.3e} "
             f"(N={N}); contour may be under-resolved"
         )
+    if split:
+        ET[0] *= 0.5  # exactly, since each entry is a - (-a) or a + a
+        FT[q] *= 0.5
+        blocks = (ET[:q], FT[1:])
+    else:
+        blocks = (BT,)
+    factored = [_factor(block) for block in blocks]
+    return NystromSystem(
+        contour=C, N=N, t=t, x=x, y=y, xd=xd, yd=yd,
+        factors=tuple(f for f, _ in factored), gauss_residual=gauss_residual,
+        cond_estimate=max(cond for _, cond in factored),
+    )
+
+
+def _factor(BT: np.ndarray) -> tuple:
+    """((lu, piv), condition estimate) of I + BT.T, factored in place."""
     lapack = extension("linalg", "_flapack")
     A = BT.T
     np.fill_diagonal(A, A.diagonal() + 1.0)
@@ -153,11 +253,7 @@ def assemble(C: Contour, N: int = 256) -> NystromSystem:
     _check_info("dgetrf", info)
     rcond, info = lapack.dgecon(lu, anorm, norm="1")
     _check_info("dgecon", info)
-    return NystromSystem(
-        contour=C, N=N, t=t, x=x, y=y, xd=xd, yd=yd,
-        lu=(lu, piv), gauss_residual=gauss_residual,
-        cond_estimate=float(1.0 / rcond) if rcond > 0.0 else math.inf,
-    )
+    return (lu, piv), float(1.0 / rcond) if rcond > 0.0 else math.inf
 
 
 def _check_info(routine: str, info: int) -> None:
@@ -169,18 +265,31 @@ def _check_info(routine: str, info: int) -> None:
 def apply_n0(sys: NystromSystem, f) -> np.ndarray:
     """N0 f = (I + M)^{-1} f on the nodes.
 
-    Folded, f must be odd, f[j + N/2] = -f[j], as X and Y are. Raises
+    Folded, f must be odd, f[j + N/2] = -f[j], as X and Y are; split, its
+    parts even and odd under t -> -t are solved on their own blocks. Raises
     ValueError if f holds a NaN or an infinity.
     """
     f = np.asarray_chkfinite(f, dtype=float)
     if f.shape != (sys.N,):
         raise ValidationError(f"f must have shape ({sys.N},), got {f.shape}")
-    if len(sys.lu[1]) == sys.N:  # the pivots: the factor's order
-        return _getrs(sys.lu, f)
+    if len(sys.factors[0][1]) == sys.N:  # the pivots: the factor's order
+        return _getrs(sys.factors[0], f)
     h = sys.N // 2  # folded: f = [fo, -fo] and N0 f = [uo, -uo]
     if np.any(f[:h] + f[h:]):
         raise ValidationError("f must be odd, f[j + N/2] = -f[j], on a folded section")
-    uo = _getrs(sys.lu, f[:h])
+    fo = f[:h]
+    if not sys.split:
+        uo = _getrs(sys.factors[0], fo)
+    else:
+        # image[i] is f at t_{N/2 - i}, i = 0 ... N/4 (at t_{N/2}, -fo[0]);
+        # f's part even under t -> -t is (fo - image) / 2, set on t_0 ...
+        # t_{N/4 - 1}, and its odd part (fo + image) / 2, set on t_1 ... t_{N/4}
+        q = h // 2
+        image = np.concatenate([[-fo[0]], fo[:q - 1:-1]])
+        ue = _getrs(sys.factors[0], 0.5 * (fo[:q] - image[:q]))
+        uodd = _getrs(sys.factors[1], 0.5 * (fo[1:q + 1] + image[1:]))
+        uo = (np.concatenate([ue, [0.0], -ue[:0:-1]])
+              + np.concatenate([[0.0], uodd, uodd[-2::-1]]))
     return np.concatenate([uo, -uo])
 
 
@@ -198,7 +307,8 @@ def dipoles_bem(system: NystromSystem) -> DipoleStrengths:
     nu    = -(1/pi) int X'(t) (N0 X)(t) dt  =  +(1/pi) int Y'(t) (N0 Y)(t) dt
 
     The two nu quadratures are computed independently and must agree; the
-    first is returned. Trapezoid rule throughout (spectral accuracy).
+    first is returned. On a split system both integrands are odd under
+    t -> -t, so nu is 0. Trapezoid rule throughout (spectral accuracy).
     """
     xd, yd = system.xd, system.yd
     h = 2.0 * np.pi / system.N
@@ -206,8 +316,11 @@ def dipoles_bem(system: NystromSystem) -> DipoleStrengths:
     u_x = apply_n0(system, system.x)
     mu = -(h / math.pi) * float(np.dot(xd, u_y))
     kappa = (h / math.pi) * float(np.dot(yd, u_x))
-    nu_a = -(h / math.pi) * float(np.dot(xd, u_x))
-    nu_b = (h / math.pi) * float(np.dot(yd, u_y))
+    if system.split:  # X' N0 X and Y' N0 Y are odd under t -> -t
+        nu_a = nu_b = 0.0
+    else:
+        nu_a = -(h / math.pi) * float(np.dot(xd, u_x))
+        nu_b = (h / math.pi) * float(np.dot(yd, u_y))
     S = system.contour.area
     if abs(nu_a - nu_b) > 1e-8 * max(1.0, S):
         raise ConsistencyError(

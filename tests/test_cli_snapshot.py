@@ -3,37 +3,24 @@
 Any change in the printed bytes fails here, not only run-to-run drift
 (see test_determinism_byte_identical). The inputs keep every printed
 digit clear of BEM round-off: at N = 64 the circle and the mild ellipse are
-resolved to machine precision, and the dipoles rows are tilted ellipses,
-because the circle's nu prints as round-off of order 1e-17. The two shape
-sweeps at N = 1024 and 512 are the exception: they print such round-off on
-purpose (the untilted ellipse's and the circles' nu), so they pin the bits
-of the folded Nystrom assembly and of the LU of its odd N/2 block, the only
-block built and factored, as well as the digits, and so does the jcal of
-the circle's resonance, which is 2 pi nu times a profile value.
-
-That round-off can also depend on the BLAS thread count, because the LU
-rounds differently on one thread than on two: of the two sweeps, the
-ellipse's N/2 = 512 blocks do, the circles' N/2 = 256 blocks did not on the
-machine that recorded them. The two shape sweeps were recorded with
-OpenBLAS on two threads, so they run in a child process with the thread
-count fixed at two, whatever the caller's environment says.
+resolved to machine precision. The two shape sweeps at N = 1024 and 512
+pin the two ways an ellipse's or a circle's dipoles are printed: an ellipse
+is solved untilted and its dipoles are tilted by theta0, and a circle or an
+untilted ellipse is mirror symmetric, so its system is split into two N/4
+blocks and its nu is exactly 0, as is the jcal of the circle's resonance,
+which is 2 pi nu times a profile value. Before the split these cells printed
+round-off that depended on the BLAS thread count; now every cell prints the
+same on one thread as on two.
 """
-
-import subprocess
-import sys
 
 import pytest
 
 from trapmodes.cli import main
 
-from test_cli import _child_env
-
 ELL = "--shape ellipse --a0 1.2 --b0 0.8 --theta0 0.3"
 THETA0_SWEEP = ("sweep --what dipoles --sweep theta0:-1.2:1.2:5 --shape ellipse "
                 "--a0 1.5 --b0 0.7 --N 1024")
 R_SWEEP = "sweep --what dipoles --sweep r:0.5:2.5:5 --N 512"
-BLAS_THREADS = {var: "2" for var in (
-    "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 SNAPSHOTS = [
     ("cutoffs",
@@ -66,7 +53,7 @@ SNAPSHOTS = [
      ),
     ("resonance --g 9.81 --N 64",
      "beta,b,k,side,a,epsilon,shape,mu,S,re_sigma,im_sigma,rcal,jcal,near_embedded,decay_rate,D,D1\n"
-     "0.5,1,1,U,0.5,0.01,circle,1,3.14159265359,0.00021594219566,7.27205773632e-09,-61.5469473611,-1.23040316041e-15,false,4.91846216409e-12,0.755515923468,4.69863028678\n"
+     "0.5,1,1,U,0.5,0.01,circle,1,3.14159265359,0.00021594219566,7.27205773632e-09,-61.5469473611,0,false,4.91846216409e-12,0.755515923468,4.69863028678\n"
      ),
     ("resonance --side L --N 64 --g 9.81",
      "beta,b,k,side,a,epsilon,shape,mu,S,re_sigma,im_sigma,rcal,jcal,near_embedded,decay_rate,D,D1\n"
@@ -129,17 +116,17 @@ SNAPSHOTS = [
      "shape,r,a0,b0,theta0,N,mu,kappa,nu,S,delta\n"
      "ellipse,,1.5,0.7,-1.2,1024,0.885546765162,1.53445323484,-0.297203799443,3.29867228627,0.592854065594\n"
      "ellipse,,1.5,0.7,-0.6,1024,1.36943741197,1.05056258803,-0.410097197826,3.29867228627,0.383369108665\n"
-     "ellipse,,1.5,0.7,0,1024,1.65,0.77,7.10495476312e-17,3.29867228627,0.318181818182\n"
+     "ellipse,,1.5,0.7,0,1024,1.65,0.77,0,3.29867228627,0.318181818182\n"
      "ellipse,,1.5,0.7,0.6,1024,1.36943741197,1.05056258803,0.410097197826,3.29867228627,0.383369108665\n"
      "ellipse,,1.5,0.7,1.2,1024,0.885546765162,1.53445323484,0.297203799443,3.29867228627,0.592854065594\n"
      ),
     (R_SWEEP,
      "shape,r,a0,b0,theta0,N,mu,kappa,nu,S,delta\n"
-     "circle,0.5,,,,512,0.25,0.25,-2.03598814137e-19,0.785398163397,0.5\n"
-     "circle,1,,,,512,1,1,-8.14395256548e-19,3.14159265359,0.5\n"
-     "circle,1.5,,,,512,2.25,2.25,1.17558603718e-17,7.06858347058,0.5\n"
-     "circle,2,,,,512,4,4,-3.25758102619e-18,12.5663706144,0.5\n"
-     "circle,2.5,,,,512,6.25,6.25,1.87446109612e-17,19.6349540849,0.5\n"
+     "circle,0.5,,,,512,0.25,0.25,0,0.785398163397,0.5\n"
+     "circle,1,,,,512,1,1,0,3.14159265359,0.5\n"
+     "circle,1.5,,,,512,2.25,2.25,0,7.06858347058,0.5\n"
+     "circle,2,,,,512,4,4,0,12.5663706144,0.5\n"
+     "circle,2.5,,,,512,6.25,6.25,0,19.6349540849,0.5\n"
      ),
 ]
 
@@ -148,19 +135,7 @@ SNAPSHOTS = [
                          ids=[args.replace(" ", "_") for args, _ in SNAPSHOTS])
 def test_csv_snapshot(args, expected, tmp_path, capsys):
     argv = args.split() + ["--out", str(tmp_path / "snap")]
-    if args in (THETA0_SWEEP, R_SWEEP):
-        out = _main_on_two_blas_threads(argv)
-    else:
-        assert main(argv) == 0
-        out = capsys.readouterr().out
+    assert main(argv) == 0
+    out = capsys.readouterr().out
     assert out == expected
     assert (tmp_path / "snap.csv").read_text() == expected
-
-
-def _main_on_two_blas_threads(argv):
-    """stdout of `python -m trapmodes.cli argv` with two BLAS threads."""
-    proc = subprocess.run([sys.executable, "-m", "trapmodes.cli", *argv],
-                          capture_output=True, text=True, timeout=120,
-                          env={**_child_env(), **BLAS_THREADS})
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout

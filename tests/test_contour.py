@@ -122,6 +122,15 @@ def test_analytic_ellipse_closed_forms():
     assert d1.nu == pytest.approx(0.75, rel=1e-14)
     # mu + kappa is tilt-invariant
     assert d1.mu + d1.kappa == pytest.approx(d0.mu + d0.kappa, rel=1e-14)
+    # tilt_dipoles turns the untilted dipoles into the tilted ones; at
+    # theta0 = 0, -0.0 too, it returns them as they are, nu = +0.0
+    for theta0 in (math.pi / 4.0, 0.7, -2.0):
+        got = contour_mod.tilt_dipoles(d0, theta0)
+        want = analytic_dipoles("ellipse", a0=2.0, b0=1.0, theta0=theta0)
+        for value, exact in ((got.mu, want.mu), (got.kappa, want.kappa), (got.nu, want.nu)):
+            assert value == pytest.approx(exact, rel=0.0, abs=1e-15 * want.mu)
+    for theta0 in (0.0, -0.0):
+        assert contour_mod.tilt_dipoles(d0, theta0) is d0
     with pytest.raises(ValidationError):
         analytic_dipoles("triangle")
 

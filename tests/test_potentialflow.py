@@ -25,7 +25,7 @@ from trapmodes import (
     make_fourier,
     read_fourier_file,
 )
-from trapmodes.contour import Contour
+from trapmodes.contour import Contour, tilt_dipoles
 from trapmodes.dispersion import ROOT_RTOL, lambda1
 
 from goldens import EGG, GOLD
@@ -134,11 +134,27 @@ def test_nu_symmetry_of_egg(egg):
 def _textbook_nodes(C, N):
     """X, Y and their first two derivatives on the N nodes, as assemble takes
     them: for a centrally symmetric C the first N/2 are evaluated and the
-    rest are their negation."""
+    rest are their negation; for one also mirror symmetric (X even and Y odd
+    in t) only t_0 ... t_{N/4} are, each other node is the image of one of
+    these under t -> -t, t -> pi - t or t -> t + pi, and the components
+    that are zero on the axes are exactly 0."""
     t = 2.0 * np.pi * np.arange(N) / N
     if not C.centrally_symmetric:
         return C.evaluate(t)
-    return [np.concatenate([v, -v]) for v in C.evaluate(t[:N // 2])]
+    h, q = N // 2, N // 4
+    if not C.mirror_symmetric:
+        return [np.concatenate([v, -v]) for v in C.evaluate(t[:h])]
+    x, y, xd, yd, xdd, ydd = (v.copy() for v in C.evaluate(t[:q + 1]))
+    y[0] = xd[0] = ydd[0] = 0.0
+    x[q] = yd[q] = xdd[q] = 0.0
+    j = np.arange(N)
+    # the node of t_0 ... t_{N/4} that t_j is the image of, and the signs of
+    # X, Y, X', Y', X'', Y'' under that image
+    source = np.select([j <= q, j < h, j <= h + q], [j, h - j, j - h], N - j)
+    signs = np.select([j <= q, j < h, j <= h + q],
+                      [1.0, [[-1.0], [1.0], [1.0], [-1.0], [-1.0], [1.0]], -1.0],
+                      [[1.0], [-1.0], [-1.0], [1.0], [1.0], [-1.0]])
+    return [sign * v[source] for v, sign in zip((x, y, xd, yd, xdd, ydd), signs)]
 
 
 def _textbook_kernel(C, N):
@@ -153,24 +169,47 @@ def _textbook_kernel(C, N):
     return (2.0 * np.pi / N) * K
 
 
-def _textbook_block(C, N):
-    """The matrix assemble factors: A = I + M, or for a centrally symmetric
-    C the odd block I + (L - R), where L and R are the column halves of M's
-    first N/2 rows (I is added after L - R, in the kernel's order)."""
+def _textbook_blocks(C, N):
+    """The blocks B of the matrices I + B assemble factors (I is added last,
+    in the kernel's order): M; for a centrally symmetric C the odd block
+    L - R, where L and R are the column halves of M's first N/2 rows; and for
+    one also mirror symmetric, that block's restrictions to vectors even
+    under t -> -t, v[N/2 - j] = -v[j] (so v[N/4] = 0), set by v[0 ... N/4 -
+    1], and odd ones, v[N/2 - j] = v[j] (so v[0] = 0), set by v[1 ... N/4]."""
     M = _textbook_kernel(C, N)
     if not C.centrally_symmetric:
-        return np.eye(N) + M
-    h = N // 2
-    return np.eye(h) + (M[:h, :h] - M[:h, h:])
+        return [M]
+    h, q = N // 2, N // 4
+    B = M[:h, :h] - M[:h, h:]
+    if not C.mirror_symmetric:
+        return [B]
+    even = B[:q, :q].copy()
+    even[:, 1:] -= B[:q, h - 1:q:-1]  # column j minus column N/2 - j
+    odd = B[1:q + 1, 1:q + 1].copy()
+    odd[:, :-1] += B[1:q + 1, h - 1:q:-1]
+    return [even, odd]
 
 
-def _textbook_solve(factor, f):
-    """lu_solve of f on the factor of _textbook_block; folded, f is odd,
-    f = [fo, -fo], and the solve is [uo, -uo]."""
-    if len(factor[1]) == len(f):
-        return lu_solve(factor, f)
-    h = len(f) // 2
-    uo = lu_solve(factor, (f[:h] - f[h:]) / 2)
+def _textbook_solve(factors, f):
+    """lu_solve of f on the factors of _textbook_blocks. Folded, f is odd,
+    f = [fo, -fo], and the solve is [uo, -uo]; split, f's parts even and odd
+    under t -> -t are solved on their own blocks and extended to the nodes."""
+    N = len(f)
+    if len(factors[0][1]) == N:
+        return lu_solve(factors[0], f)
+    h, q = N // 2, N // 4
+    if len(factors) == 1:
+        uo = lu_solve(factors[0], (f[:h] - f[h:]) / 2)
+        return np.concatenate([uo, -uo])
+    mirrored = f[-np.arange(N) % N]
+    even = lu_solve(factors[0], ((f + mirrored) / 2)[:q])
+    odd = lu_solve(factors[1], ((f - mirrored) / 2)[1:q + 1])
+    j = np.arange(q + 1, h)
+    uo = np.zeros(h)
+    uo[:q] = even
+    uo[j] = -even[h - j]
+    uo[1:q + 1] += odd
+    uo[j] += odd[h - j - 1]
     return np.concatenate([uo, -uo])
 
 
@@ -181,42 +220,62 @@ def _bits(a):
 _J3 = make_fourier([1.0, 0.1, 0.05], [0.0, 0.0, 0.02], [0.0, 0.03, 0.0], [0.9, 0.0, -0.04])
 _EGG = make_fourier(**EGG)
 _CIRCLE = make_circle(1.0)
+_ELLIPSE = make_ellipse(1.5, 0.7)
 _TILTED = make_ellipse(1.5, 0.7, 0.4)
+# odd harmonics only, X a cosine and Y a sine series: split like an ellipse
+_ODD_MIRROR = make_fourier([1.0, 0.0, 0.05], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.8, 0.0, -0.04])
+_SPLIT = (_CIRCLE, _ELLIPSE, _ODD_MIRROR)
+_PATHS = {"circle": _CIRCLE, "ellipse": _ELLIPSE, "odd_mirror": _ODD_MIRROR,
+          "tilted_ellipse": _TILTED, "fourier_J3": _J3, "egg": _EGG}
 
 
 @pytest.mark.parametrize("N", [32, 64, 256, 512, 1024])
-@pytest.mark.parametrize("C", [_CIRCLE, _TILTED, _J3, _EGG],
-                         ids=["circle", "tilted_ellipse", "fourier_J3", "egg"])
+@pytest.mark.parametrize("C", _PATHS.values(), ids=_PATHS.keys())
 def test_lu_matches_textbook_assembly_bit_for_bit(C, N):
     # the J = 3 section and the egg take the full path: one LU of I + M. The
-    # circle and the tilted ellipse are centrally symmetric: their factor is
-    # that of the odd block, N/2 x N/2
-    folded = C is _CIRCLE or C is _TILTED
+    # tilted ellipse is centrally symmetric: its factor is that of the odd
+    # block, N/2 x N/2. The circle, the untilted ellipse and the odd-harmonic
+    # section are also mirror symmetric: two N/4 x N/4 factors, built from
+    # N/4 + 1 kernel rows (9 at N = 32, fewer than one pass of 32; at N =
+    # 1024, 257, so the last pass holds one row)
+    split = any(C is S for S in _SPLIT)
+    folded = split or C is _TILTED
     assert C.centrally_symmetric == folded
+    assert (C.centrally_symmetric and C.mirror_symmetric) == split
     system = assemble(C, N)
-    A = _textbook_block(C, N)
-    want = lu_factor(A)
-    lu, piv = system.lu
-    assert lu.shape == want[0].shape == ((N // 2, N // 2) if folded else (N, N))
-    assert np.array_equal(_bits(lu), _bits(want[0]))
-    assert np.array_equal(piv, want[1])
+    for got, want in zip((system.x, system.y, system.xd, system.yd), _textbook_nodes(C, N)):
+        assert np.array_equal(_bits(got), _bits(want))
+    blocks = [np.eye(len(B)) + B for B in _textbook_blocks(C, N)]
+    want = [lu_factor(A) for A in blocks]
+    order = N // 4 if split else N // 2 if folded else N
+    assert len(system.factors) == len(want) == (2 if split else 1)
+    for (lu, piv), (want_lu, want_piv) in zip(system.factors, want):
+        assert lu.shape == want_lu.shape == (order, order)
+        assert np.array_equal(_bits(lu), _bits(want_lu))
+        assert np.array_equal(piv, want_piv)
     # the direct LAPACK calls against scipy.linalg's wrappers: the solves bit
     # for bit, the condition estimate to 1e-12 (its 1-norm moves in the last
     # bits from process to process). cos t is odd only as [c, -c]: cos of
-    # the float t_j + pi is not -cos t_j bit for bit
+    # the float t_j + pi is not -cos t_j bit for bit; cos 3t + sin t is
+    # neither even nor odd under t -> -t
     h = N // 2
     c = np.cos(system.t[:h])
+    mixed = np.cos(3.0 * system.t[:h]) + np.sin(system.t[:h])
+    odd = [np.concatenate([c, -c]), np.concatenate([mixed, -mixed])]
     cos_t = np.concatenate([c, -c]) if folded else np.cos(system.t)
     even = (np.ones(N), 1.0 + np.cos(system.t) + np.sin(2.0 * system.t))
-    for f in (system.x, system.y, cos_t) + (() if folded else even):
+    for f in [system.x, system.y, cos_t, *odd] + ([] if folded else list(even)):
         assert np.array_equal(_bits(apply_n0(system, f)), _bits(_textbook_solve(want, f)))
     for f in even if folded else ():
         with pytest.raises(ValidationError, match="f must be odd"):
             apply_n0(system, f)
-    gecon = get_lapack_funcs("gecon", (want[0],))
-    rcond, info = gecon(want[0], float(np.linalg.norm(A, 1)), norm="1")
-    assert info == 0
-    assert system.cond_estimate == pytest.approx(1.0 / rcond, rel=1e-12, abs=0.0)
+    conds = []
+    for A, (lu, _) in zip(blocks, want):
+        rcond, info = get_lapack_funcs("gecon", (lu,))(lu, float(np.linalg.norm(A, 1)),
+                                                       norm="1")
+        assert info == 0
+        conds.append(1.0 / rcond)
+    assert system.cond_estimate == pytest.approx(max(conds), rel=1e-12, abs=0.0)
     # the Gauss residual, from the column sums of the built rows, against
     # the textbook M's row sums
     M = _textbook_kernel(C, N)
@@ -225,23 +284,47 @@ def test_lu_matches_textbook_assembly_bit_for_bit(C, N):
 
 
 @pytest.mark.parametrize("N", [32, 256, 1024])
-@pytest.mark.parametrize("C", [_CIRCLE, _TILTED], ids=["circle", "tilted_ellipse"])
+@pytest.mark.parametrize("C", [_CIRCLE, _ELLIPSE, _ODD_MIRROR, _TILTED],
+                         ids=["circle", "ellipse", "odd_mirror", "tilted_ellipse"])
 def test_folded_nodes_make_the_matrix_shift_invariant(C, N):
     # with the second half of the nodes the first negated, M commutes with
     # the half-period shift bit for bit, so the two blocks are its exact
-    # block-diagonalisation
+    # block-diagonalisation; on a mirror symmetric section M also commutes
+    # with both reflections, t -> -t and t -> pi - t, bit for bit
     M, h = _textbook_kernel(C, N), N // 2
     assert np.array_equal(_bits(M[h:, h:]), _bits(M[:h, :h]))
     assert np.array_equal(_bits(M[h:, :h]), _bits(M[:h, h:]))
+    if C is _TILTED:
+        return
+    i = np.arange(N)
+    for image in (-i % N, (h - i) % N, (i + h) % N):
+        assert np.array_equal(_bits(M[np.ix_(image, image)]), _bits(M))
+
+
+@pytest.mark.parametrize("N", [64, 256, 1024])
+@pytest.mark.parametrize("C", _SPLIT, ids=["circle", "ellipse", "odd_mirror"])
+def test_half_resolution_kernel_is_the_even_subsample(C, N):
+    # t_{2i} at N is t_i at N/2 and 2 pi / (N/2) = 2 (2 pi / N), both
+    # exactly, so M_{N/2}[i, j] = 2 M_N[2i, 2j] bit for bit; so are the
+    # split blocks, and assemble's N/2 factors are those of the subsample
+    M = _textbook_kernel(C, N)
+    assert np.array_equal(_bits(_textbook_kernel(C, N // 2)), _bits(2.0 * M[::2, ::2]))
+    even, odd = _textbook_blocks(C, N)
+    sub = [np.eye(N // 8) + 2.0 * even[::2, ::2], np.eye(N // 8) + 2.0 * odd[1::2, 1::2]]
+    for (lu, piv), A in zip(assemble(C, N // 2).factors, sub):
+        want_lu, want_piv = lu_factor(A)
+        assert np.array_equal(_bits(lu), _bits(want_lu))
+        assert np.array_equal(piv, want_piv)
 
 
 @pytest.mark.parametrize("N", [64, 128, 256, 512, 1024])
-@pytest.mark.parametrize("C", [_CIRCLE, _TILTED, make_ellipse(2.0, 0.5, -0.9),
+@pytest.mark.parametrize("C", [_CIRCLE, _ELLIPSE, _TILTED, make_ellipse(2.0, 0.5, -0.9),
                                make_ellipse(1.0, 0.8, 1.3)],
-                         ids=["circle", "tilted_ellipse", "thin_ellipse", "round_ellipse"])
+                         ids=["circle", "ellipse", "tilted_ellipse", "thin_ellipse",
+                              "round_ellipse"])
 def test_folded_dipoles_match_the_whole_matrix_solve(C, N):
-    # mu, kappa and nu of the two half-size solves against lu_solve on the
-    # whole textbook I + M
+    # mu, kappa and nu of the half- or quarter-size solves against lu_solve
+    # on the whole textbook I + M
     system = assemble(C, N)
     got = dipoles_bem(system)
     lu = lu_factor(np.eye(N) + _textbook_kernel(C, N))
@@ -252,23 +335,88 @@ def test_folded_dipoles_match_the_whole_matrix_solve(C, N):
     nu = -w * float(np.dot(system.xd, u_x))
     for value, want in ((got.mu, mu), (got.kappa, kappa), (got.nu, nu)):
         assert abs(value - want) <= 1e-14 * mu
+    assert (got.nu == 0.0) == system.split
+
+
+def _orders(system):
+    return [lu.shape for lu, _ in system.factors]
+
+
+def _fold_only(monkeypatch):
+    """assemble then takes a mirror symmetric section down the fold."""
+    monkeypatch.setattr(Contour, "mirror_symmetric", property(lambda self: False))
+
+
+def _random_ellipses(count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        a0 = float(np.exp(rng.uniform(-1.0, 1.0)))
+        yield a0, a0 * float(rng.uniform(0.3, 1.0)), float(rng.uniform(-math.pi, math.pi))
+
+
+def test_split_dipoles_match_the_fold_and_the_closed_forms(monkeypatch):
+    # 300 random ellipses at N = 256: the split untilted ellipse's mu and
+    # kappa against the fold's, and, turned by tilt_dipoles, against the
+    # closed forms of the tilted ellipse
+    ellipses = list(_random_ellipses(300, seed=31))
+    split = [dipoles_bem(assemble(make_ellipse(a0, b0), 256)) for a0, b0, _ in ellipses]
+    for dip, (a0, b0, theta0) in zip(split, ellipses):
+        assert dip.nu == 0.0
+        got = tilt_dipoles(dip, theta0)
+        want = analytic_dipoles("ellipse", a0=a0, b0=b0, theta0=theta0)
+        for value, exact in ((got.mu, want.mu), (got.kappa, want.kappa), (got.nu, want.nu)):
+            assert abs(value - exact) <= 1e-14 * want.mu
+    _fold_only(monkeypatch)
+    for dip, (a0, b0, _) in zip(split, ellipses):
+        folded = dipoles_bem(assemble(make_ellipse(a0, b0), 256))
+        assert abs(folded.nu) <= 1e-14 * folded.mu
+        for value, want in ((dip.mu, folded.mu), (dip.kappa, folded.kappa)):
+            assert abs(value - want) <= 1e-14 * folded.mu
+
+
+@pytest.mark.parametrize("N", [32, 4096])
+@pytest.mark.parametrize("C", [_CIRCLE, _ELLIPSE], ids=["circle", "ellipse"])
+def test_split_matches_the_fold_at_the_ends_of_the_N_range(C, N, monkeypatch):
+    # N = 32 builds 9 kernel rows, fewer than one pass; N = 4096 builds
+    # 1025, 32 passes and a ragged one
+    split = assemble(C, N)
+    assert _orders(split) == [(N // 4, N // 4)] * 2
+    dip = dipoles_bem(split)
+    _fold_only(monkeypatch)
+    folded = assemble(C, N)
+    assert _orders(folded) == [(N // 2, N // 2)]
+    want = dipoles_bem(folded)
+    for value, exact in ((dip.mu, want.mu), (dip.kappa, want.kappa), (dip.nu, want.nu)):
+        assert abs(value - exact) <= 1e-14 * want.mu
+    assert abs(split.gauss_residual - folded.gauss_residual) <= 1e-12
 
 
 def test_fold_is_chosen_from_the_coefficients_exactly(tmp_path):
     # one even harmonic of 1e-300 breaks r(t + pi) = -r(t): the full path
     tiny = make_fourier([1.0, 1e-300], [0.0, 0.0], [0.0, 0.0], [0.6, 0.0])
     assert not tiny.centrally_symmetric
-    assert assemble(tiny, 64).lu[0].shape == (64, 64)
-    # an odd-only J = 3 file, and the same traversed clockwise: the fold
+    assert _orders(assemble(tiny, 64)) == [(64, 64)]
+    # one sin_x or cos_y of 1e-300 breaks r(-t) = (X(t), -Y(t)): the fold
+    for sin_x, cos_y in ((1e-300, 0.0), (0.0, 1e-300)):
+        C = make_fourier([1.0, 0.0, 0.05], [sin_x, 0.0, 0.0], [cos_y, 0.0, 0.0],
+                         [0.6, 0.0, -0.04])
+        assert C.centrally_symmetric and not C.mirror_symmetric
+        assert _orders(assemble(C, 64)) == [(32, 32)]
+    # odd-only J = 3 files, and the same traversed clockwise: the fold, or,
+    # with sin_x and cos_y zero (-0.0 too), the split
     path = tmp_path / "odd.txt"
-    for text, reversed_input in (
-            ("1.0 0.0 0.0 0.8\n0.0 0.0 0.0 0.0\n0.05 0.02 0.0 -0.04\n", False),
-            ("1.0 0.0 0.0 -0.8\n0.0 0.0 0.0 0.0\n0.05 -0.02 0.0 0.04\n", True)):
+    for text, reversed_input, orders in (
+            ("1.0 0.0 0.0 0.8\n0.0 0.0 0.0 0.0\n0.05 0.02 0.0 -0.04\n", False, [(32, 32)]),
+            ("1.0 0.0 0.0 -0.8\n0.0 0.0 0.0 0.0\n0.05 -0.02 0.0 0.04\n", True, [(32, 32)]),
+            ("1.0 -0.0 0.0 0.8\n0.0 0.0 0.0 0.0\n0.05 0.0 -0.0 -0.04\n", False,
+             [(16, 16)] * 2),
+            ("1.0 0.0 0.0 -0.8\n0.0 0.0 0.0 0.0\n0.05 0.0 0.0 0.04\n", True,
+             [(16, 16)] * 2)):
         path.write_text(text)
         C = read_fourier_file(path)
         assert C.reversed_input == reversed_input
         assert C.centrally_symmetric
-        assert assemble(C, 64).lu[0].shape == (32, 32)
+        assert _orders(assemble(C, 64)) == orders
 
 
 # Runs in a fresh interpreter, since the extension loader runs once per
@@ -296,7 +444,8 @@ f = lambda t: lambda1(t, fluid) - 1.0
 got = {}
 if name == "_flapack":
     system = assemble(make_fourier([1.0, 0.2], [0.0, 0.0], [0.0, 0.0], [1.3, 0.1]), 64)
-    got.update(lu=system.lu[0], piv=system.lu[1], n0x=apply_n0(system, system.x),
+    (lu, piv), = system.factors
+    got.update(lu=lu, piv=piv, n0x=apply_n0(system, system.x),
                n0y=apply_n0(system, system.y))
 else:
     got.update(root=brentq(f, 1.0, 4.0, xtol=1e-15, what="tau1"))
@@ -332,7 +481,7 @@ def test_extension_loader_in_either_import_order(case, package_loaded, searched,
     # is scipy.optimize.brentq's, bit for bit, and the subpackage still works
     # after. The egg is not centrally symmetric, so its LU is the whole I + M
     C, N = _EGG, 64
-    A = _textbook_block(C, N)
+    A = np.eye(N) + _textbook_kernel(C, N)
     np.save(tmp_path / "A.npy", A)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -387,6 +536,10 @@ def test_folded_assembly_peak_memory():
     # never allocated
     N = 1024
     assert _assembly_peak(make_ellipse(1.5, 0.7, 0.4), N) <= 0.5 * 8 * N * N
+    # a mirror symmetric one folds each block of rows on into its two N/4
+    # blocks, N^2 / 8 doubles together (about 0.28 N^2 doubles at the peak,
+    # with the scratch of one pass)
+    assert _assembly_peak(make_ellipse(1.5, 0.7), N) <= 0.3 * 8 * N * N
 
 
 @pytest.mark.parametrize("cos_x, cos_y, sin_y", [
@@ -410,13 +563,18 @@ def test_self_intersecting_contour_fails_the_gauss_law(cos_x, cos_y, sin_y):
 @pytest.mark.parametrize("N", [64, 256])
 def test_centrally_symmetric_crossing_curve_fails_the_gauss_law(N):
     # X = cos t, Y = sin 3t / 2 crosses itself at (+-1/2, 0) and has only odd
-    # harmonics, so it is folded: the column sums of L and R catch it
-    C = Contour(np.array([1.0, 0.0, 0.0]), np.zeros(3), np.zeros(3),
-                np.array([0.0, 0.0, 0.5]))
-    assert C.centrally_symmetric
-    with np.errstate(invalid="ignore", divide="ignore"):
-        with pytest.raises(ConsistencyError, match="discrete Gauss law violated"):
-            assemble(C, N)
+    # harmonics, X a cosine and Y a sine series, so it is split: the
+    # weighted column sums of its N/4 + 1 rows catch it. Turned by 0.3 it is
+    # only folded: the column sums of L and R catch it
+    for theta in (0.0, 0.3):
+        c, s = math.cos(theta), math.sin(theta)
+        C = Contour(np.array([c, 0.0, 0.0]), np.array([0.0, 0.0, 0.5 * s]),
+                    np.array([-s, 0.0, 0.0]), np.array([0.0, 0.0, 0.5 * c]))
+        assert C.centrally_symmetric
+        assert C.mirror_symmetric == (theta == 0.0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            with pytest.raises(ConsistencyError, match="discrete Gauss law violated"):
+                assemble(C, N)
 
 
 @pytest.mark.parametrize("r", [1e-160, 1e-152, 1e152, 1e160])
