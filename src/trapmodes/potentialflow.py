@@ -173,12 +173,11 @@ def assemble(C: Contour, N: int = 256) -> NystromSystem:
         # with OT[j, N/2] = -OT[j, 0]. ET holds rows j = 0 ... N/4 - 1 of
         # the even block and FT rows 1 ... N/4 of the odd one, each with a
         # spare row. The orbits of nodes 0 and N/4 have two members, the
-        # others four, so rows 0 of ET and N/4 of FT come out doubled, and
-        # the Gauss sums count those two kernel rows at half weight.
+        # others four, so their kernel rows are halved (exactly): then each
+        # row counts every column of M once in the Gauss sums, and rows 0
+        # of ET and N/4 of FT do not come out doubled.
         ET, FT = np.empty((n, q)), np.empty((n, q))
         odd = np.empty((step, h + 1))
-        weight = np.ones(n)
-        weight[[0, q]] = 0.5
     else:
         BT = np.empty((n, n))  # MT, or OT
     rows_out = np.empty((step, N)) if folded else None
@@ -203,7 +202,11 @@ def assemble(C: Contour, N: int = 256) -> NystromSystem:
         np.fill_diagonal(dx[:, rows], curvature[rows])
         dx *= 2.0 * np.pi / N
         if split:
-            colsum += weight[rows] @ dx
+            if start == 0:  # the rows of t_0 and t_{N/4}
+                dx[0] *= 0.5
+            if start + m == n:
+                dx[-1] *= 0.5
+            colsum += dx.sum(axis=0)
             np.subtract(dx[:, :h], dx[:, h:], out=odd[:m, :h])
             odd[:m, h] = -odd[:m, 0]
             np.subtract(odd[:m, :q], odd[:m, h:q:-1], out=ET[rows])
@@ -213,8 +216,8 @@ def assemble(C: Contour, N: int = 256) -> NystromSystem:
             np.subtract(dx[:, :h], dx[:, h:], out=BT[rows])
 
     # Row i of M sums to column i of MT, or folded to columns i and i + N/2
-    # of its first N/2 rows; split, to the weighted column sums at i and at
-    # its images under the shift and the two reflections. Each entry of MT,
+    # of its first N/2 rows; split, to the column sums at i and at its
+    # images under the shift and the two reflections. Each entry of MT,
     # or of L and R, is in one such sum, so a NaN or infinite entry fails
     # this guard and A reaches LAPACK finite without a separate scan (L - R
     # overflows only near 1e308).
@@ -229,13 +232,7 @@ def assemble(C: Contour, N: int = 256) -> NystromSystem:
             f"discrete Gauss law violated: residual {gauss_residual:.3e} "
             f"(N={N}); contour may be under-resolved"
         )
-    if split:
-        ET[0] *= 0.5  # exactly, since each entry is a - (-a) or a + a
-        FT[q] *= 0.5
-        blocks = (ET[:q], FT[1:])
-    else:
-        blocks = (BT,)
-    factored = [_factor(block) for block in blocks]
+    factored = [_factor(block) for block in ((ET[:q], FT[1:]) if split else (BT,))]
     return NystromSystem(
         contour=C, N=N, t=t, x=x, y=y, xd=xd, yd=yd,
         factors=tuple(f for f, _ in factored), gauss_residual=gauss_residual,
