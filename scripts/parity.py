@@ -34,8 +34,8 @@ BEM: an odd-harmonic (folded) Fourier file, the same file with an even
 harmonic of 1e-300 (whole), an odd-harmonic file with sin_x = cos_y = 0
 (split) and the same with a sin_x of 1e-300 (folded), a tilted ellipse at
 N = 1024, an ellipse and a circle at N = 32 (split, fewer rows than one
-kernel pass) and an ellipse at theta0 = -0 (nu prints 0); fluids at b k =
-1 with k = 1e-100 and 1e-159,
+kernel pass), an ellipse at theta0 = -0 and a theta0 sweep through 0 (nu
+prints 0); fluids at b k = 1 with k = 1e-100 and 1e-159,
 and at b = 1e300 with k = 1e10 and 1e50, where b k overflows; and a one-row
 run over a 50-row sweep's outputs.
 
@@ -211,8 +211,11 @@ BEM_PATHS = [
     ["dipoles", "--shape", "fourier", "--fourier-file", "odd_mirror_tiny.txt", *N],
     # split at N = 32: its N/4 + 1 = 9 rows are fewer than one pass of _BLOCK
     ["dipoles", "--N", "32"],
-    # an untilted ellipse prints nu = 0, at theta0 = -0 too
+    # an untilted ellipse prints nu = 0, at theta0 = -0 too, and at the middle
+    # point of a theta0 sweep through 0, which reuses the untilted dipoles
     ["dipoles", "--shape", "ellipse", "--a0", "1.3", "--b0", "0.6", "--theta0", "-0"],
+    ["sweep", "--what", "dipoles", "--sweep", "theta0:-0.6:0.6:3",
+     *SECTIONS["ellipse"], *N],
     ["resonance", "--shape", "ellipse", "--a0", "1.3", "--b0", "0.6", "--theta0", "0.4",
      "--N", "1024"],
     # an ellipse is split in its own frame at any tilt, here at N = 32

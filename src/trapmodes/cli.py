@@ -143,10 +143,12 @@ _SWEEPABLE = {name: tuple(params.split())
               for name, (_, _, params, _) in _TABLES.items()}
 SWEEP_TARGETS = tuple(_TABLES)
 COMMANDS = tuple(name for name in _TABLES if name != "f") + ("sweep",)
-# The run fields each section family reads; the shape parameters it ignores
-# are blank in its rows and not sweepable with it.
-_SECTIONS = {"circle": ("r",), "ellipse": ("a0", "b0", "theta0"),
-             "fourier": ("fourier_file",)}
+# The run fields each section family's untilted contour reads (_contour),
+# and all the fields it reads: an ellipse also reads its tilt. The shape
+# parameters a family ignores are blank in its rows and not sweepable with it.
+_CONTOUR_FIELDS = {"circle": ("r",), "ellipse": ("a0", "b0"),
+                   "fourier": ("fourier_file",)}
+_SECTIONS = {**_CONTOUR_FIELDS, "ellipse": ("a0", "b0", "theta0")}
 SHAPES = tuple(_SECTIONS)
 _UNUSED_SHAPE_FIELDS = {shape: tuple(f for fields in _SECTIONS.values()
                                      for f in fields if f not in own)
@@ -370,20 +372,22 @@ def _contour(run: RunConfig):
         raise ValidationError(f"fourier_file: {exc}") from exc
 
 
+def _record_dipoles(dip: DipoleStrengths, manifest: dict) -> DipoleStrengths:
+    manifest["dipoles"] = {c: getattr(dip, c) for c in _COMPUTED["dipoles"]}
+    return dip
+
+
 def _dipoles(run: RunConfig, manifest: dict) -> DipoleStrengths:
     """Stage 1: contour, Nystrom system and dipoles, recorded into the manifest.
 
     An ellipse is solved untilted, where it is symmetric about both axes and
-    assemble splits its system, and its dipoles are then tilted by theta0.
+    assemble splits its system; _Stages.dipoles tilts its dipoles by theta0.
     """
     C = _contour(run)
     system = assemble(C, run.N)
-    dip = dipoles_bem(system)
-    if run.shape == "ellipse":
-        dip = tilt_dipoles(dip, run.theta0)
+    dip = _record_dipoles(dipoles_bem(system), manifest)
     manifest["bem"] = {"N": run.N, "gauss_residual": system.gauss_residual,
                        "cond_estimate": system.cond_estimate}
-    manifest["dipoles"] = {c: getattr(dip, c) for c in _COMPUTED["dipoles"]}
     if run.shape == "fourier":
         manifest["inputs"]["fourier_coefficients"] = [
             list(map(float, C.cos_x)), list(map(float, C.sin_x)),
@@ -401,11 +405,13 @@ def _context(cfg: FluidConfig, manifest: dict) -> SpectralContext:
 class _Stages:
     """The two stages of one main() call, each run again only on new inputs.
 
-    The dipoles depend on the section alone and the spectral context on the
-    fluid alone, so a sweep over a fluid parameter, the submergence or
-    epsilon builds one BEM, and a sweep over a shape parameter solves one
-    context. A stage whose inputs equal those of its previous run returns
-    that run's value; the manifest blocks that run wrote still describe it.
+    The dipoles depend on the untilted section alone and the spectral
+    context on the fluid alone, so a sweep over a fluid parameter, the
+    submergence, epsilon or theta0 builds one BEM, and a sweep over a shape
+    parameter solves one context. A stage whose inputs equal those of its
+    previous run returns that run's value; the manifest blocks that run
+    wrote still describe it, except an ellipse's dipoles block, which is
+    tilted by theta0 and rewritten at every point.
     Only the last (inputs, value) pair of each stage is kept, and only the
     small result: the contour and the Nystrom system (its LU factors)
     are dropped after each run. The state lives for one main() call, so a
@@ -426,9 +432,13 @@ class _Stages:
 
     def dipoles(self, run: RunConfig) -> DipoleStrengths:
         # the fields _contour and assemble read
-        inputs = (run.shape, run.N, *(getattr(run, f) for f in _SECTIONS[run.shape]))
-        return self._run_on_new_inputs(
+        inputs = (run.shape, run.N,
+                  *(getattr(run, f) for f in _CONTOUR_FIELDS[run.shape]))
+        dip = self._run_on_new_inputs(
             "dipoles", inputs, lambda: _dipoles(run, self.manifest))
+        if run.shape != "ellipse":
+            return dip
+        return _record_dipoles(tilt_dipoles(dip, run.theta0), self.manifest)
 
     def context(self, run: RunConfig) -> SpectralContext:
         cfg = _fluid(run)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import trapmodes.cli as cli_mod
+from trapmodes import analytic_dipoles
 from trapmodes.cli import _SWEEPABLE, main
 
 from goldens import EGG
@@ -27,6 +28,11 @@ RANGES = {"beta": (0.1, 0.9), "b": (0.6, 2.0), "k": (0.5, 2.0),
 # whole grid, so its rows are not point runs.
 PAIRS = [(what, param) for what, params in _SWEEPABLE.items() if what != "f"
          for param in params]
+# (what, param, start, stop, count) of each sweep; the last one's middle
+# point is theta0 = 0, where the untilted dipoles cached from theta0 = -0.6
+# come back untouched, nu = +0.0
+SWEEPS = [(what, param, *RANGES[param], 4) for what, param in PAIRS] + [
+    ("dipoles", "theta0", -0.6, 0.6, 3)]
 
 
 def _csv_lines(argv, out):
@@ -34,19 +40,21 @@ def _csv_lines(argv, out):
     return out.with_suffix(".csv").read_text().splitlines()
 
 
-@pytest.mark.parametrize("what, param", PAIRS,
-                         ids=[f"{w}-{p}" for w, p in PAIRS])
-def test_sweep_rows_equal_point_runs(what, param, tmp_path, capsys):
+@pytest.mark.parametrize("what, param, lo, hi, count", SWEEPS,
+                         ids=[f"{w}-{p}" for w, p in PAIRS] + ["dipoles-theta0-through-0"])
+def test_sweep_rows_equal_point_runs(what, param, lo, hi, count, tmp_path, capsys):
     section = ["--shape", "circle"] if param == "r" else ELL
-    lo, hi = RANGES[param]
     sweep = _csv_lines(["sweep", "--what", what, "--sweep",
-                        f"{param}:{lo}:{hi}:4", *section], tmp_path / "sweep")
-    assert len(sweep) == 5
-    for i, v in enumerate(np.linspace(lo, hi, 4)):
+                        f"{param}:{lo}:{hi}:{count}", *section], tmp_path / "sweep")
+    assert len(sweep) == count + 1
+    for i, v in enumerate(np.linspace(lo, hi, count)):
         point = _csv_lines([what, *section, f"--{param}", repr(float(v))],
                            tmp_path / f"point{i}")
         assert point[0] == sweep[0]
         assert sweep[i + 1] == point[1], (param, float(v))
+    if lo < 0.0 < hi:
+        row = dict(zip(sweep[0].split(","), sweep[count // 2 + 1].split(",")))
+        assert (row["theta0"], row["nu"]) == ("0", "0")
     capsys.readouterr()
 
 
@@ -68,6 +76,9 @@ def calls(monkeypatch):
 @pytest.mark.parametrize("argv, n_assemble, n_context", [
     (["sweep", "--what", "trapped", "--sweep", "beta:0.1:0.9:50"], 1, 50),
     (["sweep", "--what", "resonance", "--sweep", "a0:0.9:1.7:50", *ELL], 50, 1),
+    # a tilt only rotates the untilted section's dipoles: one BEM
+    (["sweep", "--what", "dipoles", "--sweep", "theta0:0:1.2:50", *ELL], 1, 0),
+    (["sweep", "--what", "resonance", "--sweep", "theta0:0:1.2:50", *ELL], 1, 1),
     (["sweep", "--what", "embedded", "--sweep", "epsilon:0.005:0.05:5"], 1, 1),
     (["sweep", "--what", "f", "--sweep", "a:0.1:0.9:5"], 1, 1),
     # the stages stay lazy: a cutoffs sweep reads no section
@@ -75,7 +86,8 @@ def calls(monkeypatch):
       "--sweep", "k:0.5:2:4"], 0, 4),
     (["trapped"], 1, 1),
     (["cutoffs"], 0, 1),
-], ids=["beta", "a0", "epsilon", "f", "cutoffs-fourier", "point", "cutoffs"])
+], ids=["beta", "a0", "theta0-dipoles", "theta0-resonance", "epsilon", "f",
+        "cutoffs-fourier", "point", "cutoffs"])
 def test_stage_runs(argv, n_assemble, n_context, calls, tmp_path, capsys):
     out = tmp_path / "run"
     assert main(argv + ["--N", "64", "--out", str(out)]) == 0
@@ -85,6 +97,30 @@ def test_stage_runs(argv, n_assemble, n_context, calls, tmp_path, capsys):
                                       "spectral_context": n_context}
     assert "stage_runs" not in capsys.readouterr().out
     assert "stage_runs" not in out.with_suffix(".csv").read_text()
+
+
+@pytest.mark.parametrize("what", ["dipoles", "resonance"])
+def test_theta0_sweep_manifest_describes_its_last_point(what, tmp_path, capsys):
+    """The dipoles block (which _row_dipoles reads) and the bem block of a
+    theta0 sweep that built one BEM are those of a point run at the last
+    grid value."""
+    manifests = []
+    for argv in (["sweep", "--what", what, "--sweep", "theta0:-0.6:1.2:5"],
+                 [what, "--theta0", "1.2"]):
+        out = tmp_path / argv[0]
+        assert main(argv + ELL[:-2] + ["--N", "64", "--out", str(out)]) == 0
+        manifests.append(json.loads(out.with_suffix(".manifest.json").read_text()))
+    sweep, point = manifests
+    assert sweep["stage_runs"]["dipoles"] == 1
+    assert sweep["dipoles"] == point["dipoles"]
+    # tilted, not the untilted dipoles the stage keeps
+    tilted = analytic_dipoles("ellipse", a0=1.2, b0=0.8, theta0=1.2)
+    assert {c: sweep["dipoles"][c] for c in ("mu", "kappa", "nu", "S")} == \
+        pytest.approx(vars(tilted), rel=1e-12)
+    # LAPACK's condition estimate may move in its last bits between runs
+    assert sweep["bem"] == {**point["bem"], "cond_estimate": pytest.approx(
+        point["bem"]["cond_estimate"], rel=1e-12)}
+    capsys.readouterr()
 
 
 def test_fourier_file_reread_per_call(calls, tmp_path, capsys):
