@@ -1,10 +1,11 @@
 """A sweep reruns each CLI stage only when that stage's own inputs change.
 
-The dipoles depend on the section and N alone, the spectral context on
-(beta, b, k) alone. A stage whose inputs did not change between two grid
-points returns its previous value, so every sweep row must still equal the
-row the single-point command prints at that grid value: an input missing
-from a stage's key would show here as a stale row.
+The dipoles depend on the untilted section and N alone (an ellipse's tilt
+turns them at every point), the spectral context on (beta, b, k) alone. A
+stage whose inputs did not change between two grid points returns its
+previous value, so every sweep row must still equal the row the
+single-point command prints at that grid value: an input missing from a
+stage's key would show here as a stale row.
 """
 
 import json
@@ -108,6 +109,7 @@ def test_theta0_sweep_manifest_describes_its_last_point(what, tmp_path, capsys):
     for argv in (["sweep", "--what", what, "--sweep", "theta0:-0.6:1.2:5"],
                  [what, "--theta0", "1.2"]):
         out = tmp_path / argv[0]
+        # ELL without its --theta0
         assert main(argv + ELL[:-2] + ["--N", "64", "--out", str(out)]) == 0
         manifests.append(json.loads(out.with_suffix(".manifest.json").read_text()))
     sweep, point = manifests
