@@ -29,11 +29,11 @@ test of a tiny section, oversize sweep grid and N, help and version paths;
 a bad value in a field the table ignores, and sweeps whose late point breaks
 a rule; both paths of the contour's simplicity check: a non-convex (bean)
 and a clockwise Fourier file, and ellipses of aspect 1e5 (convex
-certificate) and 1e6 (crossing grid, rejected); the three paths of the
-BEM: an odd-harmonic (folded) Fourier file, the same file with an even
-harmonic of 1e-300 (whole), an odd-harmonic file with sin_x = cos_y = 0
-(split) and the same with a sin_x of 1e-300 (folded), a tilted ellipse at
-N = 1024, an ellipse and a circle at N = 32 (split, fewer rows than one
+certificate) and 1e6 (crossing grid, rejected); the two paths of the
+BEM: an odd-harmonic Fourier file with a nonzero sin_x (whole, though
+centrally symmetric), the same file with an even harmonic of 1e-300
+(whole), an odd-harmonic file with sin_x = cos_y = 0 (split) and the same
+with a sin_x of 1e-300 (whole), a tilted ellipse at N = 1024, an ellipse and a circle at N = 32 (split, fewer rows than one
 kernel pass), an ellipse at theta0 = -0 and a theta0 sweep through 0 (nu
 prints 0); fluids at b k = 1 with k = 1e-100 and 1e-159,
 and at b = 1e300 with k = 1e10 and 1e50, where b k overflows; and a one-row
@@ -108,14 +108,14 @@ INPUT_FILES = {
     "bean.txt": "1.0 0.0 0.0 0.6\n0.0 0.0 0.3 0.0\n",
     # section.txt traversed clockwise (t -> -t)
     "clockwise.txt": "1.0 0.0 0.0 -0.8\n0.1 0.0 0.0 -0.05\n0.0 -0.02 0.03 0.0\n",
-    # odd harmonics only, so r(t + pi) = -r(t): the BEM folds it
+    # odd harmonics only, so r(t + pi) = -r(t), but a sin_x: the whole BEM
     "odd.txt": "1.0 0.0 0.0 0.8\n0.0 0.0 0.0 0.0\n0.05 0.02 0.0 -0.04\n",
     # odd.txt with one even harmonic of 1e-300: the whole BEM
     "odd_tiny.txt": "1.0 0.0 0.0 0.8\n1e-300 0.0 0.0 0.0\n0.05 0.02 0.0 -0.04\n",
     # odd harmonics, X a cosine and Y a sine series (sin_x = cos_y = 0), so
     # also r(-t) = (X(t), -Y(t)): the BEM splits it
     "odd_mirror.txt": "1.0 0.0 0.0 0.8\n0.0 0.0 0.0 0.0\n0.05 0.0 0.0 -0.04\n",
-    # odd_mirror.txt with a sin_x of 1e-300: folded, not split
+    # odd_mirror.txt with a sin_x of 1e-300: the whole BEM, not split
     "odd_mirror_tiny.txt": "1.0 1e-300 0.0 0.8\n0.0 0.0 0.0 0.0\n0.05 0.0 0.0 -0.04\n",
     "run.cfg": "# a non-default fluid and section\nbeta = 0.3\nb = 2\nk = 0.7\n"
                "a = 0.6\nepsilon = 0.02\nshape = ellipse\na0 = 1.3\nb0 = 0.9\n",
@@ -200,10 +200,10 @@ CONTOUR_PATHS = [
     # not certified; the grid refuses it as self-intersecting
     ["dipoles", "--shape", "ellipse", "--a0", "1", "--b0", "1e-6"],
 ]
-# the three BEM paths: a centrally symmetric section is solved on its odd
-# half-size block, one also symmetric under t -> -t (a circle, an ellipse in
-# its own frame) on two quarter-size blocks, and a section with any even
-# harmonic, however small, as a whole
+# the two BEM paths: a section symmetric about both axes (a circle, an
+# ellipse in its own frame) is solved on two quarter-size blocks, and any
+# other, one with a single sin_x, cos_y or even harmonic of 1e-300 included,
+# as a whole
 BEM_PATHS = [
     ["dipoles", "--shape", "fourier", "--fourier-file", "odd.txt", *N],
     ["dipoles", "--shape", "fourier", "--fourier-file", "odd_tiny.txt", *N],

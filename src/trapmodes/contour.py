@@ -90,14 +90,11 @@ class Contour:
         return len(self.cos_x)
 
     @property
-    def centrally_symmetric(self) -> bool:
-        """r(t + pi) = -r(t): every even harmonic compares equal to zero."""
-        return not any(np.any(c[1::2]) for c in (self.cos_x, self.sin_x, self.cos_y, self.sin_y))
-
-    @property
-    def mirror_symmetric(self) -> bool:
-        """r(-t) = (X(t), -Y(t)): every sin_x and cos_y compares equal to zero."""
-        return not (np.any(self.sin_x) or np.any(self.cos_y))
+    def symmetric_about_both_axes(self) -> bool:
+        """r(-t) = (X(t), -Y(t)) and r(t + pi) = -r(t): every sin_x and cos_y,
+        and every even harmonic of cos_x and sin_y, compares equal to zero."""
+        return not (np.any(self.sin_x) or np.any(self.cos_y)
+                    or np.any(self.cos_x[1::2]) or np.any(self.sin_y[1::2]))
 
     def evaluate(self, t):
         """Point, velocity and acceleration at t: (X, Y, X', Y', X'', Y'').

@@ -16,6 +16,7 @@ import pytest
 import trapmodes.cli as cli_mod
 from trapmodes import analytic_dipoles
 from trapmodes.cli import _SWEEPABLE, main
+from trapmodes.potentialflow import assemble
 
 from goldens import EGG
 
@@ -140,6 +141,32 @@ def test_fourier_file_reread_per_call(calls, tmp_path, capsys):
         mus.append(manifest["dipoles"]["mu"])
     assert calls["assemble"] == 2
     assert mus[0] != mus[1]
+    capsys.readouterr()
+
+
+_THETA0S = ("0", "-0", "0.4")
+
+
+@pytest.mark.parametrize("argv", [
+    ["dipoles", "--shape", "circle"],
+    *([what, *ELL[:-1], theta0] for what in ("dipoles", "trapped") for theta0 in _THETA0S),
+    ["sweep", "--what", "dipoles", "--sweep", "theta0:-0.6:0.6:3", *ELL[:-2]],
+    ["sweep", "--what", "f", "--sweep", "a:0.1:0.9:5", *ELL],
+], ids=["circle", *(f"{what}-theta0={theta0}" for what in ("dipoles", "trapped")
+                    for theta0 in _THETA0S), "theta0-sweep", "f-tilted"])
+def test_every_circle_and_ellipse_is_split(argv, monkeypatch, tmp_path, capsys):
+    """The CLI hands assemble circles and untilted ellipses only, which it
+    splits into two N/4 blocks; a tilted contour would be factored whole."""
+    split = []
+
+    def recording(*args, **kwargs):
+        system = assemble(*args, **kwargs)
+        split.append(system.split)
+        return system
+
+    monkeypatch.setattr(cli_mod, "assemble", recording)
+    assert main(argv + ["--N", "64", "--out", str(tmp_path / "run")]) == 0
+    assert split and all(split), split
     capsys.readouterr()
 
 

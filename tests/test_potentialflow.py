@@ -54,8 +54,8 @@ def test_apply_n0_constant(unit_circle, egg):
     sys = assemble(egg, 64)
     out = apply_n0(sys, np.ones(64))
     assert np.allclose(out, 0.5, atol=1e-13)
-    # the folded circle factors only its odd block, so it refuses the
-    # constant, which is even
+    # the split circle factors only the two parts of its odd block, so it
+    # refuses the constant, which is even
     with pytest.raises(ValidationError, match="f must be odd"):
         apply_n0(assemble(unit_circle, 64), np.ones(64))
     with pytest.raises(ValidationError):
@@ -133,17 +133,14 @@ def test_nu_symmetry_of_egg(egg):
 
 def _textbook_nodes(C, N):
     """X, Y and their first two derivatives on the N nodes, as assemble takes
-    them: for a centrally symmetric C the first N/2 are evaluated and the
-    rest are their negation; for one also mirror symmetric (X even and Y odd
-    in t) only t_0 ... t_{N/4} are, each other node is the image of one of
-    these under t -> -t, t -> pi - t or t -> t + pi, and the components
-    that are zero on the axes are exactly 0."""
+    them: for a C symmetric about both axes (X even and Y odd in t, both odd
+    under t -> t + pi) only t_0 ... t_{N/4} are evaluated, each other node is
+    the image of one of these under t -> -t, t -> pi - t or t -> t + pi, and
+    the components that are zero on the axes are exactly 0."""
     t = 2.0 * np.pi * np.arange(N) / N
-    if not C.centrally_symmetric:
+    if not C.symmetric_about_both_axes:
         return C.evaluate(t)
     h, q = N // 2, N // 4
-    if not C.mirror_symmetric:
-        return [np.concatenate([v, -v]) for v in C.evaluate(t[:h])]
     x, y, xd, yd, xdd, ydd = (v.copy() for v in C.evaluate(t[:q + 1]))
     y[0] = xd[0] = ydd[0] = 0.0
     x[q] = yd[q] = xdd[q] = 0.0
@@ -171,18 +168,16 @@ def _textbook_kernel(C, N):
 
 def _textbook_blocks(C, N):
     """The blocks B of the matrices I + B assemble factors (I is added last,
-    in the kernel's order): M; for a centrally symmetric C the odd block
-    L - R, where L and R are the column halves of M's first N/2 rows; and for
-    one also mirror symmetric, that block's restrictions to vectors even
-    under t -> -t, v[N/2 - j] = -v[j] (so v[N/4] = 0), set by v[0 ... N/4 -
-    1], and odd ones, v[N/2 - j] = v[j] (so v[0] = 0), set by v[1 ... N/4]."""
+    in the kernel's order): M; or, for a C symmetric about both axes, the
+    restrictions of the odd block L - R (L and R: the column halves of M's
+    first N/2 rows) to vectors even under t -> -t, v[N/2 - j] = -v[j] (so
+    v[N/4] = 0), set by v[0 ... N/4 - 1], and odd ones, v[N/2 - j] = v[j]
+    (so v[0] = 0), set by v[1 ... N/4]."""
     M = _textbook_kernel(C, N)
-    if not C.centrally_symmetric:
+    if not C.symmetric_about_both_axes:
         return [M]
     h, q = N // 2, N // 4
     B = M[:h, :h] - M[:h, h:]
-    if not C.mirror_symmetric:
-        return [B]
     even = B[:q, :q].copy()
     even[:, 1:] -= B[:q, h - 1:q:-1]  # column j minus column N/2 - j
     odd = B[1:q + 1, 1:q + 1].copy()
@@ -191,16 +186,13 @@ def _textbook_blocks(C, N):
 
 
 def _textbook_solve(factors, f):
-    """lu_solve of f on the factors of _textbook_blocks. Folded, f is odd,
-    f = [fo, -fo], and the solve is [uo, -uo]; split, f's parts even and odd
-    under t -> -t are solved on their own blocks and extended to the nodes."""
+    """lu_solve of f on the factors of _textbook_blocks. Split, f is odd,
+    f = [fo, -fo], the solve is [uo, -uo], and f's parts even and odd under
+    t -> -t are solved on their own blocks and extended to the nodes."""
     N = len(f)
-    if len(factors[0][1]) == N:
+    if len(factors) == 1:
         return lu_solve(factors[0], f)
     h, q = N // 2, N // 4
-    if len(factors) == 1:
-        uo = lu_solve(factors[0], (f[:h] - f[h:]) / 2)
-        return np.concatenate([uo, -uo])
     mirrored = f[-np.arange(N) % N]
     even = lu_solve(factors[0], ((f + mirrored) / 2)[:q])
     odd = lu_solve(factors[1], ((f - mirrored) / 2)[1:q + 1])
@@ -232,22 +224,19 @@ _PATHS = {"circle": _CIRCLE, "ellipse": _ELLIPSE, "odd_mirror": _ODD_MIRROR,
 @pytest.mark.parametrize("N", [32, 64, 256, 512, 1024])
 @pytest.mark.parametrize("C", _PATHS.values(), ids=_PATHS.keys())
 def test_lu_matches_textbook_assembly_bit_for_bit(C, N):
-    # the J = 3 section and the egg take the full path: one LU of I + M. The
-    # tilted ellipse is centrally symmetric: its factor is that of the odd
-    # block, N/2 x N/2. The circle, the untilted ellipse and the odd-harmonic
-    # section are also mirror symmetric: two N/4 x N/4 factors, built from
-    # N/4 + 1 kernel rows (9 at N = 32, fewer than one pass of 32; at N =
-    # 1024, 257, so the last pass holds one row)
+    # the J = 3 section, the egg and the tilted ellipse take the whole path:
+    # one LU of I + M. The circle, the untilted ellipse and the odd-harmonic
+    # section are symmetric about both axes: two N/4 x N/4 factors, built
+    # from N/4 + 1 kernel rows (9 at N = 32, fewer than one pass of 32; at
+    # N = 1024, 257, so the last pass holds one row)
     split = any(C is S for S in _SPLIT)
-    folded = split or C is _TILTED
-    assert C.centrally_symmetric == folded
-    assert (C.centrally_symmetric and C.mirror_symmetric) == split
+    assert C.symmetric_about_both_axes == split
     system = assemble(C, N)
     for got, want in zip((system.x, system.y, system.xd, system.yd), _textbook_nodes(C, N)):
         assert np.array_equal(_bits(got), _bits(want))
     blocks = [np.eye(len(B)) + B for B in _textbook_blocks(C, N)]
     want = [lu_factor(A) for A in blocks]
-    order = N // 4 if split else N // 2 if folded else N
+    order = N // 4 if split else N
     assert len(system.factors) == len(want) == (2 if split else 1)
     for (lu, piv), (want_lu, want_piv) in zip(system.factors, want):
         assert lu.shape == want_lu.shape == (order, order)
@@ -262,11 +251,11 @@ def test_lu_matches_textbook_assembly_bit_for_bit(C, N):
     c = np.cos(system.t[:h])
     mixed = np.cos(3.0 * system.t[:h]) + np.sin(system.t[:h])
     odd = [np.concatenate([c, -c]), np.concatenate([mixed, -mixed])]
-    cos_t = np.concatenate([c, -c]) if folded else np.cos(system.t)
+    cos_t = np.concatenate([c, -c]) if split else np.cos(system.t)
     even = (np.ones(N), 1.0 + np.cos(system.t) + np.sin(2.0 * system.t))
-    for f in [system.x, system.y, cos_t, *odd] + ([] if folded else list(even)):
+    for f in [system.x, system.y, cos_t, *odd] + ([] if split else list(even)):
         assert np.array_equal(_bits(apply_n0(system, f)), _bits(_textbook_solve(want, f)))
-    for f in even if folded else ():
+    for f in even if split else ():
         with pytest.raises(ValidationError, match="f must be odd"):
             apply_n0(system, f)
     conds = []
@@ -284,18 +273,13 @@ def test_lu_matches_textbook_assembly_bit_for_bit(C, N):
 
 
 @pytest.mark.parametrize("N", [32, 256, 1024])
-@pytest.mark.parametrize("C", [_CIRCLE, _ELLIPSE, _ODD_MIRROR, _TILTED],
-                         ids=["circle", "ellipse", "odd_mirror", "tilted_ellipse"])
+@pytest.mark.parametrize("C", _SPLIT, ids=["circle", "ellipse", "odd_mirror"])
 def test_folded_nodes_make_the_matrix_shift_invariant(C, N):
-    # with the second half of the nodes the first negated, M commutes with
-    # the half-period shift bit for bit, so the two blocks are its exact
-    # block-diagonalisation; on a mirror symmetric section M also commutes
-    # with both reflections, t -> -t and t -> pi - t, bit for bit
+    # with the nodes t_{N/2 - j} and the second half of the nodes sign flips
+    # of t_0 ... t_{N/4}, M commutes with the half-period shift and both
+    # reflections, t -> -t and t -> pi - t, bit for bit, so the two blocks
+    # are its exact block-diagonalisation
     M, h = _textbook_kernel(C, N), N // 2
-    assert np.array_equal(_bits(M[h:, h:]), _bits(M[:h, :h]))
-    assert np.array_equal(_bits(M[h:, :h]), _bits(M[:h, h:]))
-    if C is _TILTED:
-        return
     i = np.arange(N)
     for image in (-i % N, (h - i) % N, (i + h) % N):
         assert np.array_equal(_bits(M[np.ix_(image, image)]), _bits(M))
@@ -323,8 +307,9 @@ def test_half_resolution_kernel_is_the_even_subsample(C, N):
                          ids=["circle", "ellipse", "tilted_ellipse", "thin_ellipse",
                               "round_ellipse"])
 def test_folded_dipoles_match_the_whole_matrix_solve(C, N):
-    # mu, kappa and nu of the half- or quarter-size solves against lu_solve
-    # on the whole textbook I + M
+    # mu, kappa and nu of the quarter-size solves of a split section, and of
+    # the whole solve of a tilted one, against lu_solve on the whole
+    # textbook I + M
     system = assemble(C, N)
     got = dipoles_bem(system)
     lu = lu_factor(np.eye(N) + _textbook_kernel(C, N))
@@ -342,9 +327,9 @@ def _orders(system):
     return [lu.shape for lu, _ in system.factors]
 
 
-def _fold_only(monkeypatch):
-    """assemble then takes a mirror symmetric section down the fold."""
-    monkeypatch.setattr(Contour, "mirror_symmetric", property(lambda self: False))
+def _whole_only(monkeypatch):
+    """assemble then factors the whole I + M of a section it would split."""
+    monkeypatch.setattr(Contour, "symmetric_about_both_axes", property(lambda self: False))
 
 
 def _random_ellipses(count, seed):
@@ -356,8 +341,8 @@ def _random_ellipses(count, seed):
 
 def test_split_dipoles_match_the_fold_and_the_closed_forms(monkeypatch):
     # 300 random ellipses at N = 256: the split untilted ellipse's mu and
-    # kappa against the fold's, and, turned by tilt_dipoles, against the
-    # closed forms of the tilted ellipse
+    # kappa against the whole I + M's, and, turned by tilt_dipoles, against
+    # the closed forms of the tilted ellipse
     ellipses = list(_random_ellipses(300, seed=31))
     split = [dipoles_bem(assemble(make_ellipse(a0, b0), 256)) for a0, b0, _ in ellipses]
     for dip, (a0, b0, theta0) in zip(split, ellipses):
@@ -366,48 +351,55 @@ def test_split_dipoles_match_the_fold_and_the_closed_forms(monkeypatch):
         want = analytic_dipoles("ellipse", a0=a0, b0=b0, theta0=theta0)
         for value, exact in ((got.mu, want.mu), (got.kappa, want.kappa), (got.nu, want.nu)):
             assert abs(value - exact) <= 1e-14 * want.mu
-    _fold_only(monkeypatch)
+    _whole_only(monkeypatch)
     for dip, (a0, b0, _) in zip(split, ellipses):
-        folded = dipoles_bem(assemble(make_ellipse(a0, b0), 256))
-        assert abs(folded.nu) <= 1e-14 * folded.mu
-        for value, want in ((dip.mu, folded.mu), (dip.kappa, folded.kappa)):
-            assert abs(value - want) <= 1e-14 * folded.mu
+        whole = dipoles_bem(assemble(make_ellipse(a0, b0), 256))
+        assert abs(whole.nu) <= 1e-14 * whole.mu
+        for value, want in ((dip.mu, whole.mu), (dip.kappa, whole.kappa)):
+            assert abs(value - want) <= 1e-14 * whole.mu
 
 
 @pytest.mark.parametrize("N", [32, 4096])
 @pytest.mark.parametrize("C", [_CIRCLE, _ELLIPSE], ids=["circle", "ellipse"])
 def test_split_matches_the_fold_at_the_ends_of_the_N_range(C, N, monkeypatch):
-    # N = 32 builds 9 kernel rows, fewer than one pass; N = 4096 builds
-    # 1025, 32 passes and a ragged one
+    # N = 32 builds 9 kernel rows, fewer than one pass, and is checked
+    # against the whole I + M; N = 4096 builds 1025, 32 passes and a ragged
+    # one, and is checked against the closed forms, which it resolves to
+    # round-off (a whole 4096 x 4096 LU would take over a second)
     split = assemble(C, N)
     assert _orders(split) == [(N // 4, N // 4)] * 2
     dip = dipoles_bem(split)
-    _fold_only(monkeypatch)
-    folded = assemble(C, N)
-    assert _orders(folded) == [(N // 2, N // 2)]
-    want = dipoles_bem(folded)
+    if N == 4096:
+        want = (analytic_dipoles("circle", r=1.0) if C is _CIRCLE
+                else analytic_dipoles("ellipse", a0=1.5, b0=0.7))
+        assert split.gauss_residual <= 1e-12
+    else:
+        _whole_only(monkeypatch)
+        whole = assemble(C, N)
+        assert _orders(whole) == [(N, N)]
+        want = dipoles_bem(whole)
+        assert abs(split.gauss_residual - whole.gauss_residual) <= 1e-12
     for value, exact in ((dip.mu, want.mu), (dip.kappa, want.kappa), (dip.nu, want.nu)):
         assert abs(value - exact) <= 1e-14 * want.mu
-    assert abs(split.gauss_residual - folded.gauss_residual) <= 1e-12
 
 
 def test_fold_is_chosen_from_the_coefficients_exactly(tmp_path):
-    # one even harmonic of 1e-300 breaks r(t + pi) = -r(t): the full path
+    # one even harmonic of 1e-300 breaks r(t + pi) = -r(t), and one sin_x or
+    # cos_y of 1e-300 breaks r(-t) = (X(t), -Y(t)): the whole path
     tiny = make_fourier([1.0, 1e-300], [0.0, 0.0], [0.0, 0.0], [0.6, 0.0])
-    assert not tiny.centrally_symmetric
+    assert not tiny.symmetric_about_both_axes
     assert _orders(assemble(tiny, 64)) == [(64, 64)]
-    # one sin_x or cos_y of 1e-300 breaks r(-t) = (X(t), -Y(t)): the fold
     for sin_x, cos_y in ((1e-300, 0.0), (0.0, 1e-300)):
         C = make_fourier([1.0, 0.0, 0.05], [sin_x, 0.0, 0.0], [cos_y, 0.0, 0.0],
                          [0.6, 0.0, -0.04])
-        assert C.centrally_symmetric and not C.mirror_symmetric
-        assert _orders(assemble(C, 64)) == [(32, 32)]
-    # odd-only J = 3 files, and the same traversed clockwise: the fold, or,
-    # with sin_x and cos_y zero (-0.0 too), the split
+        assert not C.symmetric_about_both_axes
+        assert _orders(assemble(C, 64)) == [(64, 64)]
+    # odd-only J = 3 files, and the same traversed clockwise: the whole path,
+    # or, with sin_x and cos_y zero (-0.0 too), the split
     path = tmp_path / "odd.txt"
     for text, reversed_input, orders in (
-            ("1.0 0.0 0.0 0.8\n0.0 0.0 0.0 0.0\n0.05 0.02 0.0 -0.04\n", False, [(32, 32)]),
-            ("1.0 0.0 0.0 -0.8\n0.0 0.0 0.0 0.0\n0.05 -0.02 0.0 0.04\n", True, [(32, 32)]),
+            ("1.0 0.0 0.0 0.8\n0.0 0.0 0.0 0.0\n0.05 0.02 0.0 -0.04\n", False, [(64, 64)]),
+            ("1.0 0.0 0.0 -0.8\n0.0 0.0 0.0 0.0\n0.05 -0.02 0.0 0.04\n", True, [(64, 64)]),
             ("1.0 -0.0 0.0 0.8\n0.0 0.0 0.0 0.0\n0.05 0.0 -0.0 -0.04\n", False,
              [(16, 16)] * 2),
             ("1.0 0.0 0.0 -0.8\n0.0 0.0 0.0 0.0\n0.05 0.0 0.0 0.04\n", True,
@@ -415,7 +407,7 @@ def test_fold_is_chosen_from_the_coefficients_exactly(tmp_path):
         path.write_text(text)
         C = read_fourier_file(path)
         assert C.reversed_input == reversed_input
-        assert C.centrally_symmetric
+        assert C.symmetric_about_both_axes == (len(orders) == 2)
         assert _orders(assemble(C, 64)) == orders
 
 
@@ -479,7 +471,8 @@ def test_extension_loader_in_either_import_order(case, package_loaded, searched,
     # or imports it the regular way when the file is missing; each way the
     # LU, pivots and solves are those of lu_factor and lu_solve, and the root
     # is scipy.optimize.brentq's, bit for bit, and the subpackage still works
-    # after. The egg is not centrally symmetric, so its LU is the whole I + M
+    # after. The egg is not symmetric about both axes, so its LU is the
+    # whole I + M
     C, N = _EGG, 64
     A = np.eye(N) + _textbook_kernel(C, N)
     np.save(tmp_path / "A.npy", A)
@@ -530,15 +523,11 @@ def test_assembly_peak_memory():
 
 
 def test_folded_assembly_peak_memory():
-    # a centrally symmetric section folds each block of rows into its odd
-    # block as it is built: that N/2 block, N^2 / 4 doubles, is the only
-    # large array (about 0.39 N^2 doubles at the peak), and the whole MT is
-    # never allocated
+    # a section symmetric about both axes folds each block of rows into its
+    # two N/4 blocks as it is built: N^2 / 8 doubles together (about 0.28
+    # N^2 doubles at the peak, with the scratch of one pass), and the whole
+    # MT is never allocated
     N = 1024
-    assert _assembly_peak(make_ellipse(1.5, 0.7, 0.4), N) <= 0.5 * 8 * N * N
-    # a mirror symmetric one folds each block of rows on into its two N/4
-    # blocks, N^2 / 8 doubles together (about 0.28 N^2 doubles at the peak,
-    # with the scratch of one pass)
     assert _assembly_peak(make_ellipse(1.5, 0.7), N) <= 0.3 * 8 * N * N
 
 
@@ -565,13 +554,12 @@ def test_centrally_symmetric_crossing_curve_fails_the_gauss_law(N):
     # X = cos t, Y = sin 3t / 2 crosses itself at (+-1/2, 0) and has only odd
     # harmonics, X a cosine and Y a sine series, so it is split: the
     # weighted column sums of its N/4 + 1 rows catch it. Turned by 0.3 it is
-    # only folded: the column sums of L and R catch it
+    # factored whole: the row sums of M catch it
     for theta in (0.0, 0.3):
         c, s = math.cos(theta), math.sin(theta)
         C = Contour(np.array([c, 0.0, 0.0]), np.array([0.0, 0.0, 0.5 * s]),
                     np.array([-s, 0.0, 0.0]), np.array([0.0, 0.0, 0.5 * c]))
-        assert C.centrally_symmetric
-        assert C.mirror_symmetric == (theta == 0.0)
+        assert C.symmetric_about_both_axes == (theta == 0.0)
         with np.errstate(invalid="ignore", divide="ignore"):
             with pytest.raises(ConsistencyError, match="discrete Gauss law violated"):
                 assemble(C, N)
