@@ -286,16 +286,24 @@ def test_folded_nodes_make_the_matrix_shift_invariant(C, N):
 
 
 @pytest.mark.parametrize("N", [64, 256, 1024])
-@pytest.mark.parametrize("C", _SPLIT, ids=["circle", "ellipse", "odd_mirror"])
+@pytest.mark.parametrize("C", [*_SPLIT, _J3],
+                         ids=["circle", "ellipse", "odd_mirror", "fourier_J3"])
 def test_half_resolution_kernel_is_the_even_subsample(C, N):
     # t_{2i} at N is t_i at N/2 and 2 pi / (N/2) = 2 (2 pi / N), both
-    # exactly, so M_{N/2}[i, j] = 2 M_N[2i, 2j] bit for bit; so are the
-    # split blocks, and assemble's N/2 factors are those of the subsample
+    # exactly, so M_{N/2}[i, j] = 2 M_N[2i, 2j] bit for bit on both paths;
+    # so are the split blocks, and assemble's N/2 factors are those of the
+    # subsample
     M = _textbook_kernel(C, N)
     assert np.array_equal(_bits(_textbook_kernel(C, N // 2)), _bits(2.0 * M[::2, ::2]))
-    even, odd = _textbook_blocks(C, N)
-    sub = [np.eye(N // 8) + 2.0 * even[::2, ::2], np.eye(N // 8) + 2.0 * odd[1::2, 1::2]]
-    for (lu, piv), A in zip(assemble(C, N // 2).factors, sub):
+    if C is _J3:
+        sub = [np.eye(N // 2) + 2.0 * M[::2, ::2]]
+    else:
+        even, odd = _textbook_blocks(C, N)
+        sub = [np.eye(N // 8) + 2.0 * even[::2, ::2],
+               np.eye(N // 8) + 2.0 * odd[1::2, 1::2]]
+    factors = assemble(C, N // 2).factors
+    assert len(factors) == len(sub)
+    for (lu, piv), A in zip(factors, sub):
         want_lu, want_piv = lu_factor(A)
         assert np.array_equal(_bits(lu), _bits(want_lu))
         assert np.array_equal(piv, want_piv)
